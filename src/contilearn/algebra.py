@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
+
 _TINY = float(np.finfo(float).tiny)
 _IDENTITY_TOL = 1e-9
 _RIDGE = 1e-10
@@ -143,14 +145,16 @@ def fit_structure_constants(F_samples, ridge: float = _RIDGE) -> AlgebraFitRepor
     onto the span of the feature columns. The constants are symmetric in
     (a, b) by construction since pointwise products commute. A rank-deficient
     sample matrix does not stop the fit (the damping keeps it defined) but is
-    flagged as ill-conditioned.
+    flagged as ill-conditioned. Fewer rows than features raise DataError.
     """
     F = np.asarray(F_samples, dtype=float)
     if F.ndim != 2:
         raise ValueError("expected a matrix of feature rows")
     n_samples, n = F.shape
     if n_samples < n:
-        raise ValueError(f"need at least {n} samples to fit {n} features, got {n_samples}")
+        raise DataError(
+            f"need at least {n} samples to fit the algebra of {n} features, got {n_samples}"
+        )
 
     ii, jj = np.triu_indices(n)
     P = F[:, ii] * F[:, jj]

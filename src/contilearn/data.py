@@ -68,12 +68,21 @@ class Standardization:
 
 
 def fit_standardization(X: np.ndarray) -> Standardization:
-    """Fit per-column mean and population standard deviation; zero spread maps to scale 1."""
+    """Fit per-column mean and population standard deviation; zero spread maps to scale 1.
+
+    Raises DataError when a column's mean or spread overflows a double.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("fit_standardization expects a 2-d array")
-    mean = X.mean(axis=0)
-    spread = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        spread = X.std(axis=0)
+    overflow = ~(np.isfinite(mean) & np.isfinite(spread))
+    if overflow.any():
+        raise DataError(
+            f"column {int(np.argmax(overflow)) + 1}: values too large in magnitude to standardize"
+        )
     scale = np.where(spread > 0.0, spread, 1.0)
     return Standardization(mean, scale)
 

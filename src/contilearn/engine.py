@@ -21,6 +21,7 @@ from .data import Dataset
 from .ensemble import (
     BootstrapPlan,
     SolutionSet,
+    bootstrap_counts,
     fit_distribution,
     sample_plans,
     solve_replicates,
@@ -108,21 +109,19 @@ def _stage_seed(seed: int, stage: int) -> int:
 
 
 def _oob_from_solutions(y, F, plans, solset: SolutionSet) -> float:
-    """Mean over replicates of the mean per-sample log-probability on held-out rows."""
-    t_max = len(y)
-    scores = []
-    for sol in solset.solutions:
-        mask = np.ones(t_max, dtype=bool)
-        mask[plans[sol.index]] = False
-        if not mask.any():
-            continue
-        z = F[mask] @ sol.w
-        scores.append(float(np.mean(y[mask] * z - softplus(z))))
-    if not scores:
+    """Mean over replicates of the mean per-sample log-probability on held-out rows.
+
+    A replicate's held-out rows are those it drew zero times.
+    """
+    held = bootstrap_counts(plans, len(y))[[sol.index for sol in solset.solutions]] == 0
+    n_held = held.sum(axis=1)
+    if not n_held.any():
         raise NumericalError(
             "engine", "every replicate resampled the full training set; no out-of-bag rows"
         )
-    return float(np.mean(scores))
+    z = np.stack([sol.w for sol in solset.solutions]) @ F.T
+    totals = np.sum(np.where(held, y * z - softplus(z), 0.0), axis=1)
+    return float(np.mean(totals[n_held > 0] / n_held[n_held > 0]))
 
 
 def oob_score(y, F, plans, prior: Prior, config: SolverConfig | None = None, w_init=None) -> float:

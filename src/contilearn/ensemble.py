@@ -1,27 +1,27 @@
 """Bootstrap replicate solves and the likelihood-weighted solution distribution.
 
 Each replicate resamples the training rows with replacement (multiset size
-equals the training size) and is solved on its own subsample. Replicates are
-weighted by the softmax of their full-data objective values, computed in the
-log domain, and the weighted mean/covariance of the solution cloud define
-the solution distribution handed to the spectral step.
-
-Replicate solves are independent; the env var CONTILEARN_THREADS caps the
-worker count (0 or unset means auto). Results are reduced in replicate index
-order so the output is identical for any thread count.
+equals the training size). A replicate is not copied out: it is the full
+training set with integer row counts C[s, t] (how often replicate s drew row
+t), its objective sum_t C[s, t] l_t equals the objective on the multiset,
+and its out-of-bag rows are those with count 0. All replicates of one prior
+are solved together as one batched Newton problem (``solver.maximize_batch``),
+so results do not depend on any execution order. Replicates are weighted by
+the softmax of their full-data objective values, computed in the log domain,
+and the weighted mean/covariance of the solution cloud define the solution
+distribution handed to the spectral step.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError
 from .model import Prior, log_likelihood
-from .solver import SolverConfig, maximize
+# maximize stays in this namespace: bench/tracing.py patches it here by name
+from .solver import SolverConfig, maximize, maximize_batch  # noqa: F401
 
 _SEED_LIMIT = 1 << 64
 
@@ -54,32 +54,16 @@ def sample_plans(plan: BootstrapPlan, t_max: int) -> list[np.ndarray]:
     ]
 
 
+def bootstrap_counts(plans, t_max: int) -> np.ndarray:
+    """Row counts of every replicate: entry (s, t) is how often plan s drew row t."""
+    return np.stack([np.bincount(idx, minlength=t_max) for idx in plans]).astype(float)
+
+
 def weights_from_loglik(L) -> np.ndarray:
     """Softmax of log-likelihood values, shifted by the maximum so nothing overflows."""
     L = np.asarray(L, dtype=float)
     shifted = np.exp(L - np.max(L))
     return shifted / np.sum(shifted)
-
-
-def worker_count() -> int:
-    """Worker cap from CONTILEARN_THREADS; 0 or unset selects the CPU count."""
-    raw = os.environ.get("CONTILEARN_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"CONTILEARN_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ConfigError("CONTILEARN_THREADS must be non-negative")
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    n = min(worker_count(), len(items))
-    if n <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -116,9 +100,9 @@ def solve_replicates(
     config: SolverConfig | None = None,
     w_init=None,
 ) -> SolutionSet:
-    """Solve every replicate on its subsample and weight by full-data objective.
+    """Solve every replicate as a count-weighted problem and weight by full-data objective.
 
-    Replicates whose solve raises are dropped; fewer than two survivors is an
+    Replicates whose solve fails are dropped; fewer than two survivors is an
     error. Weights use the full-data objective because subsample objectives
     are not comparable across replicates.
     """
@@ -126,29 +110,24 @@ def solve_replicates(
         raise ValueError("plans must be nonempty")
     y = np.asarray(y, dtype=float)
     F = np.asarray(F, dtype=float)
-
-    def solve_one(arg):
-        s, idx = arg
-        try:
-            sol = maximize(y[idx], F[idx], prior, config, w_init)
-        except NumericalError:
-            return None
-        return ReplicateSolution(
-            index=s,
-            w=sol.w,
-            L_full=log_likelihood(sol.w, y, F, prior),
-            L_subset=sol.L_value,
-            converged=sol.converged,
-        )
-
-    results = _map_ordered(solve_one, enumerate(plans))
-    kept = [r for r in results if r is not None]
+    batch = maximize_batch(y, F, bootstrap_counts(plans, len(y)), prior, config, w_init)
+    kept = [s for s, error in enumerate(batch.error) if error is None]
     if len(kept) < 2:
         raise NumericalError(
             "ensemble", f"only {len(kept)} of {len(plans)} replicate solves succeeded"
         )
-    weights = weights_from_loglik([r.L_full for r in kept])
-    return SolutionSet(tuple(kept), weights, n_failed=len(results) - len(kept))
+    L_full = log_likelihood(batch.w[kept], y, F, prior)
+    solutions = tuple(
+        ReplicateSolution(
+            index=s,
+            w=batch.w[s],
+            L_full=float(L),
+            L_subset=float(batch.L_value[s]),
+            converged=bool(batch.converged[s]),
+        )
+        for s, L in zip(kept, L_full)
+    )
+    return SolutionSet(solutions, weights_from_loglik(L_full), n_failed=len(plans) - len(kept))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ whose slot 0 is a constant bias feature. The prior is an isotropic Gaussian
 with precision r, written with its normalization constant so that objective
 values remain comparable across different r. All exponentials go through
 softplus / the two-branch sigmoid, so nothing here overflows.
+
+The objective, its change along a step, the gradient and the Hessian take
+one parameter vector or S stacked ones, and optional per-sample counts: a
+bootstrap replicate is the full data with each row weighted by how often it
+was drawn, so S replicates share one feature matrix.
 """
 
 from __future__ import annotations
@@ -49,10 +54,35 @@ def softplus(z):
 
 
 def _check_dims(w: np.ndarray, F: np.ndarray) -> None:
-    if F.shape[-1] != w.shape[0]:
+    if F.shape[-1] != w.shape[-1]:
         raise ValueError(
-            f"feature dimension {F.shape[-1]} does not match parameter dimension {w.shape[0]}"
+            f"feature dimension {F.shape[-1]} does not match parameter dimension {w.shape[-1]}"
         )
+
+
+def _scores(w, y, F, counts):
+    """Validated arrays plus the scores z = w F^T: shape (T,), or (S, T) for stacked w."""
+    w = np.asarray(w, dtype=float)
+    y = np.asarray(y, dtype=float)
+    F = np.asarray(F, dtype=float)
+    _check_dims(w, F)
+    if F.shape[0] != y.shape[0]:
+        raise ValueError("label and feature sample counts differ")
+    z = w @ F.T
+    if counts is not None:
+        counts = np.asarray(counts, dtype=float)
+        if counts.shape != z.shape:
+            raise ValueError(f"counts have shape {counts.shape}, expected {z.shape}")
+    return w, y, F, counts, z
+
+
+def _weighted_sum(terms, counts):
+    """Per-row sum over samples, each sample weighted by its count (1 when counts is None)."""
+    return np.sum(terms if counts is None else counts * terms, axis=-1)
+
+
+def _scalar(value, w):
+    return float(value) if w.ndim == 1 else value
 
 
 def predict_prob(w, F):
@@ -71,52 +101,82 @@ def predict_prob(w, F):
     return np.clip(p, _TINY, _ALMOST_ONE)
 
 
-def log_prior(w, prior: Prior) -> float:
-    """Log-density of the isotropic Gaussian prior, normalization included."""
-    w = np.asarray(w, dtype=float)
-    m = w.shape[0]
-    return float(0.5 * m * (np.log(prior.r) - _LOG_2PI) - 0.5 * prior.r * float(w @ w))
+def log_prior(w, prior: Prior):
+    """Log-density of the isotropic Gaussian prior, normalization included.
 
-
-def log_likelihood(w, y, F, prior: Prior | None = None) -> float:
-    """Training objective: label log-probabilities plus (optionally) the log prior.
-
-    With ``prior=None`` only the data term is returned.
+    One value for a parameter vector, or one per row of stacked vectors.
     """
     w = np.asarray(w, dtype=float)
-    y = np.asarray(y, dtype=float)
-    F = np.asarray(F, dtype=float)
-    _check_dims(w, F)
-    if F.shape[0] != y.shape[0]:
-        raise ValueError("label and feature sample counts differ")
-    z = F @ w
-    value = float(y @ z - np.sum(softplus(z)))
+    m = w.shape[-1]
+    value = 0.5 * m * (np.log(prior.r) - _LOG_2PI) - 0.5 * prior.r * np.sum(w * w, axis=-1)
+    return _scalar(value, w)
+
+
+def log_likelihood(w, y, F, prior: Prior | None = None, counts=None):
+    """Training objective: label log-probabilities plus (optionally) the log prior.
+
+    With ``prior=None`` only the data term is returned. ``w`` is one parameter
+    vector (the result is a float) or S stacked ones (one value per row).
+    ``counts`` (shape (S, T), or (T,) for one vector) weights sample t by
+    how often a bootstrap replicate drew it; None weights every sample 1.
+    """
+    w, y, F, counts, z = _scores(w, y, F, counts)
+    value = _weighted_sum(y * z - softplus(z), counts)
     if prior is not None:
-        value += log_prior(w, prior)
-    return value
+        value = value + log_prior(w, prior)
+    return _scalar(value, w)
 
 
-def gradient(w, y, F, prior: Prior | None = None) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    y = np.asarray(y, dtype=float)
-    F = np.asarray(F, dtype=float)
-    _check_dims(w, F)
-    p = sigmoid(F @ w)
-    g = F.T @ (y - p)
+def log_likelihood_change(w, dw, y, F, prior: Prior | None = None, counts=None):
+    """L(w + dw) - L(w), computed directly rather than as a difference of objectives.
+
+    The difference of two objective values loses every digit once the change
+    falls below one ulp of L; here each sample contributes
+    y dz - (softplus(z + dz) - softplus(z)), and for |dz| <= 1 the softplus
+    change is log1p(sigmoid(z) expm1(dz)) (mirrored for z >= 0), which keeps
+    its relative precision however small dz is. Shapes and ``counts`` follow
+    ``log_likelihood``.
+    """
+    w, y, F, counts, z = _scores(w, y, F, counts)
+    dw = np.asarray(dw, dtype=float)
+    dz = dw @ F.T
+    upper = z >= 0.0
+    mirrored = np.where(upper, -1.0, 1.0) * np.clip(dz, -1.0, 1.0)
+    near = np.log1p(sigmoid(-np.abs(z)) * np.expm1(mirrored)) + np.where(upper, dz, 0.0)
+    far = softplus(z + dz) - softplus(z)
+    value = _weighted_sum(y * dz - np.where(np.abs(dz) <= 1.0, near, far), counts)
+    if prior is not None:
+        value = value - prior.r * np.sum(w * dw + 0.5 * dw * dw, axis=-1)
+    return _scalar(value, w)
+
+
+def gradient(w, y, F, prior: Prior | None = None, counts=None):
+    """First derivative: shape (m,), or (S, m) for stacked ``w``.
+
+    ``counts`` weights samples as in ``log_likelihood``.
+    """
+    w, y, F, counts, z = _scores(w, y, F, counts)
+    residual = y - sigmoid(z)
+    if counts is not None:
+        residual = counts * residual
+    g = residual @ F
     if prior is not None:
         g = g - prior.r * w
     return g
 
 
-def hessian(w, y, F, prior: Prior | None = None) -> np.ndarray:
-    """Second derivative matrix; symmetric, and negative definite whenever r > 0."""
-    w = np.asarray(w, dtype=float)
-    y = np.asarray(y, dtype=float)
-    F = np.asarray(F, dtype=float)
-    _check_dims(w, F)
-    p = sigmoid(F @ w)
+def hessian(w, y, F, prior: Prior | None = None, counts=None):
+    """Second derivative matrix; symmetric, and negative definite whenever r > 0.
+
+    Shape (m, m), or (S, m, m) for stacked ``w``. The stacked product
+    builds an (S, m, T) temporary, so callers bound S for large problems.
+    """
+    w, y, F, counts, z = _scores(w, y, F, counts)
+    p = sigmoid(z)
     s = p * (1.0 - p)
-    H = -(F * s[:, None]).T @ F
+    if counts is not None:
+        s = counts * s
+    H = -np.matmul(F.T * s[..., None, :], F)
     if prior is not None:
-        H = H - prior.r * np.eye(w.shape[0])
-    return 0.5 * (H + H.T)
+        H = H - prior.r * np.eye(w.shape[-1])
+    return 0.5 * (H + np.swapaxes(H, -1, -2))

@@ -112,6 +112,38 @@ def test_train_missing_data_file(tmp_path, xor_config, capsys):
     assert "missing.csv" in capsys.readouterr().err
 
 
+def _train_exit(tmp_path, rows, config_text):
+    data = tmp_path / "rows.csv"
+    data.write_text(rows)
+    config = tmp_path / "run.cfg"
+    config.write_text(config_text)
+    return main(
+        ["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "m")]
+    )
+
+
+def test_train_on_overflowing_inputs_is_a_data_error(tmp_path, capsys):
+    # the spread of +-1e300 overflows a double, so the column cannot be standardized
+    code = _train_exit(tmp_path, "1e300,0\n-1e300,1\n1.0,0\n2.0,1\n", "n_iters = 1\n")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        "contilearn: column 1: values too large in magnitude to standardize"
+    ]
+
+
+def test_algebra_check_on_too_few_rows_is_a_data_error(tmp_path, capsys):
+    # 4 rows cannot fit the algebra of 1 + 4 derived features of a 3-input problem
+    rows = "0.1,0.5,1.2,0\n-0.4,1.1,0.3,1\n0.9,-0.2,-1.0,1\n-1.3,0.7,0.8,0\n"
+    config = "n_iters = 1\nalgebra_check = true\nrel_threshold = 1e-6\n"
+    code = _train_exit(tmp_path, rows, config)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        "contilearn: need at least 5 samples to fit the algebra of 5 features, got 4"
+    ]
+
+
 def test_train_bad_config_exit_code(tmp_path, xor_csv):
     bad = tmp_path / "bad.cfg"
     bad.write_text("definitely_not_a_key = 1\n")

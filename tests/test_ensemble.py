@@ -5,19 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contilearn import ensemble, solver
+from contilearn.engine import EngineConfig, run
 from contilearn.ensemble import (
     BootstrapPlan,
     ReplicateSolution,
     SolutionSet,
+    bootstrap_counts,
     fit_distribution,
     sample_plans,
     solve_replicates,
     weights_from_loglik,
-    worker_count,
 )
-from contilearn.errors import ConfigError, NumericalError
-from contilearn.model import Prior
-from tests.conftest import random_instance
+from contilearn.errors import NumericalError
+from contilearn.model import Prior, hessian
+from contilearn.solver import SolverConfig, maximize
+from tests.conftest import dataset_from_arrays, random_instance
 
 
 def make_solution_set(ws, L):
@@ -96,6 +99,69 @@ def test_solve_replicates_records_both_objectives():
         assert np.isfinite(sol.L_full) and np.isfinite(sol.L_subset)
 
 
+def test_counts_count_each_drawn_row():
+    plans = [np.array([0, 0, 2, 3]), np.array([1, 1, 1, 1])]
+    assert np.array_equal(bootstrap_counts(plans, 4), [[2, 0, 1, 1], [0, 4, 0, 0]])
+
+
+def test_replicates_match_solving_each_subsample_alone():
+    # oracle: the old per-replicate solve on the copied rows y[idx], F[idx]
+    rng = np.random.default_rng(16)
+    y, F = random_instance(rng, t_max=30, m=4)
+    plans = sample_plans(BootstrapPlan(5, seed=7), 30)
+    prior = Prior(0.3)
+    solset = solve_replicates(y, F, plans, prior)
+    assert solset.n_failed == 0
+    for sol, idx in zip(solset.solutions, plans):
+        alone = maximize(y[idx], F[idx], prior)
+        assert np.max(np.abs(sol.w - alone.w)) <= 1e-6
+        assert abs(sol.L_subset - alone.L_value) <= 1e-9 * abs(alone.L_value)
+        assert sol.converged
+
+
+def test_failed_replicate_is_dropped_and_counted(monkeypatch):
+    rng = np.random.default_rng(17)
+    y, F = random_instance(rng, t_max=25, m=3)
+    plans = sample_plans(BootstrapPlan(4, seed=8), 25)
+    doomed = bootstrap_counts(plans, 25)[1]
+
+    def broken_hessian(w, y, F, prior=None, counts=None):
+        H = hessian(w, y, F, prior, counts)
+        H[(counts == doomed).all(axis=1)] *= -1.0
+        return H
+
+    intact = solve_replicates(y, F, plans, Prior(1.0))
+    monkeypatch.setattr(solver, "hessian", broken_hessian)
+    solset = solve_replicates(y, F, plans, Prior(1.0))
+    assert solset.n_failed == 1
+    assert [sol.index for sol in solset.solutions] == [0, 2, 3]
+    for sol in solset.solutions:
+        assert sol.converged
+        assert np.max(np.abs(sol.w - intact.solutions[sol.index].w)) <= 1e-12
+
+
+def test_every_acceptance_replicate_converges(monkeypatch):
+    # the 60-row, three-round problem of the acceptance gate
+    batches = []
+
+    def recording(*args, **kwargs):
+        batches.append(solver.maximize_batch(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(ensemble, "maximize_batch", recording)
+    rng = np.random.default_rng(50)
+    X = rng.normal(size=(60, 2))
+    y = (X[:, 0] * X[:, 1] + 0.2 * rng.normal(size=60) > 0).astype(float)
+    run(dataset_from_arrays(X, y), EngineConfig(n_iters=3, seed=13, k_max=8))
+    config = SolverConfig()
+    assert len(batches) == 4 * 4  # r grid x stages
+    for batch in batches:
+        assert batch.error == (None,) * 64
+        assert np.all(batch.converged)
+        assert np.all(batch.grad_norm <= config.grad_tol)
+        assert np.all(batch.iterations < config.max_iters)
+
+
 def test_solve_replicates_threads_do_not_change_results(monkeypatch):
     rng = np.random.default_rng(11)
     y, F = random_instance(rng, t_max=25, m=4)
@@ -171,21 +237,6 @@ def test_permuting_replicates_keeps_the_distribution():
     shuffled = fit_distribution(make_solution_set([ws[i] for i in perm], [L[i] for i in perm]))
     assert np.allclose(base.mean, shuffled.mean, atol=1e-12)
     assert np.allclose(base.cov, shuffled.cov, atol=1e-12)
-
-
-def test_worker_count_env_handling(monkeypatch):
-    monkeypatch.setenv("CONTILEARN_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("CONTILEARN_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.delenv("CONTILEARN_THREADS")
-    assert worker_count() >= 1
-    monkeypatch.setenv("CONTILEARN_THREADS", "many")
-    with pytest.raises(ConfigError):
-        worker_count()
-    monkeypatch.setenv("CONTILEARN_THREADS", "-2")
-    with pytest.raises(ConfigError):
-        worker_count()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")

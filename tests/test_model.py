@@ -10,6 +10,7 @@ from contilearn.model import (
     gradient,
     hessian,
     log_likelihood,
+    log_likelihood_change,
     log_prior,
     predict_prob,
     sigmoid,
@@ -163,3 +164,54 @@ def test_objective_is_concave_along_segments(seed):
     mid = log_likelihood(lam * w1 + (1 - lam) * w2, y, F, prior)
     chord = lam * log_likelihood(w1, y, F, prior) + (1 - lam) * log_likelihood(w2, y, F, prior)
     assert mid >= chord - 1e-12
+
+
+def test_stacked_counts_equal_duplicated_rows():
+    # oracle: row t repeated counts[s, t] times, evaluated one vector at a time
+    rng = np.random.default_rng(500)
+    y, F = random_instance(rng, t_max=9, m=3)
+    W = rng.normal(size=(4, 3))
+    counts = rng.integers(0, 3, size=(4, 9))
+    prior = Prior(0.7)
+    L = log_likelihood(W, y, F, prior, counts)
+    G = gradient(W, y, F, prior, counts)
+    H = hessian(W, y, F, prior, counts)
+    for s in range(4):
+        idx = np.repeat(np.arange(9), counts[s])
+        assert math.isclose(L[s], log_likelihood(W[s], y[idx], F[idx], prior), rel_tol=1e-12)
+        assert np.allclose(G[s], gradient(W[s], y[idx], F[idx], prior), rtol=1e-12, atol=1e-12)
+        assert np.allclose(H[s], hessian(W[s], y[idx], F[idx], prior), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.5, 3.0, 40.0])
+def test_objective_change_matches_the_difference(scale):
+    rng = np.random.default_rng(510)
+    y, F = random_instance(rng, t_max=20, m=4)
+    prior = Prior(1.2)
+    w = rng.normal(size=4)
+    dw = scale * rng.normal(size=4)
+    direct = log_likelihood(w + dw, y, F, prior) - log_likelihood(w, y, F, prior)
+    change = log_likelihood_change(w, dw, y, F, prior)
+    assert math.isclose(change, direct, rel_tol=1e-9, abs_tol=1e-11)
+
+
+def test_objective_change_keeps_precision_below_one_ulp():
+    # oracle: second-order Taylor expansion, exact to O(|dw|^3) ~ 1e-39
+    rng = np.random.default_rng(520)
+    y, F = random_instance(rng, t_max=20, m=4)
+    prior = Prior(1.0)
+    w = 5.0 * rng.normal(size=4)  # saturated scores on both sides
+    dw = 1e-13 * rng.normal(size=4)
+    taylor = gradient(w, y, F, prior) @ dw + 0.5 * dw @ hessian(w, y, F, prior) @ dw
+    assert math.isclose(log_likelihood_change(w, dw, y, F, prior), taylor, rel_tol=1e-9)
+
+
+def test_objective_change_of_a_huge_step_is_finite():
+    F = np.array([[1.0, 2.0], [1.0, -3.0]])
+    y = np.array([1.0, 0.0])
+    change = log_likelihood_change(np.zeros(2), np.array([0.0, 1e4]), y, F, Prior(1.0))
+    assert np.isfinite(change)
+    direct = log_likelihood(np.array([0.0, 1e4]), y, F, Prior(1.0)) - log_likelihood(
+        np.zeros(2), y, F, Prior(1.0)
+    )
+    assert math.isclose(change, direct, rel_tol=1e-12)

@@ -3,7 +3,7 @@ import pytest
 
 from contilearn.errors import NumericalError
 from contilearn.model import Prior, log_likelihood, sigmoid
-from contilearn.solver import Solution, SolverConfig, maximize
+from contilearn.solver import Solution, SolverConfig, maximize, maximize_batch
 from tests.conftest import random_instance
 
 
@@ -110,3 +110,31 @@ def test_config_validation():
         SolverConfig(backtrack=1.0)
     with pytest.raises(ValueError):
         SolverConfig(armijo=0.5)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_count_weighted_batch_matches_subsample_solves(seed):
+    # oracle: replicate s solved alone on its multiset of rows y[idx], F[idx]
+    rng = np.random.default_rng(400 + seed)
+    y, F = random_instance(rng, t_max=30, m=5)
+    prior = Prior(0.5)
+    plans = [rng.integers(0, 30, size=30) for _ in range(6)]
+    counts = np.stack([np.bincount(idx, minlength=30) for idx in plans])
+    batch = maximize_batch(y, F, counts, prior)
+    assert batch.error == (None,) * 6
+    for s, idx in enumerate(plans):
+        alone = maximize(y[idx], F[idx], prior)
+        assert np.max(np.abs(batch.w[s] - alone.w)) <= 1e-6
+        assert abs(batch.L_value[s] - alone.L_value) <= 1e-9 * abs(alone.L_value)
+        assert batch.converged[s] and batch.grad_norm[s] <= SolverConfig().grad_tol
+
+
+def test_convergence_below_one_ulp_of_the_objective():
+    # a large objective whose last Newton steps change it by less than one ulp:
+    # comparing objective values would exhaust the line search here
+    rng = np.random.default_rng(430)
+    y, F = random_instance(rng, t_max=40, m=4)
+    counts = np.full((1, 40), 1e6)
+    batch = maximize_batch(y, F, counts, Prior(1.0), SolverConfig(grad_tol=1e-6))
+    assert batch.converged[0]
+    assert batch.iterations[0] < SolverConfig().max_iters
