@@ -37,7 +37,6 @@ from .featuremap import (
     embed_mean_solution,
     expand,
     expansion_size,
-    redefine,
 )
 from .model import Prior, gradient, hessian, log_likelihood, log_prior, predict_prob, sigmoid, softplus
 from .modelio import RunConfig, TrainedModel, load_model, load_run_config, save_model
@@ -93,7 +92,6 @@ __all__ = [
     "oob_score",
     "power_series",
     "predict_prob",
-    "redefine",
     "reference_algebra",
     "run",
     "sample_plans",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 _TINY = float(np.finfo(float).tiny)
 _IDENTITY_TOL = 1e-9
@@ -145,7 +145,9 @@ def fit_structure_constants(F_samples, ridge: float = _RIDGE) -> AlgebraFitRepor
     onto the span of the feature columns. The constants are symmetric in
     (a, b) by construction since pointwise products commute. A rank-deficient
     sample matrix does not stop the fit (the damping keeps it defined) but is
-    flagged as ill-conditioned. Fewer rows than features raise DataError.
+    flagged as ill-conditioned. Fewer rows than features, or features whose
+    products overflow, raise DataError; a Gram matrix that is singular even
+    with the damping raises NumericalError.
     """
     F = np.asarray(F_samples, dtype=float)
     if F.ndim != 2:
@@ -157,16 +159,23 @@ def fit_structure_constants(F_samples, ridge: float = _RIDGE) -> AlgebraFitRepor
         )
 
     ii, jj = np.triu_indices(n)
-    P = F[:, ii] * F[:, jj]
-    G = F.T @ F
-    coef = np.linalg.solve(G + ridge * np.eye(n), F.T @ P)
-    defect = P - F @ coef
-
-    closure = float(np.sqrt(np.mean(defect * defect)))
-    product_rms = float(np.sqrt(np.mean(P * P)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = F[:, ii] * F[:, jj]
+        G = F.T @ F
+        rhs = F.T @ P
+        product_rms = float(np.sqrt(np.mean(P * P)))
+        if not (np.isfinite(product_rms) and np.isfinite(G).all() and np.isfinite(rhs).all()):
+            raise DataError("feature values too large in magnitude to fit their products")
+        try:
+            coef = np.linalg.solve(G + ridge * np.eye(n), rhs)
+            gev = np.linalg.eigvalsh(G)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("algebra", f"structure-constant fit failed: {exc}") from None
+        defect = P - F @ coef
+        closure = float(np.sqrt(np.mean(defect * defect)))
+    if not np.isfinite(closure):
+        raise NumericalError("algebra", "structure-constant fit overflowed")
     normalized = closure / max(product_rms, _TINY)
-
-    gev = np.linalg.eigvalsh(G)
     ill = bool(gev[0] <= max(gev[-1], 0.0) / _COND_LIMIT)
 
     c = np.zeros((n, n, n))

@@ -12,6 +12,8 @@ import argparse
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .algebra import associativity_residual, fit_structure_constants, reference_algebra
 from .data import load_csv, load_inputs
 from .engine import run
@@ -70,12 +72,8 @@ def cmd_train(args) -> int:
         raise ConfigError("no training data given (pass --data or set 'data' in the config)")
     if out_path is None:
         raise ConfigError("no output path given (pass --out or set 'out' in the config)")
-    try:
-        engine_config = config.engine_config()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     dataset = load_csv(data_path, has_header=config.has_header)
-    result = run(dataset, engine_config)
+    result = run(dataset, config)
     model = TrainedModel(
         feature_map=result.feature_map,
         w=result.w,
@@ -88,10 +86,26 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _model_features(model: TrainedModel, path, features):
+    """``features`` (a method of the model's feature map) of the input rows at ``path``.
+
+    A row whose squared feature norm is not finite (a feature, or a product
+    of two, overflows) raises DataError naming it; no warning is printed.
+    """
+    X = load_inputs(path, d=model.feature_map.d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = features(X)
+        bad = ~np.isfinite(np.einsum("ij,ij->i", F, F))
+    if bad.any():
+        raise DataError(
+            f"row {int(np.argmax(bad)) + 1}: input too large in magnitude for the model's features"
+        )
+    return F
+
+
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    X = load_inputs(args.data, d=model.feature_map.d)
-    probs = predict_prob(model.w, model.feature_map.transform(X))
+    probs = predict_prob(model.w, _model_features(model, args.data, model.feature_map.transform))
     save_predictions(args.out, probs)
     return 0
 
@@ -132,8 +146,9 @@ def cmd_algebra(args) -> int:
     if not (args.model and args.data and args.out):
         raise ConfigError("algebra needs either --reference NAME or --model, --data and --out")
     model = load_model(args.model)
-    X = load_inputs(args.data, d=model.feature_map.d)
-    report = fit_structure_constants(model.feature_map.super_features(X))
+    report = fit_structure_constants(
+        _model_features(model, args.data, model.feature_map.super_features)
+    )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(_algebra_report_lines(report)) + "\n")
     return 0

@@ -181,18 +181,10 @@ def load_csv(path, has_header: bool = False) -> Dataset:
     return Dataset(labels, standardization.transform(raw), standardization)
 
 
-def load_inputs(path, has_header: bool = False, d: int | None = None) -> np.ndarray:
-    """Load raw prediction inputs; a trailing label column is accepted and dropped.
-
-    When ``d`` is given the rows must have width d or d+1, otherwise any
-    consistent width is returned as-is.
-    """
-    _, M = _read_numeric_rows(path, has_header)
-    if d is None:
-        return M
-    if M.shape[1] == d:
-        return M
-    if M.shape[1] == d + 1:
+def load_inputs(path, d: int) -> np.ndarray:
+    """Load raw prediction inputs (no header row) of width d; a trailing label column is dropped."""
+    _, M = _read_numeric_rows(path, has_header=False)
+    if M.shape[1] in (d, d + 1):
         return M[:, :d]
     raise DataError(
         f"prediction rows have {M.shape[1]} columns; the model expects {d} inputs"

@@ -12,7 +12,7 @@ produces the returned parameter vector. A zero-variance solution cloud
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +26,12 @@ from .ensemble import (
     sample_plans,
     solve_replicates,
 )
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .featuremap import (
     Layer,
     RecursiveFeatureMap,
     calibrate_layer,
     embed_mean_solution,
-    redefine,
 )
 from .model import Prior, log_likelihood, predict_prob, softplus
 from .solver import SolverConfig, maximize
@@ -44,33 +43,41 @@ _SEED_STRIDE = 0x9E3779B97F4A7C15
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """Engine hyper-parameters; an out-of-range value raises ConfigError on construction."""
+
     n_iters: int = 1
     n_replicates: int = 64
     seed: int = 0
     rel_threshold: float = 0.05
     k_max: int = 8
     r_grid: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0)
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    grad_tol: float = SolverConfig.grad_tol
+    max_iters: int = SolverConfig.max_iters
     algebra_check: bool = False
     algebra_stop_tol: float | None = None
 
     def __post_init__(self) -> None:
         if self.n_iters < 0:
-            raise ValueError("n_iters must be non-negative")
+            raise ConfigError("n_iters must be non-negative")
         if self.n_replicates < 2:
-            raise ValueError("n_replicates must be at least 2")
+            raise ConfigError("n_replicates must be at least 2")
         if not 0 <= self.seed <= _SEED_MASK:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+            raise ConfigError("seed must be an unsigned 64-bit integer")
         if not 0.0 < self.rel_threshold <= 1.0:
-            raise ValueError("rel_threshold must lie in (0, 1]")
+            raise ConfigError("rel_threshold must lie in (0, 1]")
         if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
+            raise ConfigError("k_max must be at least 1")
         grid = tuple(float(r) for r in self.r_grid)
         if not grid or any(not (np.isfinite(r) and r > 0) for r in grid):
-            raise ValueError("r_grid must be a nonempty list of positive reals")
+            raise ConfigError("r_grid must be a nonempty list of positive reals")
         object.__setattr__(self, "r_grid", grid)
         if self.algebra_stop_tol is not None and not self.algebra_stop_tol >= 0:
-            raise ValueError("algebra_stop_tol must be non-negative")
+            raise ConfigError("algebra_stop_tol must be non-negative")
+        self.solver  # SolverConfig checks grad_tol and max_iters
+
+    @property
+    def solver(self) -> SolverConfig:
+        return SolverConfig(grad_tol=self.grad_tol, max_iters=self.max_iters)
 
 
 @dataclass(frozen=True)
@@ -191,11 +198,10 @@ def run(dataset: Dataset, config: EngineConfig) -> EngineResult:
             )
             break
 
+        layer = calibrate_layer(pc, F)
         closure = None
         if config.algebra_check:
-            closure = fit_structure_constants(redefine(pc, F)).normalized_residual
-
-        layer = calibrate_layer(pc, F)
+            closure = fit_structure_constants(layer.super_features(F)).normalized_residual
         F = layer.apply(F)
         w_init = embed_mean_solution(layer)
         layers.append(layer)

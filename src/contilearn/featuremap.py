@@ -17,7 +17,7 @@ are polynomials of degree at most 2**N in the raw inputs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,35 +53,6 @@ def expand(F, scales) -> np.ndarray:
         raise ValueError("scales must be strictly positive")
     ii, jj = expansion_pairs(m)
     out = np.concatenate([G, G[:, ii] * G[:, jj]], axis=1) / scales
-    return out[0] if single else out
-
-
-def _superfeatures(v0: np.ndarray, u: np.ndarray, degenerate: bool, G: np.ndarray) -> np.ndarray:
-    if degenerate:
-        f0 = np.ones(G.shape[0])
-    else:
-        f0 = (G @ v0) / np.linalg.norm(v0)
-    return np.concatenate([f0[:, None], G @ u.T], axis=1)
-
-
-def redefine(pc: PrincipalComponents, f) -> np.ndarray:
-    """Derived features (F_0, F_1..F_k) of one feature vector or a matrix of them.
-
-    A zero mean direction has no usable F_0; it is replaced by the constant
-    feature 1 (with a warning) so the model keeps a bias slot.
-    """
-    f = np.asarray(f, dtype=float)
-    single = f.ndim == 1
-    G = np.atleast_2d(f)
-    if G.shape[1] != pc.m:
-        raise ValueError(f"feature dimension {G.shape[1]} does not match components ({pc.m})")
-    degenerate = float(np.linalg.norm(pc.v0)) == 0.0
-    if degenerate:
-        warnings.warn(
-            "mean direction is zero; its derived feature is replaced by the constant 1",
-            stacklevel=2,
-        )
-    out = _superfeatures(pc.v0, pc.u, degenerate, G)
     return out[0] if single else out
 
 
@@ -131,13 +102,21 @@ class Layer:
         return expansion_size(self.m_super)
 
     def super_features(self, F) -> np.ndarray:
-        """Projection step only: (F_0, F_1..F_k) before any products."""
+        """Projection step only: (F_0, F_1..F_k) of one feature vector or a matrix of them.
+
+        A degenerate (zero) mean direction has no usable F_0; the constant
+        feature 1 takes its place so the model keeps a bias slot.
+        """
         F = np.asarray(F, dtype=float)
         single = F.ndim == 1
         G = np.atleast_2d(F)
         if G.shape[1] != self.m_in:
             raise ValueError(f"layer expects width {self.m_in}, got {G.shape[1]}")
-        out = _superfeatures(self.v0, self.u, self.degenerate_v0, G)
+        if self.degenerate_v0:
+            f0 = np.ones(G.shape[0])
+        else:
+            f0 = (G @ self.v0) / np.linalg.norm(self.v0)
+        out = np.concatenate([f0[:, None], G @ self.u.T], axis=1)
         return out[0] if single else out
 
     def apply(self, F) -> np.ndarray:
@@ -148,7 +127,8 @@ class Layer:
 def calibrate_layer(pc: PrincipalComponents, F_train) -> Layer:
     """Build a layer whose expanded slots have unit RMS on the training rows.
 
-    Slots that are identically zero on the training rows keep scale 1.
+    Slots that are identically zero on the training rows keep scale 1. A
+    zero mean direction is flagged degenerate, with a warning.
     """
     G = np.asarray(F_train, dtype=float)
     if G.ndim != 2:
@@ -159,13 +139,11 @@ def calibrate_layer(pc: PrincipalComponents, F_train) -> Layer:
             "mean direction is zero; its derived feature is replaced by the constant 1",
             stacklevel=2,
         )
-    raw = expand(
-        _superfeatures(pc.v0, pc.u, degenerate, G),
-        np.ones(expansion_size(pc.k + 1)),
-    )
+    ones = np.ones(expansion_size(pc.k + 1))
+    unit = Layer(pc.v0, pc.u, ones, degenerate)
+    raw = expand(unit.super_features(G), ones)
     rms = np.sqrt(np.mean(raw * raw, axis=0))
-    scales = np.where(rms > 0.0, rms, 1.0)
-    return Layer(pc.v0, pc.u, scales, degenerate)
+    return replace(unit, scales=np.where(rms > 0.0, rms, 1.0))
 
 
 def embed_mean_solution(layer: Layer) -> np.ndarray:

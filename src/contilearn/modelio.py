@@ -1,14 +1,20 @@
 """Run configuration, model persistence, and report serialization.
 
-Everything on disk is line-oriented ``key = value`` text. The model format
-is versioned; floats are written with ``repr`` so a save/load/save round
-trip is byte-identical. Unknown config keys are rejected outright since a
-silently ignored typo in a hyper-parameter is worse than an error.
+Everything on disk is line-oriented ``key = value`` text. ``CONFIG_KEYS``
+is the one table of run-configuration keys: it maps every ``RunConfig``
+field, in declaration order, to the (parse, format) pair of its type. It
+parses config files, writes the model file's ``config.*`` echo (every key
+but the default paths) and reads that echo back; the README's
+configuration table is checked against it. Defaults and range checks live
+on the config classes themselves. The model format is versioned; floats are
+written with ``repr`` so a save/load/save round trip is byte-identical.
+Unknown keys are rejected outright since a silently ignored typo in a
+hyper-parameter is worse than an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,58 +23,19 @@ from .data import Standardization
 from .engine import EngineConfig, IterationReport
 from .errors import ConfigError, ModelFormatError
 from .featuremap import Layer, RecursiveFeatureMap
-from .solver import SolverConfig
 
 MODEL_FORMAT = "contilearn-model-v1"
 
 _STATUSES = ("completed", "degenerate", "algebra-converged")
 
-_CONFIG_KEYS = (
-    "n_iters",
-    "n_replicates",
-    "seed",
-    "rel_threshold",
-    "k_max",
-    "r_grid",
-    "grad_tol",
-    "max_iters",
-    "algebra_check",
-    "algebra_stop_tol",
-    "has_header",
-)
-_PATH_KEYS = ("data", "out")
-
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Flat run configuration: engine settings plus optional default paths."""
+class RunConfig(EngineConfig):
+    """Engine settings plus the training CSV's header flag and optional default paths."""
 
-    n_iters: int = 1
-    n_replicates: int = 64
-    seed: int = 0
-    rel_threshold: float = 0.05
-    k_max: int = 8
-    r_grid: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0)
-    grad_tol: float = 1e-8
-    max_iters: int = 100
-    algebra_check: bool = False
-    algebra_stop_tol: float | None = None
     has_header: bool = False
     data: str | None = None
     out: str | None = None
-
-    def engine_config(self) -> EngineConfig:
-        return EngineConfig(
-            n_iters=self.n_iters,
-            n_replicates=self.n_replicates,
-            seed=self.seed,
-            rel_threshold=self.rel_threshold,
-            k_max=self.k_max,
-            r_grid=self.r_grid,
-            solver=SolverConfig(grad_tol=self.grad_tol, max_iters=self.max_iters),
-            algebra_check=self.algebra_check,
-            algebra_stop_tol=self.algebra_stop_tol,
-        )
 
 
 def _fmt_float(v: float) -> str:
@@ -79,36 +46,56 @@ def _fmt_bool(v: bool) -> str:
     return "true" if v else "false"
 
 
-def _fmt_vector(v: np.ndarray) -> str:
+def _fmt_vector(v) -> str:
     return ",".join(_fmt_float(x) for x in np.asarray(v, dtype=float))
 
 
-def _parse_bool(text: str, key: str, error) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise error(f"{key}: expected true or false, got {text!r}")
+def _parser(convert, expected: str):
+    """A text parser whose ValueError reads "expected <expected>, got '<text>'"."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"expected {expected}, got {text!r}") from None
+
+    return parse
 
 
-def _parse_int(text: str, key: str, error) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise error(f"{key}: expected an integer, got {text!r}") from None
+_parse_int = _parser(int, "an integer")
+_parse_float = _parser(float, "a number")
+_parse_bool = _parser({"true": True, "false": False}.__getitem__, "true or false")
 
 
-def _parse_float(text: str, key: str, error) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise error(f"{key}: expected a number, got {text!r}") from None
-
-
-def _parse_vector(text: str, key: str, error) -> np.ndarray:
+def _parse_vector(text: str) -> np.ndarray:
     if text == "":
         return np.zeros(0)
-    return np.array([_parse_float(tok, key, error) for tok in text.split(",")])
+    return np.array([_parse_float(tok) for tok in text.split(",")])
+
+
+def _parse_field(parse, text: str, key: str, error):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise error(f"{key}: {exc}") from None
+
+
+# (parse, format) for each field annotation of RunConfig
+_CODECS = {
+    "int": (_parse_int, str),
+    "float": (_parse_float, _fmt_float),
+    "bool": (_parse_bool, _fmt_bool),
+    "tuple[float, ...]": (lambda text: tuple(_parse_vector(text)), _fmt_vector),
+    "float | None": (
+        lambda text: None if text == "none" else _parse_float(text),
+        lambda v: "none" if v is None else _fmt_float(v),
+    ),
+    "str | None": (str, str),
+}
+
+CONFIG_KEYS = {f.name: _CODECS[f.type] for f in fields(RunConfig)}
+_PATH_KEYS = ("data", "out")
+_ECHO_KEYS = tuple(key for key in CONFIG_KEYS if key not in _PATH_KEYS)
 
 
 def _parse_kv_lines(text: str, error):
@@ -126,34 +113,15 @@ def _parse_kv_lines(text: str, error):
 
 
 def parse_run_config(text: str) -> RunConfig:
-    seen: dict[str, str] = {}
+    """Config-file text to a validated RunConfig; absent keys keep their defaults."""
+    values: dict = {}
     for key, value in _parse_kv_lines(text, ConfigError):
-        if key not in _CONFIG_KEYS + _PATH_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in seen:
+        if key in values:
             raise ConfigError(f"duplicate config key {key!r}")
-        seen[key] = value
-
-    kwargs: dict = {}
-    for key, value in seen.items():
-        if key in ("n_iters", "n_replicates", "seed", "k_max", "max_iters"):
-            kwargs[key] = _parse_int(value, key, ConfigError)
-        elif key in ("rel_threshold", "grad_tol"):
-            kwargs[key] = _parse_float(value, key, ConfigError)
-        elif key == "r_grid":
-            kwargs[key] = tuple(_parse_vector(value, key, ConfigError))
-        elif key in ("algebra_check", "has_header"):
-            kwargs[key] = _parse_bool(value, key, ConfigError)
-        elif key == "algebra_stop_tol":
-            kwargs[key] = None if value == "none" else _parse_float(value, key, ConfigError)
-        else:
-            kwargs[key] = value
-    config = RunConfig(**kwargs)
-    try:
-        config.engine_config()  # range validation lives on the engine/solver configs
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return config
+        values[key] = _parse_field(CONFIG_KEYS[key][0], value, key, ConfigError)
+    return RunConfig(**values)
 
 
 def load_run_config(path) -> RunConfig:
@@ -174,23 +142,6 @@ class TrainedModel:
     config: RunConfig
 
 
-def _config_lines(config: RunConfig) -> list[str]:
-    stop = "none" if config.algebra_stop_tol is None else _fmt_float(config.algebra_stop_tol)
-    return [
-        f"config.n_iters = {config.n_iters}",
-        f"config.n_replicates = {config.n_replicates}",
-        f"config.seed = {config.seed}",
-        f"config.rel_threshold = {_fmt_float(config.rel_threshold)}",
-        f"config.k_max = {config.k_max}",
-        f"config.r_grid = {','.join(_fmt_float(r) for r in config.r_grid)}",
-        f"config.grad_tol = {_fmt_float(config.grad_tol)}",
-        f"config.max_iters = {config.max_iters}",
-        f"config.algebra_check = {_fmt_bool(config.algebra_check)}",
-        f"config.algebra_stop_tol = {stop}",
-        f"config.has_header = {_fmt_bool(config.has_header)}",
-    ]
-
-
 def format_model(model: TrainedModel) -> str:
     fm = model.feature_map
     lines = [
@@ -199,7 +150,7 @@ def format_model(model: TrainedModel) -> str:
         f"d = {fm.d}",
         f"mean = {_fmt_vector(fm.standardization.mean)}",
         f"scale = {_fmt_vector(fm.standardization.scale)}",
-        f"r_per_iteration = {','.join(_fmt_float(r) for r in model.r_per_iteration)}",
+        f"r_per_iteration = {_fmt_vector(model.r_per_iteration)}",
         f"n_layers = {len(fm.layers)}",
     ]
     for i, layer in enumerate(fm.layers):
@@ -211,7 +162,7 @@ def format_model(model: TrainedModel) -> str:
             lines.append(f"layer{i}.u{j} = {_fmt_vector(layer.u[j])}")
         lines.append(f"layer{i}.scales = {_fmt_vector(layer.scales)}")
     lines.append(f"w = {_fmt_vector(model.w)}")
-    lines.extend(_config_lines(model.config))
+    lines.extend(f"config.{k} = {CONFIG_KEYS[k][1](getattr(model.config, k))}" for k in _ECHO_KEYS)
     return "\n".join(lines) + "\n"
 
 
@@ -219,31 +170,29 @@ def save_model(path, model: TrainedModel) -> None:
     Path(path).write_text(format_model(model), encoding="utf-8")
 
 
-def _take(fields: dict[str, str], key: str) -> str:
-    if key not in fields:
-        raise ModelFormatError(f"missing model field {key!r}")
-    return fields.pop(key)
-
-
 def parse_model(text: str) -> TrainedModel:
-    fields = dict()
+    fields: dict[str, str] = {}
     for key, value in _parse_kv_lines(text, ModelFormatError):
         if key in fields:
             raise ModelFormatError(f"duplicate model field {key!r}")
         fields[key] = value
 
-    fmt = _take(fields, "format")
+    def take(key: str, parse=str):
+        if key not in fields:
+            raise ModelFormatError(f"missing model field {key!r}")
+        return _parse_field(parse, fields.pop(key), key, ModelFormatError)
+
+    fmt = take("format")
     if fmt != MODEL_FORMAT:
         raise ModelFormatError(f"unsupported model format {fmt!r} (expected {MODEL_FORMAT!r})")
-    status = _take(fields, "status")
+    status = take("status")
     if status not in _STATUSES:
         raise ModelFormatError(f"unknown model status {status!r}")
-    d = _parse_int(_take(fields, "d"), "d", ModelFormatError)
-    mean = _parse_vector(_take(fields, "mean"), "mean", ModelFormatError)
-    scale = _parse_vector(_take(fields, "scale"), "scale", ModelFormatError)
-    r_text = _take(fields, "r_per_iteration")
-    r_per_iteration = tuple(_parse_vector(r_text, "r_per_iteration", ModelFormatError))
-    n_layers = _parse_int(_take(fields, "n_layers"), "n_layers", ModelFormatError)
+    d = take("d", _parse_int)
+    mean = take("mean", _parse_vector)
+    scale = take("scale", _parse_vector)
+    r_per_iteration = tuple(take("r_per_iteration", _parse_vector))
+    n_layers = take("n_layers", _parse_int)
 
     try:
         standardization = Standardization(mean, scale)
@@ -251,59 +200,29 @@ def parse_model(text: str) -> TrainedModel:
             raise ModelFormatError("standardization width does not match d")
         layers = []
         for i in range(n_layers):
-            m_in = _parse_int(_take(fields, f"layer{i}.m_in"), f"layer{i}.m_in", ModelFormatError)
-            k = _parse_int(_take(fields, f"layer{i}.k"), f"layer{i}.k", ModelFormatError)
-            degenerate = _parse_bool(
-                _take(fields, f"layer{i}.degenerate_v0"), f"layer{i}.degenerate_v0", ModelFormatError
-            )
-            v0 = _parse_vector(_take(fields, f"layer{i}.v0"), f"layer{i}.v0", ModelFormatError)
-            u = np.array(
-                [
-                    _parse_vector(_take(fields, f"layer{i}.u{j}"), f"layer{i}.u{j}", ModelFormatError)
-                    for j in range(k)
-                ]
-            ).reshape(k, m_in)
+            m_in = take(f"layer{i}.m_in", _parse_int)
+            k = take(f"layer{i}.k", _parse_int)
+            degenerate = take(f"layer{i}.degenerate_v0", _parse_bool)
+            v0 = take(f"layer{i}.v0", _parse_vector)
+            u = np.array([take(f"layer{i}.u{j}", _parse_vector) for j in range(k)]).reshape(k, m_in)
             if v0.shape != (m_in,):
                 raise ModelFormatError(f"layer{i}.v0 width does not match layer{i}.m_in")
-            scales = _parse_vector(
-                _take(fields, f"layer{i}.scales"), f"layer{i}.scales", ModelFormatError
-            )
+            scales = take(f"layer{i}.scales", _parse_vector)
             layers.append(Layer(v0, u, scales, degenerate))
         feature_map = RecursiveFeatureMap(standardization, tuple(layers))
-        w = _parse_vector(_take(fields, "w"), "w", ModelFormatError)
+        w = take("w", _parse_vector)
         if w.shape != (feature_map.output_dim,):
             raise ModelFormatError(
                 f"parameter vector has {w.shape[0]} entries, the feature map emits"
                 f" {feature_map.output_dim}"
             )
+        echo = {f"config.{k}": k for k in _ECHO_KEYS}
+        unknown = [key for key in fields if key not in echo]
+        if unknown:
+            raise ModelFormatError(f"unknown model field {unknown[0]!r}")
+        config = RunConfig(**{k: take(key, CONFIG_KEYS[k][0]) for key, k in echo.items()})
     except ModelFormatError:
         raise
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from None
-
-    config_kwargs: dict = {}
-    for key in list(fields):
-        if not key.startswith("config."):
-            raise ModelFormatError(f"unknown model field {key!r}")
-        name = key[len("config.") :]
-        if name not in _CONFIG_KEYS:
-            raise ModelFormatError(f"unknown model field {key!r}")
-        value = fields.pop(key)
-        if name in ("n_iters", "n_replicates", "seed", "k_max", "max_iters"):
-            config_kwargs[name] = _parse_int(value, key, ModelFormatError)
-        elif name in ("rel_threshold", "grad_tol"):
-            config_kwargs[name] = _parse_float(value, key, ModelFormatError)
-        elif name == "r_grid":
-            config_kwargs[name] = tuple(_parse_vector(value, key, ModelFormatError))
-        elif name in ("algebra_check", "has_header"):
-            config_kwargs[name] = _parse_bool(value, key, ModelFormatError)
-        else:
-            config_kwargs[name] = None if value == "none" else _parse_float(value, key, ModelFormatError)
-    missing = [k for k in _CONFIG_KEYS if k not in config_kwargs]
-    if missing:
-        raise ModelFormatError(f"missing model fields: {', '.join('config.' + k for k in missing)}")
-    try:
-        config = RunConfig(**config_kwargs)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
     return TrainedModel(feature_map, w, r_per_iteration, status, config)

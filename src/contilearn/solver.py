@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .model import Prior, gradient, hessian, log_likelihood, log_likelihood_change
 
 _MIN_STEP = 1e-20
@@ -40,13 +40,13 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+            raise ConfigError("grad_tol must be positive")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise ConfigError("max_iters must be at least 1")
         if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack factor must lie in (0, 1)")
+            raise ConfigError("backtrack factor must lie in (0, 1)")
         if not 0.0 < self.armijo < 0.5:
-            raise ValueError("armijo constant must lie in (0, 0.5)")
+            raise ConfigError("armijo constant must lie in (0, 0.5)")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from contilearn.algebra import (
     power_series,
     reference_algebra,
 )
+from contilearn.errors import DataError, NumericalError
 
 COMPLEX = reference_algebra("complex")
 QUATERNION = reference_algebra("quaternion")
@@ -169,3 +172,18 @@ def test_fit_symmetry_and_conditioning_flag():
 def test_fit_requires_enough_samples():
     with pytest.raises(ValueError, match="samples"):
         fit_structure_constants(np.ones((2, 3)))
+
+
+def test_fit_on_overflowing_products_is_a_data_error():
+    F = np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="too large in magnitude"):
+            fit_structure_constants(F)
+
+
+def test_fit_on_a_numerically_singular_gram_matrix_names_the_module():
+    # collinear columns at a scale where the ridge term is below one ulp of the Gram matrix
+    F = np.array([[1e8, 2e8], [2e8, 4e8], [3e8, 6e8]])
+    with pytest.raises(NumericalError, match="^algebra: "):
+        fit_structure_constants(F)

@@ -1,5 +1,8 @@
+import dataclasses
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from contilearn.data import load_csv, load_inputs
 from contilearn.errors import ConfigError, ModelFormatError
 from contilearn.model import predict_prob
 from contilearn.modelio import (
+    CONFIG_KEYS,
     RunConfig,
     format_model,
     load_model,
@@ -82,6 +86,46 @@ def test_out_of_range_value_rejected():
         parse_run_config("rel_threshold = 1.5\n")
     with pytest.raises(ConfigError):
         parse_run_config("r_grid = 0.1,-1.0\n")
+
+
+def test_config_key_table_covers_every_field_in_echo_order(trained):
+    assert list(CONFIG_KEYS) == [f.name for f in dataclasses.fields(RunConfig)]
+    echoed = [
+        line.split(" = ")[0][len("config.") :]
+        for line in trained.read_text().splitlines()
+        if line.startswith("config.")
+    ]
+    assert echoed == [key for key in CONFIG_KEYS if key not in ("data", "out")]
+
+
+def test_readme_config_table_matches_the_key_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Run configuration", 1)[1]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    documented = {}
+    for row in rows:
+        keys, default = [cell.strip() for cell in row.strip("|").split("|")[:2]]
+        for key in keys.split(","):
+            documented[key.strip().strip("`")] = default.strip("`")
+    defaults = RunConfig()
+    expected = {
+        key: "unset" if key in ("data", "out") else fmt(getattr(defaults, key))
+        for key, (_, fmt) in CONFIG_KEYS.items()
+    }
+    assert documented == expected
+
+
+def test_config_range_is_checked_when_built(tmp_path, xor_csv, xor_config, capsys):
+    with pytest.raises(ConfigError, match="n_replicates"):
+        RunConfig(n_replicates=1)
+    with pytest.raises(ConfigError, match="grad_tol"):
+        parse_run_config("grad_tol = 0\n")
+    argv = ["train", "--data", str(xor_csv), "--config", str(xor_config), "--seed", "-5"]
+    code = main(argv + ["--out", str(tmp_path / "m")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "contilearn: seed must be an unsigned 64-bit integer"
+    ]
 
 
 def test_missing_config_file(tmp_path):
@@ -245,6 +289,31 @@ def test_predict_dimension_mismatch_exit_code(tmp_path, trained, capsys):
     data = tmp_path / "wide.csv"
     data.write_text("1,2,3,4\n")
     assert main(["predict", "--model", str(trained), "--data", str(data), "--out", "x"]) == 2
+
+
+def _huge_input_exit(tmp_path, trained, command, rows, capsys):
+    data = tmp_path / "huge.csv"
+    data.write_text(rows)
+    out = tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--model", str(trained), "--data", str(data), "--out", str(out)])
+    return code, capsys.readouterr().err.splitlines(), out.exists()
+
+
+def test_predict_on_a_huge_input_is_a_data_error(tmp_path, trained, capsys):
+    code, err, wrote = _huge_input_exit(tmp_path, trained, "predict", "0,1\n1e300,1e300\n", capsys)
+    assert code == 2
+    assert err == ["contilearn: row 2: input too large in magnitude for the model's features"]
+    assert not wrote
+
+
+def test_algebra_on_a_huge_input_is_a_data_error(tmp_path, trained, capsys):
+    rows = "0,0\n1,0\n0,1\n1,1\n0.5,0.5\n0.2,0.9\n1e300,1e300\n"
+    code, err, wrote = _huge_input_exit(tmp_path, trained, "algebra", rows, capsys)
+    assert code == 2
+    assert err == ["contilearn: row 7: input too large in magnitude for the model's features"]
+    assert not wrote
 
 
 def test_zero_layer_zero_vector_model_predicts_half(tmp_path):

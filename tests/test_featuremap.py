@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -11,7 +13,6 @@ from contilearn.featuremap import (
     expand,
     expansion_pairs,
     expansion_size,
-    redefine,
 )
 from contilearn.spectral import PrincipalComponents
 
@@ -56,36 +57,50 @@ def interpolation_residual(fmap, deg, rng):
     return float(np.max(np.abs(basis(X_eval) @ coef - V_eval)))
 
 
-def test_redefine_hand_case():
+def super_features(pc, f):
+    """Projection of the rows f through a layer calibrated on them."""
+    return calibrate_layer(pc, np.atleast_2d(f)).super_features(f)
+
+
+def test_super_features_hand_case():
     # F_0 = (2*3 + 0*5)/2 = 3, F_1 = 5
     pc = PrincipalComponents(np.array([2.0, 0.0]), np.array([[0.0, 1.0]]), np.ones(1))
-    assert np.array_equal(redefine(pc, np.array([3.0, 5.0])), [3.0, 5.0])
+    assert np.array_equal(super_features(pc, np.array([3.0, 5.0])), [3.0, 5.0])
 
 
-def test_redefine_orthogonal_input_vanishes():
+def test_super_features_orthogonal_input_vanishes():
     pc = PrincipalComponents(np.array([1.0, 0.0, 0.0]), np.array([[0.0, 1.0, 0.0]]), np.ones(1))
-    out = redefine(pc, np.array([0.0, 0.0, 7.0]))
+    out = super_features(pc, np.array([0.0, 0.0, 7.0]))
     assert np.array_equal(out, [0.0, 0.0])
 
 
-def test_redefine_with_no_components():
+def test_super_features_with_no_components():
     pc = PrincipalComponents(np.array([3.0, 4.0]), np.zeros((0, 2)), np.zeros(0))
-    out = redefine(pc, np.array([3.0, 4.0]))
+    out = super_features(pc, np.array([3.0, 4.0]))
     assert out.shape == (1,)
     assert np.isclose(out[0], 5.0)
 
 
-def test_redefine_degenerate_mean_warns_and_uses_constant():
+def test_super_features_degenerate_mean_warns_once_and_uses_constant():
     pc = PrincipalComponents(np.zeros(2), np.array([[1.0, 0.0]]), np.ones(1))
-    with pytest.warns(UserWarning, match="constant"):
-        out = redefine(pc, np.array([5.0, 6.0]))
-    assert np.array_equal(out, [1.0, 5.0])
+    f = np.array([[5.0, 6.0], [1.0, 2.0]])
+    with pytest.warns(UserWarning, match="constant") as caught:
+        layer = calibrate_layer(pc, f)
+    assert len(caught) == 1
+    assert layer.degenerate_v0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = layer.super_features(f)
+    assert np.array_equal(out, [[1.0, 5.0], [1.0, 1.0]])
 
 
-def test_redefine_dimension_mismatch():
+def test_super_features_dimension_mismatch():
     pc = PrincipalComponents(np.ones(2), np.zeros((0, 2)), np.zeros(0))
+    layer = calibrate_layer(pc, np.ones((4, 2)))
     with pytest.raises(ValueError):
-        redefine(pc, np.ones(3))
+        layer.super_features(np.ones(3))
+    with pytest.raises(ValueError):
+        calibrate_layer(pc, np.ones((4, 3)))
 
 
 def test_expand_two_features():

@@ -1,0 +1,158 @@
+"""Exit-code fuzzing of the command line.
+
+Whatever the model file, run config or CSV, ``contilearn.cli.main`` must
+return one of the documented exit codes 0-3, print nothing to stderr on
+success and exactly one ``contilearn: ...`` line on failure, and raise no
+exception (which would print a traceback). The only warnings allowed are
+the library's own UserWarnings; a numpy RuntimeWarning means an overflow
+went unchecked. Generated counts stay small (``n_replicates <= 8``,
+``n_iters <= 2``, ``max_iters <= 20``) so every example runs in
+milliseconds.
+"""
+
+import contextlib
+import io
+import warnings
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from contilearn.cli import main
+
+FUZZ = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+
+TOKENS = st.one_of(
+    st.sampled_from(
+        ["", "0", "1", "-1", "2", "3", "1e300", "-1e300", "1e-320", "nan", "inf", "-inf"]
+        + ["none", "true", "false", "x", "1,2", "0.0,0.0", "1,,2", "100000"]
+    ),
+    st.text(alphabet="0123456789.,-e", max_size=8),
+)
+
+# malformed values that parse as no count, so no generated config asks for a huge one
+JUNK = st.sampled_from(["", "x", "none", "true", "1,2", "nan", "inf", "1.5", "-1", "1e300"])
+
+PREDICT_ROWS = "0,0\n1,0\n0,1\n1,1\n0.5,0.5\n0.2,0.9\n-0.3,0.7\n0.8,-0.1\n"
+# prediction inputs: plain, then with one row of moderate and of huge magnitude
+INPUTS = st.sampled_from(["", "1e15,1e15\n", "1e300,-1e300\n"]).map(PREDICT_ROWS.__add__)
+
+
+def run_cli(argv):
+    """Check the exit-code contract for one in-process CLI run and return its code."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("contilearn: "), lines
+    assert [w.category for w in caught if not issubclass(w.category, UserWarning)] == []
+    return code
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory, xor_csv):
+    """A directory with a small trained parity model."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    config = tmp / "base.cfg"
+    config.write_text("n_iters = 1\nn_replicates = 8\nseed = 3\nalgebra_check = true\n")
+    model = tmp / "base.model"
+    argv = ["train", "--data", str(xor_csv), "--config", str(config), "--out", str(model)]
+    assert run_cli(argv) == 0
+    return tmp
+
+
+@st.composite
+def mutated_models(draw, text):
+    lines = text.splitlines()
+    kind = draw(st.sampled_from(["truncate", "delete", "duplicate", "value", "key", "char"]))
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text)))]
+    i = draw(st.integers(0, len(lines) - 1))
+    key, _, value = lines[i].partition(" = ")
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "value":
+        lines[i] = f"{key} = {draw(TOKENS)}"
+    elif kind == "key":
+        prefix = draw(st.sampled_from(["", "config.", "layer0.", "layer9.", "x"]))
+        lines[i] = f"{prefix}{draw(TOKENS)} = {value}"
+    else:
+        j = draw(st.integers(0, max(len(lines[i]) - 1, 0)))
+        char = draw(st.sampled_from(list("0123456789.,-e= #xn")))
+        lines[i] = lines[i][:j] + char + lines[i][j + 1 :]
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_models_keep_the_exit_code_contract(workdir, data):
+    text = (workdir / "base.model").read_text()
+    model = workdir / "mutated.model"
+    model.write_text(data.draw(mutated_models(text)))
+    rows = workdir / "rows.csv"
+    rows.write_text(data.draw(INPUTS))
+    for command in ("predict", "algebra"):
+        out = str(workdir / f"{command}.out")
+        run_cli([command, "--model", str(model), "--data", str(rows), "--out", out])
+
+
+CONFIG_VALUES = {
+    "n_iters": st.integers(-1, 2).map(str),
+    "n_replicates": st.integers(-1, 8).map(str),
+    "seed": st.sampled_from(["0", "1", "7", "-1", str(2**64 - 1), str(2**64)]),
+    "rel_threshold": st.sampled_from(["0.05", "1", "1e-6", "0", "1.5", "nan"]),
+    "k_max": st.integers(-1, 9).map(str),
+    "r_grid": st.lists(
+        st.sampled_from(["0.01", "1.0", "10", "0", "-1", "nan", "1e300"]), max_size=3
+    ).map(",".join),
+    "grad_tol": st.sampled_from(["1e-08", "1e-300", "1", "0", "-1", "nan"]),
+    "max_iters": st.integers(-1, 20).map(str),
+    "algebra_check": st.sampled_from(["true", "false", "yes"]),
+    "algebra_stop_tol": st.sampled_from(["none", "0", "0.5", "1e6", "-1", "nan"]),
+    "has_header": st.sampled_from(["true", "false"]),
+}
+
+
+@st.composite
+def run_configs(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), unique=True, max_size=6))
+    lines = [f"{key} = {draw(st.one_of(CONFIG_VALUES[key], JUNK))}" for key in keys]
+    extra = st.sampled_from(["n_itres = 1", "garbage", "# comment", "=", "seed ="])
+    lines += draw(st.lists(extra, max_size=1))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@st.composite
+def training_csvs(draw):
+    kind = draw(st.sampled_from(["tiny", "constant", "huge", "one-class"]))
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 3))
+    if kind == "tiny":
+        value = st.floats(-3, 3, allow_nan=False).map(repr)
+    elif kind == "constant":
+        value = st.just("1.5")
+    else:
+        value = st.sampled_from(["1e300", "-1e300", "1e200", "1e154", "1e-300", "0", "1"])
+    label = st.just("1") if kind == "one-class" else st.sampled_from(["0", "1"])
+    rows = [draw(st.lists(value, min_size=d, max_size=d)) + [draw(label)] for _ in range(n)]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@FUZZ
+@given(config=run_configs(), rows=training_csvs())
+def test_mutated_configs_and_small_csvs_keep_the_exit_code_contract(workdir, config, rows):
+    (workdir / "run.cfg").write_text(config)
+    (workdir / "train.csv").write_text(rows)
+    data, cfg, out = (str(workdir / name) for name in ("train.csv", "run.cfg", "trained.model"))
+    run_cli(["train", "--data", data, "--config", cfg, "--out", out])
