@@ -20,8 +20,6 @@ from .algebra import (
 from .data import Dataset, Standardization, fit_standardization, load_csv, load_inputs
 from .engine import EngineConfig, EngineResult, IterationReport, accuracy, oob_score, run
 from .ensemble import (
-    BootstrapPlan,
-    ReplicateSolution,
     SolutionDistribution,
     SolutionSet,
     fit_distribution,
@@ -47,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraFitReport",
-    "BootstrapPlan",
     "ConfigError",
     "DataError",
     "Dataset",
@@ -60,7 +57,6 @@ __all__ = [
     "PrincipalComponents",
     "Prior",
     "RecursiveFeatureMap",
-    "ReplicateSolution",
     "RunConfig",
     "Solution",
     "SolutionDistribution",

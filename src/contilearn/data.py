@@ -123,12 +123,20 @@ class Dataset:
         return np.hstack([np.ones((self.t_max, 1)), self.inputs])
 
 
-def _read_numeric_rows(path, has_header: bool):
-    """Parse a CSV file into (line numbers, value matrix); errors name the file line."""
+def read_text(path, kind: str, error) -> str:
+    """UTF-8 text of a ``kind`` file; a missing or undecodable file raises ``error``."""
     p = Path(path)
     if not p.is_file():
-        raise DataError(f"no such data file: {path}")
-    lines = p.read_text(encoding="utf-8").splitlines()
+        raise error(f"no such {kind} file: {path}")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{kind} file {path} is not UTF-8 text (byte offset {exc.start})") from None
+
+
+def _read_numeric_rows(path, has_header: bool):
+    """Parse a CSV file into (line numbers, value matrix); errors name the file line."""
+    lines = read_text(path, "data", DataError).splitlines()
     linenos: list[int] = []
     rows: list[list[float]] = []
     for lineno, line in enumerate(lines, start=1):

@@ -18,14 +18,7 @@ import numpy as np
 
 from .algebra import fit_structure_constants
 from .data import Dataset
-from .ensemble import (
-    BootstrapPlan,
-    SolutionSet,
-    bootstrap_counts,
-    fit_distribution,
-    sample_plans,
-    solve_replicates,
-)
+from .ensemble import SolutionSet, fit_distribution, sample_plans, solve_replicates
 from .errors import ConfigError, NumericalError
 from .featuremap import (
     Layer,
@@ -115,31 +108,23 @@ def _stage_seed(seed: int, stage: int) -> int:
     return (seed + (stage + 1) * _SEED_STRIDE) & _SEED_MASK
 
 
-def _oob_from_solutions(y, F, plans, solset: SolutionSet) -> float:
+def oob_score(y, F, counts, solset: SolutionSet) -> float:
     """Mean over replicates of the mean per-sample log-probability on held-out rows.
 
-    A replicate's held-out rows are those it drew zero times.
+    A replicate's held-out rows are those its row of ``counts`` drew zero times.
     """
-    held = bootstrap_counts(plans, len(y))[[sol.index for sol in solset.solutions]] == 0
+    held = counts[solset.index] == 0
     n_held = held.sum(axis=1)
     if not n_held.any():
         raise NumericalError(
             "engine", "every replicate resampled the full training set; no out-of-bag rows"
         )
-    z = np.stack([sol.w for sol in solset.solutions]) @ F.T
+    z = solset.w @ F.T
     totals = np.sum(np.where(held, y * z - softplus(z), 0.0), axis=1)
     return float(np.mean(totals[n_held > 0] / n_held[n_held > 0]))
 
 
-def oob_score(y, F, plans, prior: Prior, config: SolverConfig | None = None, w_init=None) -> float:
-    """Out-of-bag score of one prior precision: solve the replicates, score held-out rows."""
-    y = np.asarray(y, dtype=float)
-    F = np.asarray(F, dtype=float)
-    solset = solve_replicates(y, F, plans, prior, config, w_init)
-    return _oob_from_solutions(y, F, plans, solset)
-
-
-def _choose_prior(y, F, plans, config: EngineConfig, w_init):
+def _choose_prior(y, F, counts, config: EngineConfig, w_init):
     """Grid-search r by out-of-bag score; ties keep the earliest grid entry.
 
     Returns the chosen r, its score, and its replicate solutions so the
@@ -147,8 +132,8 @@ def _choose_prior(y, F, plans, config: EngineConfig, w_init):
     """
     best = None
     for r in config.r_grid:
-        solset = solve_replicates(y, F, plans, Prior(r), config.solver, w_init)
-        score = _oob_from_solutions(y, F, plans, solset)
+        solset = solve_replicates(y, F, counts, Prior(r), config.solver, w_init)
+        score = oob_score(y, F, counts, solset)
         if best is None or score > best[1]:
             best = (r, score, solset)
     return best
@@ -172,9 +157,8 @@ def run(dataset: Dataset, config: EngineConfig) -> EngineResult:
     stage = 0
 
     while True:
-        plan = BootstrapPlan(config.n_replicates, _stage_seed(config.seed, stage))
-        plans = sample_plans(plan, dataset.t_max)
-        r, oob, solset = _choose_prior(y, F, plans, config, w_init)
+        counts = sample_plans(config.n_replicates, _stage_seed(config.seed, stage), dataset.t_max)
+        r, oob, solset = _choose_prior(y, F, counts, config, w_init)
         prior = Prior(r)
         sol = maximize(y, F, prior, config.solver, w_init)
         embed_L = log_likelihood(w_init, y, F, prior)
@@ -189,7 +173,7 @@ def run(dataset: Dataset, config: EngineConfig) -> EngineResult:
             )
             break
 
-        dist = fit_distribution(solset)
+        dist = fit_distribution(solset.w, solset.weights)
         pc = select_components(dist, config.rel_threshold, config.k_max)
         if pc.k == 0:
             status = "degenerate"

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Standardization
+from .data import Standardization, read_text
 from .engine import EngineConfig, IterationReport
 from .errors import ConfigError, ModelFormatError
 from .featuremap import Layer, RecursiveFeatureMap
@@ -80,7 +80,7 @@ def _parse_field(parse, text: str, key: str, error):
         raise error(f"{key}: {exc}") from None
 
 
-# (parse, format) for each field annotation of RunConfig
+# (parse, format) for each field annotation of RunConfig and IterationReport
 _CODECS = {
     "int": (_parse_int, str),
     "float": (_parse_float, _fmt_float),
@@ -91,6 +91,10 @@ _CODECS = {
         lambda v: "none" if v is None else _fmt_float(v),
     ),
     "str | None": (str, str),
+    "int | None": (
+        lambda text: None if text == "none" else _parse_int(text),
+        lambda v: "none" if v is None else str(v),
+    ),
 }
 
 CONFIG_KEYS = {f.name: _CODECS[f.type] for f in fields(RunConfig)}
@@ -125,10 +129,7 @@ def parse_run_config(text: str) -> RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"no such config file: {path}")
-    return parse_run_config(p.read_text(encoding="utf-8"))
+    return parse_run_config(read_text(path, "config", ConfigError))
 
 
 @dataclass(frozen=True)
@@ -229,10 +230,7 @@ def parse_model(text: str) -> TrainedModel:
 
 
 def load_model(path) -> TrainedModel:
-    p = Path(path)
-    if not p.is_file():
-        raise ModelFormatError(f"no such model file: {path}")
-    return parse_model(p.read_text(encoding="utf-8"))
+    return parse_model(read_text(path, "model", ModelFormatError))
 
 
 def strip_paths(config: RunConfig) -> RunConfig:
@@ -240,6 +238,7 @@ def strip_paths(config: RunConfig) -> RunConfig:
     return replace(config, data=None, out=None)
 
 
+# the report key of each IterationReport field, in field order
 _REPORT_FIELDS = (
     "iteration",
     "m",
@@ -255,25 +254,11 @@ _REPORT_FIELDS = (
 
 
 def format_report_line(report: IterationReport) -> str:
-    def opt_int(v):
-        return "none" if v is None else str(v)
-
-    def opt_float(v):
-        return "none" if v is None else _fmt_float(v)
-
-    values = (
-        str(report.iteration),
-        str(report.m),
-        opt_int(report.expanded_dim),
-        opt_int(report.k),
-        _fmt_float(report.best_L),
-        _fmt_float(report.embed_L),
-        _fmt_float(report.r),
-        _fmt_float(report.oob),
-        opt_float(report.closure_residual),
-        _fmt_float(report.train_accuracy),
+    """One ``name=value`` token per IterationReport field, formatted by its type's codec."""
+    return " ".join(
+        f"{name}={_CODECS[f.type][1](getattr(report, f.name))}"
+        for name, f in zip(_REPORT_FIELDS, fields(IterationReport))
     )
-    return " ".join(f"{name}={value}" for name, value in zip(_REPORT_FIELDS, values))
 
 
 def parse_report_line(line: str) -> dict[str, str]:

@@ -9,12 +9,15 @@ import pytest
 
 from contilearn.cli import main
 from contilearn.data import load_csv, load_inputs
+from contilearn.engine import IterationReport
 from contilearn.errors import ConfigError, ModelFormatError
 from contilearn.model import predict_prob
 from contilearn.modelio import (
+    _REPORT_FIELDS,
     CONFIG_KEYS,
     RunConfig,
     format_model,
+    format_report_line,
     load_model,
     load_run_config,
     parse_report_line,
@@ -145,6 +148,24 @@ def test_train_exit_zero_and_report_accuracy(trained):
     first = parse_report_line(report_lines[0])
     assert first["closure"] != "none"
     assert float(first["best_L"]) >= float(first["embed_L"]) - 1e-9
+
+
+def test_report_fields_name_every_report_field_once(trained):
+    n_fields = len(dataclasses.fields(IterationReport))
+    assert len(set(_REPORT_FIELDS)) == len(_REPORT_FIELDS) == n_fields
+    for line in Path(f"{trained}.report").read_text().splitlines():
+        assert list(parse_report_line(line)) == list(_REPORT_FIELDS)
+
+
+def test_report_line_formats_each_field_by_its_type():
+    report = IterationReport(2, 6, None, None, -2.5, -3.0, 0.1, -0.5, None, 0.75)
+    assert format_report_line(report) == (
+        "iteration=2 m=6 expanded=none k=none best_L=-2.5 embed_L=-3.0 r=0.1 oob=-0.5"
+        " closure=none accuracy=0.75"
+    )
+    report = dataclasses.replace(report, expanded_dim=27, k=6, closure_residual=1e-17)
+    assert " expanded=27 k=6 " in format_report_line(report)
+    assert " closure=1e-17 " in format_report_line(report)
 
 
 def test_train_missing_data_file(tmp_path, xor_config, capsys):
@@ -314,6 +335,37 @@ def test_algebra_on_a_huge_input_is_a_data_error(tmp_path, trained, capsys):
     assert code == 2
     assert err == ["contilearn: row 7: input too large in magnitude for the model's features"]
     assert not wrote
+
+
+@pytest.mark.parametrize(
+    "command, bad, code",
+    [
+        ("train", "data", 2),
+        ("train", "config", 1),
+        ("predict", "data", 2),
+        ("predict", "model", 1),
+        ("algebra", "data", 2),
+        ("algebra", "model", 1),
+    ],
+)
+def test_file_that_is_not_utf8_ends_in_its_exit_code(
+    tmp_path, trained, xor_csv, xor_config, capsys, command, bad, code
+):
+    files = {"data": xor_csv, "config": xor_config, "model": trained}
+    broken = tmp_path / f"broken.{bad}"
+    broken.write_bytes(files[bad].read_bytes() + b"\xff\n")
+    files[bad] = broken
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["--data", files["data"], "--config", files["config"], "--out", out]
+    else:
+        argv = ["--model", files["model"], "--data", files["data"], "--out", out]
+    assert main([command, *map(str, argv)]) == code
+    assert capsys.readouterr().err.splitlines() == [
+        f"contilearn: {bad} file {broken} is not UTF-8 text"
+        f" (byte offset {broken.stat().st_size - 2})"
+    ]
+    assert not out.exists()
 
 
 def test_zero_layer_zero_vector_model_predicts_half(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from contilearn.data import Dataset, Standardization
 from contilearn.engine import EngineConfig, _stage_seed, accuracy, oob_score, run
-from contilearn.ensemble import BootstrapPlan, sample_plans
+from contilearn.ensemble import sample_plans, solve_replicates
 from contilearn.model import Prior
 from contilearn.solver import SolverConfig, maximize
 from tests.conftest import dataset_from_arrays
@@ -120,17 +120,18 @@ def test_single_r_grid_is_chosen():
 def test_huge_precision_forces_chance_level_oob():
     # r -> infinity pins w near zero; every held-out point scores ln(1/2)
     ds = small_dataset(seed=44, n=40)
-    plans = sample_plans(BootstrapPlan(8, seed=9), ds.t_max)
-    score = oob_score(ds.y, ds.design_matrix(), plans, Prior(1e9))
+    F = ds.design_matrix()
+    counts = sample_plans(8, 9, ds.t_max)
+    score = oob_score(ds.y, F, counts, solve_replicates(ds.y, F, counts, Prior(1e9)))
     assert abs(score - math.log(0.5)) <= 1e-5
 
 
 def test_chosen_r_attains_the_exhaustive_maximum(circle_data):
     grid = (0.01, 1.0, 100.0)
     result = run(circle_data, EngineConfig(n_iters=0, seed=10, r_grid=grid))
-    plans = sample_plans(BootstrapPlan(64, _stage_seed(10, 0)), circle_data.t_max)
-    F = circle_data.design_matrix()
-    scores = [oob_score(circle_data.y, F, plans, Prior(r)) for r in grid]
+    y, F = circle_data.y, circle_data.design_matrix()
+    counts = sample_plans(64, _stage_seed(10, 0), circle_data.t_max)
+    scores = [oob_score(y, F, counts, solve_replicates(y, F, counts, Prior(r))) for r in grid]
     assert result.reports[0].r == grid[int(np.argmax(scores))]
     assert abs(result.reports[0].oob - max(scores)) <= 1e-12
 

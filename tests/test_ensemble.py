@@ -8,56 +8,43 @@ from hypothesis import strategies as st
 from contilearn import ensemble, solver
 from contilearn.engine import EngineConfig, run
 from contilearn.ensemble import (
-    BootstrapPlan,
-    ReplicateSolution,
-    SolutionSet,
-    bootstrap_counts,
     fit_distribution,
     sample_plans,
     solve_replicates,
     weights_from_loglik,
 )
 from contilearn.errors import NumericalError
-from contilearn.model import Prior, hessian
+from contilearn.model import Prior, hessian, log_likelihood
 from contilearn.solver import SolverConfig, maximize
 from tests.conftest import dataset_from_arrays, random_instance
 
 
-def make_solution_set(ws, L):
-    weights = weights_from_loglik(L)
-    sols = tuple(
-        ReplicateSolution(index=i, w=np.asarray(w, float), L_full=float(l), L_subset=0.0, converged=True)
-        for i, (w, l) in enumerate(zip(ws, L))
-    )
-    return SolutionSet(sols, weights)
-
-
 def test_same_seed_reproduces_plans():
-    plan = BootstrapPlan(5, seed=42)
-    a = sample_plans(plan, 17)
-    b = sample_plans(plan, 17)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+    assert np.array_equal(sample_plans(5, 42, 17), sample_plans(5, 42, 17))
 
 
 def test_different_seeds_differ():
-    a = np.concatenate(sample_plans(BootstrapPlan(4, seed=1), 50))
-    b = np.concatenate(sample_plans(BootstrapPlan(4, seed=2), 50))
-    assert not np.array_equal(a, b)
+    assert not np.array_equal(sample_plans(4, 1, 50), sample_plans(4, 2, 50))
 
 
 def test_plans_are_multisets_of_the_right_size():
+    # each row counts a multiset of t_max rows drawn from t_max
     t_max = 23
-    for idx in sample_plans(BootstrapPlan(6, seed=3), t_max):
-        assert idx.shape == (t_max,)
-        assert idx.min() >= 0 and idx.max() < t_max
+    counts = sample_plans(6, 3, t_max)
+    assert counts.shape == (6, t_max)
+    assert np.all(counts >= 0) and np.array_equal(counts, np.round(counts))
+    assert np.array_equal(counts.sum(axis=1), np.full(6, t_max))
 
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        BootstrapPlan(1, seed=0)
+        sample_plans(1, 0, 5)
     with pytest.raises(ValueError):
-        BootstrapPlan(2, seed=-1)
+        sample_plans(2, -1, 5)
+    with pytest.raises(ValueError):
+        sample_plans(2, 1 << 64, 5)
+    with pytest.raises(ValueError):
+        sample_plans(2, 0, 1)
 
 
 def test_equal_loglik_gives_equal_weights():
@@ -88,56 +75,64 @@ def test_weights_shift_invariance(L, shift):
     assert np.allclose(a, b, atol=1e-12)
 
 
-def test_solve_replicates_records_both_objectives():
+def test_solve_replicates_weights_by_full_data_objective():
     rng = np.random.default_rng(10)
     y, F = random_instance(rng, t_max=20, m=3)
-    plans = sample_plans(BootstrapPlan(4, seed=4), 20)
-    solset = solve_replicates(y, F, plans, Prior(1.0))
-    assert len(solset.solutions) == 4
+    prior = Prior(1.0)
+    solset = solve_replicates(y, F, sample_plans(4, 4, 20), prior)
+    assert solset.w.shape == (4, 3) and np.all(np.isfinite(solset.w))
+    assert np.array_equal(solset.index, np.arange(4))
     assert abs(float(solset.weights.sum()) - 1.0) <= 1e-12
-    for sol in solset.solutions:
-        assert np.isfinite(sol.L_full) and np.isfinite(sol.L_subset)
+    L_full = [log_likelihood(w, y, F, prior) for w in solset.w]
+    assert np.allclose(solset.weights, weights_from_loglik(L_full), rtol=1e-12, atol=0.0)
 
 
 def test_counts_count_each_drawn_row():
-    plans = [np.array([0, 0, 2, 3]), np.array([1, 1, 1, 1])]
-    assert np.array_equal(bootstrap_counts(plans, 4), [[2, 0, 1, 1], [0, 4, 0, 0]])
+    # oracle: row s is the bincount of the index stream seeded with seed ^ s
+    seed, t_max = 0x9E3779B97F4A7C15, 13
+    counts = sample_plans(5, seed, t_max)
+    for s, row in enumerate(counts):
+        idx = np.random.default_rng(seed ^ s).integers(0, t_max, size=t_max)
+        assert np.array_equal(row, np.bincount(idx, minlength=t_max))
 
 
 def test_replicates_match_solving_each_subsample_alone():
     # oracle: the old per-replicate solve on the copied rows y[idx], F[idx]
     rng = np.random.default_rng(16)
     y, F = random_instance(rng, t_max=30, m=4)
-    plans = sample_plans(BootstrapPlan(5, seed=7), 30)
+    counts = sample_plans(5, 7, 30)
     prior = Prior(0.3)
-    solset = solve_replicates(y, F, plans, prior)
+    solset = solve_replicates(y, F, counts, prior)
+    batch = solver.maximize_batch(y, F, counts, prior)
     assert solset.n_failed == 0
-    for sol, idx in zip(solset.solutions, plans):
+    assert np.array_equal(solset.w, batch.w)
+    for s, row in enumerate(counts):
+        idx = np.repeat(np.arange(30), row.astype(int))
         alone = maximize(y[idx], F[idx], prior)
-        assert np.max(np.abs(sol.w - alone.w)) <= 1e-6
-        assert abs(sol.L_subset - alone.L_value) <= 1e-9 * abs(alone.L_value)
-        assert sol.converged
+        assert np.max(np.abs(solset.w[s] - alone.w)) <= 1e-6
+        assert abs(batch.L_value[s] - alone.L_value) <= 1e-9 * abs(alone.L_value)
+        assert batch.converged[s]
 
 
 def test_failed_replicate_is_dropped_and_counted(monkeypatch):
     rng = np.random.default_rng(17)
     y, F = random_instance(rng, t_max=25, m=3)
-    plans = sample_plans(BootstrapPlan(4, seed=8), 25)
-    doomed = bootstrap_counts(plans, 25)[1]
+    counts = sample_plans(4, 8, 25)
+    doomed = counts[1]
 
     def broken_hessian(w, y, F, prior=None, counts=None):
         H = hessian(w, y, F, prior, counts)
         H[(counts == doomed).all(axis=1)] *= -1.0
         return H
 
-    intact = solve_replicates(y, F, plans, Prior(1.0))
+    intact = solver.maximize_batch(y, F, counts, Prior(1.0))
     monkeypatch.setattr(solver, "hessian", broken_hessian)
-    solset = solve_replicates(y, F, plans, Prior(1.0))
+    solset = solve_replicates(y, F, counts, Prior(1.0))
     assert solset.n_failed == 1
-    assert [sol.index for sol in solset.solutions] == [0, 2, 3]
-    for sol in solset.solutions:
-        assert sol.converged
-        assert np.max(np.abs(sol.w - intact.solutions[sol.index].w)) <= 1e-12
+    assert solset.index.tolist() == [0, 2, 3]
+    assert np.all(intact.converged)
+    for w, s in zip(solset.w, solset.index):
+        assert np.max(np.abs(w - intact.w[s])) <= 1e-12
 
 
 def test_every_acceptance_replicate_converges(monkeypatch):
@@ -162,32 +157,28 @@ def test_every_acceptance_replicate_converges(monkeypatch):
         assert np.all(batch.iterations < config.max_iters)
 
 
-def test_solve_replicates_threads_do_not_change_results(monkeypatch):
+def test_solve_replicates_repeat_exactly():
     rng = np.random.default_rng(11)
     y, F = random_instance(rng, t_max=25, m=4)
-    plans = sample_plans(BootstrapPlan(6, seed=5), 25)
-
-    monkeypatch.setenv("CONTILEARN_THREADS", "1")
-    serial = solve_replicates(y, F, plans, Prior(1.0))
-    monkeypatch.setenv("CONTILEARN_THREADS", "4")
-    threaded = solve_replicates(y, F, plans, Prior(1.0))
-
-    assert np.array_equal(serial.weights, threaded.weights)
-    for a, b in zip(serial.solutions, threaded.solutions):
-        assert np.array_equal(a.w, b.w)
-        assert a.L_full == b.L_full
+    counts = sample_plans(6, 5, 25)
+    first = solve_replicates(y, F, counts, Prior(1.0))
+    second = solve_replicates(y, F, counts, Prior(1.0))
+    assert np.array_equal(first.weights, second.weights)
+    assert np.array_equal(first.w, second.w)
+    assert np.array_equal(first.index, second.index)
 
 
 def test_dominant_weight_degenerates_distribution():
     ws = [np.array([1.0, 2.0]), np.array([5.0, -1.0])]
-    dist = fit_distribution(make_solution_set(ws, [0.0, -2000.0]))
+    dist = fit_distribution(np.stack(ws), weights_from_loglik([0.0, -2000.0]))
     assert np.array_equal(dist.mean, ws[0])
     assert np.array_equal(dist.cov, np.zeros((2, 2)))
 
 
 def test_two_point_distribution_hand_computed():
     # equal weights on (0,0) and (2,2): mean (1,1), covariance all ones
-    dist = fit_distribution(make_solution_set([np.zeros(2), np.full(2, 2.0)], [1.0, 1.0]))
+    ws = [np.zeros(2), np.full(2, 2.0)]
+    dist = fit_distribution(np.stack(ws), weights_from_loglik([1.0, 1.0]))
     assert np.allclose(dist.mean, [1.0, 1.0], atol=1e-15)
     assert np.allclose(dist.cov, np.ones((2, 2)), atol=1e-15)
 
@@ -197,7 +188,7 @@ def test_distribution_against_brute_force_oracle():
     for _ in range(20):
         ws = [rng.normal(size=3) for _ in range(5)]
         L = rng.uniform(-5, 5, size=5)
-        dist = fit_distribution(make_solution_set(ws, L))
+        dist = fit_distribution(np.stack(ws), weights_from_loglik(L))
         # independent summation oracle: plain loops, no vectorized reuse
         weights = weights_from_loglik(L)
         mean = sum(wt * w for wt, w in zip(weights, ws))
@@ -208,11 +199,23 @@ def test_distribution_against_brute_force_oracle():
         assert np.max(np.abs(dist.cov - cov)) <= 1e-12
 
 
+def test_fit_distribution_checks_weights():
+    ws = np.stack([np.zeros(2), np.ones(2), np.full(2, 2.0)])
+    with pytest.raises(ValueError):
+        fit_distribution(ws[:1], [1.0])
+    with pytest.raises(ValueError):
+        fit_distribution(ws, [0.5, 0.5])
+    with pytest.raises(ValueError):
+        fit_distribution(ws, [1.5, -0.25, -0.25])
+    with pytest.raises(ValueError):
+        fit_distribution(ws, [0.5, 0.25, 0.2])
+
+
 def test_mean_inside_coordinate_hull():
     rng = np.random.default_rng(13)
     ws = [rng.normal(size=4) for _ in range(6)]
     L = rng.uniform(-3, 3, size=6)
-    dist = fit_distribution(make_solution_set(ws, L))
+    dist = fit_distribution(np.stack(ws), weights_from_loglik(L))
     stacked = np.stack(ws)
     assert np.all(dist.mean >= stacked.min(axis=0) - 1e-12)
     assert np.all(dist.mean <= stacked.max(axis=0) + 1e-12)
@@ -222,7 +225,7 @@ def test_covariance_is_psd_and_symmetric():
     rng = np.random.default_rng(14)
     ws = [rng.normal(size=5) for _ in range(8)]
     L = rng.uniform(-4, 4, size=8)
-    dist = fit_distribution(make_solution_set(ws, L))
+    dist = fit_distribution(np.stack(ws), weights_from_loglik(L))
     assert np.max(np.abs(dist.cov - dist.cov.T)) <= 1e-12
     evals = np.linalg.eigvalsh(dist.cov)
     assert evals.min() >= -1e-10 * max(1.0, evals.max())
@@ -232,9 +235,11 @@ def test_permuting_replicates_keeps_the_distribution():
     rng = np.random.default_rng(15)
     ws = [rng.normal(size=3) for _ in range(6)]
     L = list(rng.uniform(-2, 2, size=6))
-    base = fit_distribution(make_solution_set(ws, L))
+    base = fit_distribution(np.stack(ws), weights_from_loglik(L))
     perm = [4, 2, 0, 5, 1, 3]
-    shuffled = fit_distribution(make_solution_set([ws[i] for i in perm], [L[i] for i in perm]))
+    shuffled = fit_distribution(
+        np.stack([ws[i] for i in perm]), weights_from_loglik([L[i] for i in perm])
+    )
     assert np.allclose(base.mean, shuffled.mean, atol=1e-12)
     assert np.allclose(base.cov, shuffled.cov, atol=1e-12)
 
@@ -244,8 +249,8 @@ def test_too_few_successes_raises():
     y = np.array([0.0, 1.0])
     F = np.array([[1.0], [1.0]])
     with pytest.raises(ValueError):
-        solve_replicates(y, F, [], Prior(1.0))
+        solve_replicates(y, F, np.zeros((0, 2)), Prior(1.0))
     with pytest.raises(NumericalError, match="ensemble"):
         # a non-finite design makes every replicate solve fail
         bad = np.array([[np.inf], [np.inf]])
-        solve_replicates(y, bad, sample_plans(BootstrapPlan(3, seed=6), 2), Prior(1.0))
+        solve_replicates(y, bad, sample_plans(3, 6, 2), Prior(1.0))

@@ -1,9 +1,10 @@
 """Exit-code fuzzing of the command line.
 
-Whatever the model file, run config or CSV, ``contilearn.cli.main`` must
-return one of the documented exit codes 0-3, print nothing to stderr on
-success and exactly one ``contilearn: ...`` line on failure, and raise no
-exception (which would print a traceback). The only warnings allowed are
+Whatever the model file, run config or CSV, even one that is not UTF-8
+text, ``contilearn.cli.main`` must return one of the documented exit codes
+0-3, print nothing to stderr on success and exactly one ``contilearn: ...``
+line on failure, and raise no exception (which would print a traceback).
+The only warnings allowed are
 the library's own UserWarnings; a numpy RuntimeWarning means an overflow
 went unchecked. Generated counts stay small (``n_replicates <= 8``,
 ``n_iters <= 2``, ``max_iters <= 20``) so every example runs in
@@ -40,6 +41,16 @@ JUNK = st.sampled_from(["", "x", "none", "true", "1,2", "nan", "inf", "1.5", "-1
 PREDICT_ROWS = "0,0\n1,0\n0,1\n1,1\n0.5,0.5\n0.2,0.9\n-0.3,0.7\n0.8,-0.1\n"
 # prediction inputs: plain, then with one row of moderate and of huge magnitude
 INPUTS = st.sampled_from(["", "1e15,1e15\n", "1e300,-1e300\n"]).map(PREDICT_ROWS.__add__)
+
+
+@st.composite
+def encoded(draw, texts):
+    """UTF-8 bytes of a drawn text; one draw in four splices in a byte that is not UTF-8."""
+    raw = draw(texts).encode()
+    if draw(st.integers(0, 3)):
+        return raw
+    i = draw(st.integers(0, len(raw)))
+    return raw[:i] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"])) + raw[i:]
 
 
 def run_cli(argv):
@@ -99,9 +110,9 @@ def mutated_models(draw, text):
 def test_mutated_models_keep_the_exit_code_contract(workdir, data):
     text = (workdir / "base.model").read_text()
     model = workdir / "mutated.model"
-    model.write_text(data.draw(mutated_models(text)))
+    model.write_bytes(data.draw(encoded(mutated_models(text))))
     rows = workdir / "rows.csv"
-    rows.write_text(data.draw(INPUTS))
+    rows.write_bytes(data.draw(encoded(INPUTS)))
     for command in ("predict", "algebra"):
         out = str(workdir / f"{command}.out")
         run_cli([command, "--model", str(model), "--data", str(rows), "--out", out])
@@ -150,9 +161,9 @@ def training_csvs(draw):
 
 
 @FUZZ
-@given(config=run_configs(), rows=training_csvs())
+@given(config=encoded(run_configs()), rows=encoded(training_csvs()))
 def test_mutated_configs_and_small_csvs_keep_the_exit_code_contract(workdir, config, rows):
-    (workdir / "run.cfg").write_text(config)
-    (workdir / "train.csv").write_text(rows)
+    (workdir / "run.cfg").write_bytes(config)
+    (workdir / "train.csv").write_bytes(rows)
     data, cfg, out = (str(workdir / name) for name in ("train.csv", "run.cfg", "trained.model"))
     run_cli(["train", "--data", data, "--config", cfg, "--out", out])
