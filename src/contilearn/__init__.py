@@ -20,7 +20,6 @@ from .algebra import (
 from .data import Dataset, Standardization, fit_standardization, load_csv, load_inputs
 from .engine import EngineConfig, EngineResult, IterationReport, accuracy, oob_score, run
 from .ensemble import (
-    SolutionDistribution,
     SolutionSet,
     fit_distribution,
     sample_plans,
@@ -39,7 +38,7 @@ from .featuremap import (
 from .model import Prior, gradient, hessian, log_likelihood, log_prior, predict_prob, sigmoid, softplus
 from .modelio import RunConfig, TrainedModel, load_model, load_run_config, save_model
 from .solver import Solution, SolverConfig, maximize
-from .spectral import PrincipalComponents, eig_sym, select_components
+from .spectral import eig_sym, select_components
 
 __version__ = "0.1.0"
 
@@ -54,12 +53,10 @@ __all__ = [
     "Layer",
     "ModelFormatError",
     "NumericalError",
-    "PrincipalComponents",
     "Prior",
     "RecursiveFeatureMap",
     "RunConfig",
     "Solution",
-    "SolutionDistribution",
     "SolutionSet",
     "SolverConfig",
     "Standardization",

@@ -26,7 +26,6 @@ from .modelio import (
     save_model,
     save_predictions,
     save_reports,
-    strip_paths,
 )
 
 
@@ -79,7 +78,7 @@ def cmd_train(args) -> int:
         w=result.w,
         r_per_iteration=result.r_history,
         status=result.status,
-        config=strip_paths(config),
+        config=config,
     )
     save_model(out_path, model)
     save_reports(str(out_path) + ".report", result.reports)

@@ -51,15 +51,8 @@ class Standardization:
             raise ValueError(f"expected input with {self.d} columns, got shape {x.shape}")
         return (x - self.mean) / self.scale
 
-    def basic_features(self, x: np.ndarray) -> np.ndarray:
-        """Feature vector for one raw input: a constant 1 then the standardized entries."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise ValueError("basic_features expects a single input vector")
-        return np.concatenate(([1.0], self.transform(x)))
-
     def design_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Stack basic feature vectors for a matrix of raw rows."""
+        """Basic feature matrix of raw rows: a column of ones, then the standardized entries."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError("design_matrix expects a 2-d array of raw rows")

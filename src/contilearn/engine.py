@@ -26,7 +26,7 @@ from .featuremap import (
     calibrate_layer,
     embed_mean_solution,
 )
-from .model import Prior, log_likelihood, predict_prob, softplus
+from .model import Prior, log_likelihood, predict_prob
 from .solver import SolverConfig, maximize
 from .spectral import select_components
 
@@ -119,8 +119,7 @@ def oob_score(y, F, counts, solset: SolutionSet) -> float:
         raise NumericalError(
             "engine", "every replicate resampled the full training set; no out-of-bag rows"
         )
-    z = solset.w @ F.T
-    totals = np.sum(np.where(held, y * z - softplus(z), 0.0), axis=1)
+    totals = log_likelihood(solset.w, y, F, counts=held)
     return float(np.mean(totals[n_held > 0] / n_held[n_held > 0]))
 
 
@@ -173,16 +172,16 @@ def run(dataset: Dataset, config: EngineConfig) -> EngineResult:
             )
             break
 
-        dist = fit_distribution(solset.w, solset.weights)
-        pc = select_components(dist, config.rel_threshold, config.k_max)
-        if pc.k == 0:
+        mean, cov = fit_distribution(solset.w, solset.weights)
+        u = select_components(cov, config.rel_threshold, config.k_max)
+        if len(u) == 0:
             status = "degenerate"
             reports.append(
                 IterationReport(stage, m, None, 0, sol.L_value, embed_L, r, oob, None, train_acc)
             )
             break
 
-        layer = calibrate_layer(pc, F)
+        layer = calibrate_layer(mean, u, F)
         closure = None
         if config.algebra_check:
             closure = fit_structure_constants(layer.super_features(F)).normalized_residual
@@ -191,7 +190,7 @@ def run(dataset: Dataset, config: EngineConfig) -> EngineResult:
         layers.append(layer)
         reports.append(
             IterationReport(
-                stage, m, F.shape[1], pc.k, sol.L_value, embed_L, r, oob, closure, train_acc
+                stage, m, F.shape[1], layer.k, sol.L_value, embed_L, r, oob, closure, train_acc
             )
         )
         if (

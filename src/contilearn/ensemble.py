@@ -8,9 +8,9 @@ objective of replicate s is sum_t C[s, t] l_t, which equals the objective on
 its multiset, and its out-of-bag rows are those with count 0. All replicates
 of one prior are solved together as one batched Newton problem
 (``solver.maximize_batch``). Replicates are weighted by the softmax of their
-full-data objective values, computed in the log domain, and the weighted
-mean/covariance of the solution cloud define the solution distribution
-handed to the spectral step.
+full-data objective values, computed in the log domain, and
+``fit_distribution`` returns the weighted mean and covariance of the solution
+cloud as the arrays ``(mean, cov)`` that the spectral step reads.
 """
 
 from __future__ import annotations
@@ -92,16 +92,8 @@ def solve_replicates(
     return SolutionSet(w, weights, index, n_failed=len(counts) - len(index))
 
 
-@dataclass(frozen=True)
-class SolutionDistribution:
-    """Weighted mean and covariance of the replicate solution cloud."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-
-def fit_distribution(w, weights) -> SolutionDistribution:
-    """Weighted mean and outer-product covariance of the rows of ``w``, symmetrized."""
+def fit_distribution(w, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted mean and symmetrized outer-product covariance of the rows of ``w``."""
     W = np.asarray(w, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if len(W) < 2:
@@ -113,4 +105,4 @@ def fit_distribution(w, weights) -> SolutionDistribution:
     mean = weights @ W
     dev = W - mean
     cov = (dev * weights[:, None]).T @ dev
-    return SolutionDistribution(mean, 0.5 * (cov + cov.T))
+    return mean, 0.5 * (cov + cov.T)

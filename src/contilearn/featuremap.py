@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Standardization
-from .spectral import PrincipalComponents
 
 _ORTHO_TOL = 1e-10
 
@@ -71,11 +70,14 @@ class Layer:
         scales = np.asarray(self.scales, dtype=float)
         if v0.ndim != 1 or u.ndim != 2 or u.shape[1] != v0.shape[0]:
             raise ValueError("projection rows must match the mean vector dimension")
+        for name, values in (("v0", v0), ("u", u)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
         if not self.degenerate_v0 and float(np.linalg.norm(v0)) == 0.0:
             raise ValueError("zero mean direction requires the degenerate flag")
         if u.shape[0]:
             gram = u @ u.T
-            if float(np.max(np.abs(gram - np.eye(u.shape[0])))) > _ORTHO_TOL:
+            if not float(np.max(np.abs(gram - np.eye(u.shape[0])))) <= _ORTHO_TOL:
                 raise ValueError("projection rows must be orthonormal")
         if scales.shape != (expansion_size(u.shape[0] + 1),):
             raise ValueError("scale vector length does not match the expanded width")
@@ -124,24 +126,24 @@ class Layer:
         return expand(self.super_features(F), self.scales)
 
 
-def calibrate_layer(pc: PrincipalComponents, F_train) -> Layer:
-    """Build a layer whose expanded slots have unit RMS on the training rows.
+def calibrate_layer(v0, u, F_train) -> Layer:
+    """Layer on mean direction ``v0`` and component rows ``u`` (k, m), scaled on ``F_train``.
 
-    Slots that are identically zero on the training rows keep scale 1. A
-    zero mean direction is flagged degenerate, with a warning.
+    Every expanded slot gets unit RMS on the training rows; slots that are
+    identically zero there keep scale 1. A zero mean direction is flagged
+    degenerate, with a warning. ``Layer`` validates ``v0`` and ``u``.
     """
     G = np.asarray(F_train, dtype=float)
     if G.ndim != 2:
         raise ValueError("calibration requires a matrix of training feature rows")
-    degenerate = float(np.linalg.norm(pc.v0)) == 0.0
+    degenerate = float(np.linalg.norm(v0)) == 0.0
+    unit = Layer(v0, u, np.ones(expansion_size(len(u) + 1)), degenerate)
     if degenerate:
         warnings.warn(
             "mean direction is zero; its derived feature is replaced by the constant 1",
             stacklevel=2,
         )
-    ones = np.ones(expansion_size(pc.k + 1))
-    unit = Layer(pc.v0, pc.u, ones, degenerate)
-    raw = expand(unit.super_features(G), ones)
+    raw = expand(unit.super_features(G), unit.scales)
     rms = np.sqrt(np.mean(raw * raw, axis=0))
     return replace(unit, scales=np.where(rms > 0.0, rms, 1.0))
 
@@ -190,13 +192,6 @@ class RecursiveFeatureMap:
         for layer in self.layers:
             Z = layer.apply(Z)
         return Z
-
-    def evaluate(self, x) -> np.ndarray:
-        """Final feature vector for one raw input."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise ValueError("evaluate expects a single raw input vector")
-        return self.transform(x[None, :])[0]
 
     def super_features(self, X) -> np.ndarray:
         """Last layer's projected features (before products) for raw input rows.

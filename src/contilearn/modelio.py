@@ -14,7 +14,7 @@ hyper-parameter is worse than an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +193,8 @@ def parse_model(text: str) -> TrainedModel:
     mean = take("mean", _parse_vector)
     scale = take("scale", _parse_vector)
     r_per_iteration = tuple(take("r_per_iteration", _parse_vector))
+    if not all(np.isfinite(r) and r > 0 for r in r_per_iteration):
+        raise ModelFormatError("r_per_iteration: entries must be positive finite reals")
     n_layers = take("n_layers", _parse_int)
 
     try:
@@ -209,9 +211,14 @@ def parse_model(text: str) -> TrainedModel:
             if v0.shape != (m_in,):
                 raise ModelFormatError(f"layer{i}.v0 width does not match layer{i}.m_in")
             scales = take(f"layer{i}.scales", _parse_vector)
-            layers.append(Layer(v0, u, scales, degenerate))
+            try:
+                layers.append(Layer(v0, u, scales, degenerate))
+            except ValueError as exc:
+                raise ModelFormatError(f"layer{i}: {exc}") from None
         feature_map = RecursiveFeatureMap(standardization, tuple(layers))
         w = take("w", _parse_vector)
+        if not np.all(np.isfinite(w)):
+            raise ModelFormatError("w: entries must be finite")
         if w.shape != (feature_map.output_dim,):
             raise ModelFormatError(
                 f"parameter vector has {w.shape[0]} entries, the feature map emits"
@@ -231,11 +238,6 @@ def parse_model(text: str) -> TrainedModel:
 
 def load_model(path) -> TrainedModel:
     return parse_model(read_text(path, "model", ModelFormatError))
-
-
-def strip_paths(config: RunConfig) -> RunConfig:
-    """Drop path defaults before echoing a config into a model file."""
-    return replace(config, data=None, out=None)
 
 
 # the report key of each IterationReport field, in field order

@@ -1,12 +1,13 @@
-"""Symmetric eigendecomposition and thresholded principal-component selection."""
+"""Symmetric eigendecomposition and thresholded principal-component selection.
+
+``select_components`` takes the covariance of the solution cloud and returns
+the kept eigenvectors as the rows of a ``(k, m)`` array.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .ensemble import SolutionDistribution
 from .errors import NumericalError
 
 _SYM_TOL = 1e-10
@@ -35,51 +36,20 @@ def eig_sym(A: np.ndarray):
     return evals, rows
 
 
-@dataclass(frozen=True)
-class PrincipalComponents:
-    """Weighted-mean direction plus the selected high-variance eigenvectors."""
-
-    v0: np.ndarray
-    u: np.ndarray
-    eigenvalues: np.ndarray
-
-    def __post_init__(self) -> None:
-        v0 = np.asarray(self.v0, dtype=float)
-        u = np.asarray(self.u, dtype=float)
-        eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        if v0.ndim != 1 or u.ndim != 2 or u.shape[1] != v0.shape[0]:
-            raise ValueError("component rows must match the mean vector dimension")
-        if eigenvalues.shape != (u.shape[0],):
-            raise ValueError("one eigenvalue per selected component required")
-        object.__setattr__(self, "v0", v0)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-
-    @property
-    def k(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.v0.shape[0]
-
-
-def select_components(
-    dist: SolutionDistribution, rel_threshold: float, k_max: int
-) -> PrincipalComponents:
-    """Keep eigenvectors whose eigenvalue is at least ``rel_threshold`` times the top one.
+def select_components(cov, rel_threshold: float, k_max: int) -> np.ndarray:
+    """Eigenvector rows whose eigenvalue is at least ``rel_threshold`` times the top one.
 
     At most ``k_max`` components are kept, at least one when the spectrum is
-    positive. A (numerically) zero covariance selects nothing: k = 0.
+    positive. A (numerically) zero covariance selects nothing: k = 0 rows.
     """
     if not 0.0 < rel_threshold <= 1.0:
         raise ValueError("rel_threshold must lie in (0, 1]")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    evals, rows = eig_sym(dist.cov)
+    evals, rows = eig_sym(cov)
     top = float(evals[0]) if evals.size else 0.0
     if top <= 0.0:
         k = 0
     else:
         k = min(int(np.count_nonzero(evals >= rel_threshold * top)), k_max)
-    return PrincipalComponents(dist.mean, rows[:k], evals[:k])
+    return rows[:k]

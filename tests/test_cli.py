@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import subprocess
 import sys
 import warnings
@@ -279,6 +280,45 @@ def test_truncated_model_fails_cleanly(tmp_path, trained):
     broken.write_text("\n".join(lines[:5]) + "\n")
     with pytest.raises(ModelFormatError):
         load_model(broken)
+
+
+# the field each case corrupts, and the one line naming it
+NON_FINITE_MESSAGES = {
+    "w": "w: entries must be finite",
+    "layer0.v0": "layer0: v0 must be finite",
+    "layer0.u0": "layer0: u must be finite",
+    "r_per_iteration": "r_per_iteration: entries must be positive finite reals",
+}
+
+
+@pytest.mark.parametrize("command", ["predict", "algebra"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("w", "nan"),
+        ("w", "-inf"),
+        ("layer0.v0", "nan"),
+        ("layer0.u0", "nan"),
+        ("r_per_iteration", "nan"),
+        ("r_per_iteration", "inf"),
+        ("r_per_iteration", "-1.0"),
+        ("r_per_iteration", "0.0"),
+    ],
+)
+def test_non_finite_model_value_is_a_model_error(
+    tmp_path, trained, xor_csv, capsys, command, key, value
+):
+    # the first entry of the field's vector is replaced; the rest stay as trained
+    first_entry = rf"^{re.escape(key)} = [^,\n]*"
+    text, n = re.subn(first_entry, f"{key} = {value}", trained.read_text(), flags=re.M)
+    assert n == 1
+    broken = tmp_path / "broken.model"
+    broken.write_text(text)
+    out = tmp_path / "out.txt"
+    argv = [command, "--model", str(broken), "--data", str(xor_csv), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"contilearn: {NON_FINITE_MESSAGES[key]}"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- predict

@@ -29,9 +29,9 @@ def test_xor_standardization_gives_unit_cells(tmp_path):
     path = tmp_path / "xor.csv"
     path.write_text(XOR_ROWS)
     ds = load_csv(path)
-    f = ds.standardization.basic_features(np.array([1.0, 1.0]))
-    assert np.array_equal(f, [1.0, 1.0, 1.0])
-    assert f[0] == 1.0
+    f = ds.standardization.design_matrix(np.array([[1.0, 1.0]]))
+    assert np.array_equal(f, [[1.0, 1.0, 1.0]])
+    assert f[0, 0] == 1.0
 
 
 def test_malformed_row_names_line(tmp_path):
@@ -99,20 +99,20 @@ def test_constant_column_standardizes_to_zero(tmp_path):
 
 def test_basic_features_prepends_bias():
     std = Standardization(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
-    f = std.basic_features(np.array([3.0, 10.0]))
-    assert f[0] == 1.0
-    assert np.array_equal(f[1:], [(3.0 - 1.0) / 2.0, (10.0 - 2.0) / 4.0])
+    f = std.design_matrix(np.array([[3.0, 10.0]]))
+    assert f[0, 0] == 1.0
+    assert np.array_equal(f[0, 1:], [(3.0 - 1.0) / 2.0, (10.0 - 2.0) / 4.0])
 
 
 def test_basic_features_zero_dimensional():
     std = Standardization(np.zeros(0), np.ones(0))
-    assert np.array_equal(std.basic_features(np.zeros(0)), [1.0])
+    assert np.array_equal(std.design_matrix(np.zeros((1, 0))), [[1.0]])
 
 
 def test_basic_features_dimension_mismatch():
     std = Standardization(np.zeros(2), np.ones(2))
     with pytest.raises(ValueError):
-        std.basic_features(np.array([1.0, 2.0, 3.0]))
+        std.design_matrix(np.array([[1.0, 2.0, 3.0]]))
 
 
 def test_scales_must_be_positive():

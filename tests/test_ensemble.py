@@ -170,17 +170,17 @@ def test_solve_replicates_repeat_exactly():
 
 def test_dominant_weight_degenerates_distribution():
     ws = [np.array([1.0, 2.0]), np.array([5.0, -1.0])]
-    dist = fit_distribution(np.stack(ws), weights_from_loglik([0.0, -2000.0]))
-    assert np.array_equal(dist.mean, ws[0])
-    assert np.array_equal(dist.cov, np.zeros((2, 2)))
+    mean, cov = fit_distribution(np.stack(ws), weights_from_loglik([0.0, -2000.0]))
+    assert np.array_equal(mean, ws[0])
+    assert np.array_equal(cov, np.zeros((2, 2)))
 
 
 def test_two_point_distribution_hand_computed():
     # equal weights on (0,0) and (2,2): mean (1,1), covariance all ones
     ws = [np.zeros(2), np.full(2, 2.0)]
-    dist = fit_distribution(np.stack(ws), weights_from_loglik([1.0, 1.0]))
-    assert np.allclose(dist.mean, [1.0, 1.0], atol=1e-15)
-    assert np.allclose(dist.cov, np.ones((2, 2)), atol=1e-15)
+    mean, cov = fit_distribution(np.stack(ws), weights_from_loglik([1.0, 1.0]))
+    assert np.allclose(mean, [1.0, 1.0], atol=1e-15)
+    assert np.allclose(cov, np.ones((2, 2)), atol=1e-15)
 
 
 def test_distribution_against_brute_force_oracle():
@@ -188,15 +188,15 @@ def test_distribution_against_brute_force_oracle():
     for _ in range(20):
         ws = [rng.normal(size=3) for _ in range(5)]
         L = rng.uniform(-5, 5, size=5)
-        dist = fit_distribution(np.stack(ws), weights_from_loglik(L))
+        got_mean, got_cov = fit_distribution(np.stack(ws), weights_from_loglik(L))
         # independent summation oracle: plain loops, no vectorized reuse
         weights = weights_from_loglik(L)
         mean = sum(wt * w for wt, w in zip(weights, ws))
         cov = np.zeros((3, 3))
         for wt, w in zip(weights, ws):
             cov += wt * np.outer(w - mean, w - mean)
-        assert np.max(np.abs(dist.mean - mean)) <= 1e-12
-        assert np.max(np.abs(dist.cov - cov)) <= 1e-12
+        assert np.max(np.abs(got_mean - mean)) <= 1e-12
+        assert np.max(np.abs(got_cov - cov)) <= 1e-12
 
 
 def test_fit_distribution_checks_weights():
@@ -215,19 +215,19 @@ def test_mean_inside_coordinate_hull():
     rng = np.random.default_rng(13)
     ws = [rng.normal(size=4) for _ in range(6)]
     L = rng.uniform(-3, 3, size=6)
-    dist = fit_distribution(np.stack(ws), weights_from_loglik(L))
+    mean, _ = fit_distribution(np.stack(ws), weights_from_loglik(L))
     stacked = np.stack(ws)
-    assert np.all(dist.mean >= stacked.min(axis=0) - 1e-12)
-    assert np.all(dist.mean <= stacked.max(axis=0) + 1e-12)
+    assert np.all(mean >= stacked.min(axis=0) - 1e-12)
+    assert np.all(mean <= stacked.max(axis=0) + 1e-12)
 
 
 def test_covariance_is_psd_and_symmetric():
     rng = np.random.default_rng(14)
     ws = [rng.normal(size=5) for _ in range(8)]
     L = rng.uniform(-4, 4, size=8)
-    dist = fit_distribution(np.stack(ws), weights_from_loglik(L))
-    assert np.max(np.abs(dist.cov - dist.cov.T)) <= 1e-12
-    evals = np.linalg.eigvalsh(dist.cov)
+    _, cov = fit_distribution(np.stack(ws), weights_from_loglik(L))
+    assert np.max(np.abs(cov - cov.T)) <= 1e-12
+    evals = np.linalg.eigvalsh(cov)
     assert evals.min() >= -1e-10 * max(1.0, evals.max())
 
 
@@ -235,13 +235,13 @@ def test_permuting_replicates_keeps_the_distribution():
     rng = np.random.default_rng(15)
     ws = [rng.normal(size=3) for _ in range(6)]
     L = list(rng.uniform(-2, 2, size=6))
-    base = fit_distribution(np.stack(ws), weights_from_loglik(L))
+    base_mean, base_cov = fit_distribution(np.stack(ws), weights_from_loglik(L))
     perm = [4, 2, 0, 5, 1, 3]
-    shuffled = fit_distribution(
+    mean, cov = fit_distribution(
         np.stack([ws[i] for i in perm]), weights_from_loglik([L[i] for i in perm])
     )
-    assert np.allclose(base.mean, shuffled.mean, atol=1e-12)
-    assert np.allclose(base.cov, shuffled.cov, atol=1e-12)
+    assert np.allclose(base_mean, mean, atol=1e-12)
+    assert np.allclose(base_cov, cov, atol=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")

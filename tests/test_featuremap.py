@@ -14,7 +14,6 @@ from contilearn.featuremap import (
     expansion_pairs,
     expansion_size,
 )
-from contilearn.spectral import PrincipalComponents
 
 
 def orthonormal_rows(rng, k, m):
@@ -30,8 +29,7 @@ def random_map(rng, d, n_layers, n_train=40):
     for _ in range(n_layers):
         m_in = F.shape[1]
         k = int(rng.integers(1, min(m_in, 3) + 1))
-        pc = PrincipalComponents(rng.normal(size=m_in), orthonormal_rows(rng, k, m_in), np.ones(k))
-        layer = calibrate_layer(pc, F)
+        layer = calibrate_layer(rng.normal(size=m_in), orthonormal_rows(rng, k, m_in), F)
         F = layer.apply(F)
         layers.append(layer)
     return RecursiveFeatureMap(std, tuple(layers))
@@ -57,35 +55,33 @@ def interpolation_residual(fmap, deg, rng):
     return float(np.max(np.abs(basis(X_eval) @ coef - V_eval)))
 
 
-def super_features(pc, f):
+def super_features(v0, u, f):
     """Projection of the rows f through a layer calibrated on them."""
-    return calibrate_layer(pc, np.atleast_2d(f)).super_features(f)
+    return calibrate_layer(v0, u, np.atleast_2d(f)).super_features(f)
 
 
 def test_super_features_hand_case():
     # F_0 = (2*3 + 0*5)/2 = 3, F_1 = 5
-    pc = PrincipalComponents(np.array([2.0, 0.0]), np.array([[0.0, 1.0]]), np.ones(1))
-    assert np.array_equal(super_features(pc, np.array([3.0, 5.0])), [3.0, 5.0])
+    out = super_features(np.array([2.0, 0.0]), np.array([[0.0, 1.0]]), np.array([3.0, 5.0]))
+    assert np.array_equal(out, [3.0, 5.0])
 
 
 def test_super_features_orthogonal_input_vanishes():
-    pc = PrincipalComponents(np.array([1.0, 0.0, 0.0]), np.array([[0.0, 1.0, 0.0]]), np.ones(1))
-    out = super_features(pc, np.array([0.0, 0.0, 7.0]))
+    v0, u = np.array([1.0, 0.0, 0.0]), np.array([[0.0, 1.0, 0.0]])
+    out = super_features(v0, u, np.array([0.0, 0.0, 7.0]))
     assert np.array_equal(out, [0.0, 0.0])
 
 
 def test_super_features_with_no_components():
-    pc = PrincipalComponents(np.array([3.0, 4.0]), np.zeros((0, 2)), np.zeros(0))
-    out = super_features(pc, np.array([3.0, 4.0]))
+    out = super_features(np.array([3.0, 4.0]), np.zeros((0, 2)), np.array([3.0, 4.0]))
     assert out.shape == (1,)
     assert np.isclose(out[0], 5.0)
 
 
 def test_super_features_degenerate_mean_warns_once_and_uses_constant():
-    pc = PrincipalComponents(np.zeros(2), np.array([[1.0, 0.0]]), np.ones(1))
     f = np.array([[5.0, 6.0], [1.0, 2.0]])
     with pytest.warns(UserWarning, match="constant") as caught:
-        layer = calibrate_layer(pc, f)
+        layer = calibrate_layer(np.zeros(2), np.array([[1.0, 0.0]]), f)
     assert len(caught) == 1
     assert layer.degenerate_v0
     with warnings.catch_warnings():
@@ -95,12 +91,16 @@ def test_super_features_degenerate_mean_warns_once_and_uses_constant():
 
 
 def test_super_features_dimension_mismatch():
-    pc = PrincipalComponents(np.ones(2), np.zeros((0, 2)), np.zeros(0))
-    layer = calibrate_layer(pc, np.ones((4, 2)))
+    layer = calibrate_layer(np.ones(2), np.zeros((0, 2)), np.ones((4, 2)))
     with pytest.raises(ValueError):
         layer.super_features(np.ones(3))
     with pytest.raises(ValueError):
-        calibrate_layer(pc, np.ones((4, 3)))
+        calibrate_layer(np.ones(2), np.zeros((0, 2)), np.ones((4, 3)))
+
+
+def test_calibrate_layer_rejects_mismatched_widths():
+    with pytest.raises(ValueError, match="dimension"):
+        calibrate_layer(np.ones(3), np.zeros((2, 4)), np.ones((4, 3)))
 
 
 def test_expand_two_features():
@@ -140,8 +140,7 @@ def test_expansion_pair_order_is_lexicographic():
 def test_calibrated_scales_give_unit_rms():
     rng = np.random.default_rng(20)
     F = np.hstack([np.ones((30, 1)), rng.normal(size=(30, 2))])
-    pc = PrincipalComponents(rng.normal(size=3), orthonormal_rows(rng, 2, 3), np.ones(2))
-    layer = calibrate_layer(pc, F)
+    layer = calibrate_layer(rng.normal(size=3), orthonormal_rows(rng, 2, 3), F)
     rms = np.sqrt(np.mean(layer.apply(F) ** 2, axis=0))
     assert np.max(np.abs(rms - 1.0)) <= 1e-9
 
@@ -149,10 +148,7 @@ def test_calibrated_scales_give_unit_rms():
 def test_identically_zero_feature_keeps_scale_one():
     # u row orthogonal to every training row makes that feature vanish
     F = np.column_stack([np.ones(10), np.linspace(-1, 1, 10), np.zeros(10)])
-    pc = PrincipalComponents(
-        np.array([1.0, 0.0, 0.0]), np.array([[0.0, 0.0, 1.0]]), np.ones(1)
-    )
-    layer = calibrate_layer(pc, F)
+    layer = calibrate_layer(np.array([1.0, 0.0, 0.0]), np.array([[0.0, 0.0, 1.0]]), F)
     out = layer.apply(F)
     assert np.array_equal(out[:, 1], np.zeros(10))  # linear slot of the zero feature
     assert layer.scales[1] == 1.0
@@ -161,8 +157,9 @@ def test_identically_zero_feature_keeps_scale_one():
 def test_zero_layer_map_is_basic_features():
     std = Standardization(np.array([1.0]), np.array([2.0]))
     fmap = RecursiveFeatureMap(std, ())
-    x = np.array([5.0])
-    assert np.array_equal(fmap.evaluate(x), std.basic_features(x))
+    x = np.array([[5.0]])
+    assert np.array_equal(fmap.transform(x), std.design_matrix(x))
+    assert np.array_equal(fmap.transform(x), [[1.0, 2.0]])
 
 
 def test_one_layer_matches_symbolic_expansion():
@@ -184,7 +181,7 @@ def test_one_layer_matches_symbolic_expansion():
     points = rng.uniform(-3.0, 3.0, size=10)
     for x in points:
         expected = np.array([p(x) for p in polys])
-        got = fmap.evaluate(np.array([x]))
+        got = fmap.transform(np.array([[x]]))[0]
         assert np.max(np.abs(got - expected)) <= 1e-10
 
 
@@ -199,29 +196,27 @@ def test_embedded_mean_reproduces_scores():
     rng = np.random.default_rng(22)
     std = Standardization(rng.normal(size=2), rng.uniform(0.5, 2.0, size=2))
     F_train = std.design_matrix(rng.normal(size=(50, 2)))
-    pc = PrincipalComponents(rng.normal(size=3), orthonormal_rows(rng, 2, 3), np.ones(2))
-    layer = calibrate_layer(pc, F_train)
+    v0 = rng.normal(size=3)
+    layer = calibrate_layer(v0, orthonormal_rows(rng, 2, 3), F_train)
     w_embed = embed_mean_solution(layer)
 
     X = rng.normal(size=(100, 2))
     F = std.design_matrix(X)
     scores = layer.apply(F) @ w_embed
-    assert np.max(np.abs(scores - F @ pc.v0)) <= 1e-10
+    assert np.max(np.abs(scores - F @ v0)) <= 1e-10
 
 
 def test_embedded_zero_mean_is_zero_vector():
     F = np.hstack([np.ones((10, 1)), np.linspace(-1, 1, 10)[:, None]])
-    pc = PrincipalComponents(np.zeros(2), np.array([[0.0, 1.0]]), np.ones(1))
     with pytest.warns(UserWarning):
-        layer = calibrate_layer(pc, F)
+        layer = calibrate_layer(np.zeros(2), np.array([[0.0, 1.0]]), F)
     assert np.array_equal(embed_mean_solution(layer), np.zeros(layer.m_out))
 
 
 def test_scale_rescaling_is_absorbed_by_the_embedded_coefficient():
     rng = np.random.default_rng(23)
     F = np.hstack([np.ones((20, 1)), rng.normal(size=(20, 2))])
-    pc = PrincipalComponents(rng.normal(size=3), orthonormal_rows(rng, 1, 3), np.ones(1))
-    layer = calibrate_layer(pc, F)
+    layer = calibrate_layer(rng.normal(size=3), orthonormal_rows(rng, 1, 3), F)
     rescaled = Layer(layer.v0, layer.u, layer.scales * 2.0, layer.degenerate_v0)
 
     w_a = embed_mean_solution(layer)
@@ -243,11 +238,11 @@ def test_layer_requires_orthonormal_rows():
         Layer(np.ones(2), np.array([[1.0, 1.0]]), np.ones(expansion_size(2)))
 
 
-def test_evaluate_checks_input_width():
+def test_transform_checks_input_width():
     std = Standardization(np.zeros(2), np.ones(2))
     fmap = RecursiveFeatureMap(std, ())
     with pytest.raises(ValueError):
-        fmap.evaluate(np.zeros(3))
+        fmap.transform(np.zeros((1, 3)))
 
 
 def test_super_features_with_and_without_layers():

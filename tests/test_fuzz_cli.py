@@ -114,8 +114,11 @@ def test_mutated_models_keep_the_exit_code_contract(workdir, data):
     rows = workdir / "rows.csv"
     rows.write_bytes(data.draw(encoded(INPUTS)))
     for command in ("predict", "algebra"):
-        out = str(workdir / f"{command}.out")
-        run_cli([command, "--model", str(model), "--data", str(rows), "--out", out])
+        out = workdir / f"{command}.out"
+        code = run_cli([command, "--model", str(model), "--data", str(rows), "--out", str(out)])
+        if command == "predict" and code == 0:
+            probs = [float(line) for line in out.read_text().splitlines()]
+            assert all(0.0 < p < 1.0 for p in probs), probs
 
 
 CONFIG_VALUES = {

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contilearn.ensemble import SolutionDistribution
-from contilearn.spectral import PrincipalComponents, eig_sym, select_components
+from contilearn.spectral import eig_sym, select_components
 
 
 def random_symmetric(rng, n):
@@ -73,56 +72,46 @@ def test_non_symmetric_input_rejected():
 
 def test_select_components_thresholding():
     # 0.2 * 4 = 0.8 admits eigenvalues 4 and 1, rejects 0.01
-    dist = SolutionDistribution(np.zeros(3), np.diag([4.0, 1.0, 0.01]))
-    pc = select_components(dist, rel_threshold=0.2, k_max=8)
-    assert pc.k == 2
-    assert np.allclose(pc.eigenvalues, [4.0, 1.0], atol=1e-14)
-    assert np.array_equal(pc.v0, np.zeros(3))
+    cov = np.diag([4.0, 1.0, 0.01])
+    u = select_components(cov, rel_threshold=0.2, k_max=8)
+    assert u.shape == (2, 3)
+    assert np.allclose(np.diag(u @ cov @ u.T), [4.0, 1.0], atol=1e-14)
 
 
 def test_threshold_one_keeps_only_the_top():
     rng = np.random.default_rng(8)
-    dist = SolutionDistribution(np.zeros(4), random_psd(rng, 4))
-    assert select_components(dist, rel_threshold=1.0, k_max=8).k == 1
+    assert len(select_components(random_psd(rng, 4), rel_threshold=1.0, k_max=8)) == 1
 
 
 def test_k_max_caps_selection():
-    dist = SolutionDistribution(np.zeros(3), np.eye(3))
-    assert select_components(dist, rel_threshold=0.5, k_max=1).k == 1
+    assert len(select_components(np.eye(3), rel_threshold=0.5, k_max=1)) == 1
 
 
 def test_zero_covariance_selects_nothing():
-    dist = SolutionDistribution(np.ones(3), np.zeros((3, 3)))
-    pc = select_components(dist, rel_threshold=0.05, k_max=8)
-    assert pc.k == 0
-    assert pc.u.shape == (0, 3)
+    u = select_components(np.zeros((3, 3)), rel_threshold=0.05, k_max=8)
+    assert u.shape == (0, 3)
 
 
 def test_selected_trace_identity():
     rng = np.random.default_rng(9)
     cov = random_psd(rng, 6)
-    pc = select_components(SolutionDistribution(np.zeros(6), cov), 0.1, 8)
-    P = pc.u.T @ pc.u
-    assert abs(np.trace(P @ cov @ P) - pc.eigenvalues.sum()) <= 1e-10 * max(1.0, np.trace(cov))
+    u = select_components(cov, 0.1, 8)
+    kept = eig_sym(cov)[0][: len(u)]
+    P = u.T @ u
+    assert abs(np.trace(P @ cov @ P) - kept.sum()) <= 1e-10 * max(1.0, np.trace(cov))
 
 
 @settings(max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.floats(0.01, 1.0), st.floats(0.01, 1.0))
 def test_selection_monotone_in_threshold(seed, t1, t2):
     rng = np.random.default_rng(seed)
-    dist = SolutionDistribution(np.zeros(5), random_psd(rng, 5))
+    cov = random_psd(rng, 5)
     lo, hi = sorted((t1, t2))
-    assert select_components(dist, hi, 8).k <= select_components(dist, lo, 8).k
+    assert len(select_components(cov, hi, 8)) <= len(select_components(cov, lo, 8))
 
 
 def test_selection_parameter_validation():
-    dist = SolutionDistribution(np.zeros(2), np.eye(2))
     with pytest.raises(ValueError):
-        select_components(dist, 0.0, 8)
+        select_components(np.eye(2), 0.0, 8)
     with pytest.raises(ValueError):
-        select_components(dist, 0.5, 0)
-
-
-def test_principal_components_validation():
-    with pytest.raises(ValueError):
-        PrincipalComponents(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
+        select_components(np.eye(2), 0.5, 0)
