@@ -127,14 +127,16 @@ def read_text(path, kind: str, error) -> str:
         raise error(f"{kind} file {path} is not UTF-8 text (byte offset {exc.start})") from None
 
 
-def _read_numeric_rows(path, has_header: bool):
-    """Parse a CSV file into (line numbers, value matrix); errors name the file line."""
-    lines = read_text(path, "data", DataError).splitlines()
-    linenos: list[int] = []
+def _read_numeric_rows(path, has_header: bool) -> np.ndarray:
+    """Parse a CSV file into a value matrix; errors name the file line.
+
+    Every line after the optional header is a row or an error, so row i of
+    the result is line ``i + 1 + has_header`` of the file.
+    """
+    first = 1 + int(has_header)
+    lines = read_text(path, "data", DataError).splitlines()[first - 1 :]
     rows: list[list[float]] = []
-    for lineno, line in enumerate(lines, start=1):
-        if has_header and lineno == 1:
-            continue
+    for lineno, line in enumerate(lines, start=first):
         values = []
         for tok in line.split(","):
             try:
@@ -146,15 +148,14 @@ def _read_numeric_rows(path, has_header: bool):
             if not np.isfinite(v):
                 raise DataError(f"row {lineno}: non-finite value {tok.strip()!r}")
             values.append(v)
-        linenos.append(lineno)
         rows.append(values)
     if not rows:
         raise DataError(f"empty data file: {path}")
     width = len(rows[0])
-    for lineno, values in zip(linenos, rows):
+    for lineno, values in enumerate(rows, start=first):
         if len(values) != width:
             raise DataError(f"row {lineno}: expected {width} fields, found {len(values)}")
-    return linenos, np.array(rows, dtype=float)
+    return np.array(rows, dtype=float)
 
 
 def load_csv(path, has_header: bool = False) -> Dataset:
@@ -164,13 +165,14 @@ def load_csv(path, has_header: bool = False) -> Dataset:
     labels, or fewer than two samples. A dataset with only one label class is
     permitted but triggers a warning since nothing can be learned from it.
     """
-    linenos, M = _read_numeric_rows(path, has_header)
+    M = _read_numeric_rows(path, has_header)
     if M.shape[1] < 1:
         raise DataError("rows must contain at least a label column")
     raw, labels = M[:, :-1], M[:, -1]
-    for lineno, lab in zip(linenos, labels):
-        if lab not in (0.0, 1.0):
-            raise DataError(f"row {lineno}: label must be 0 or 1, got {lab}")
+    bad = (labels != 0.0) & (labels != 1.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"row {i + 1 + int(has_header)}: label must be 0 or 1, got {labels[i]}")
     if M.shape[0] < 2:
         raise DataError("training data needs at least 2 samples")
     if np.all(labels == labels[0]):
@@ -184,7 +186,7 @@ def load_csv(path, has_header: bool = False) -> Dataset:
 
 def load_inputs(path, d: int) -> np.ndarray:
     """Load raw prediction inputs (no header row) of width d; a trailing label column is dropped."""
-    _, M = _read_numeric_rows(path, has_header=False)
+    M = _read_numeric_rows(path, has_header=False)
     if M.shape[1] in (d, d + 1):
         return M[:, :d]
     raise DataError(

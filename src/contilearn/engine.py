@@ -183,7 +183,7 @@ def run(dataset: Dataset, config: EngineConfig) -> EngineResult:
 
         layer = calibrate_layer(mean, u, F)
         closure = None
-        if config.algebra_check:
+        if config.algebra_check or config.algebra_stop_tol is not None:
             closure = fit_structure_constants(layer.super_features(F)).normalized_residual
         F = layer.apply(F)
         w_init = embed_mean_solution(layer)
@@ -194,8 +194,7 @@ def run(dataset: Dataset, config: EngineConfig) -> EngineResult:
             )
         )
         if (
-            closure is not None
-            and config.algebra_stop_tol is not None
+            config.algebra_stop_tol is not None
             and closure <= config.algebra_stop_tol
             and stage + 1 < last_stage
         ):

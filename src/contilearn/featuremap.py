@@ -73,7 +73,11 @@ class Layer:
         for name, values in (("v0", v0), ("u", u)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must be finite")
-        if not self.degenerate_v0 and float(np.linalg.norm(v0)) == 0.0:
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(v0))
+        if not np.isfinite(norm):
+            raise ValueError("v0 must have a finite norm")
+        if not self.degenerate_v0 and norm == 0.0:
             raise ValueError("zero mean direction requires the degenerate flag")
         if u.shape[0]:
             gram = u @ u.T

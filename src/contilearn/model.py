@@ -3,13 +3,14 @@
 The score is the dot product of a parameter vector with a feature vector
 whose slot 0 is a constant bias feature. The prior is an isotropic Gaussian
 with precision r, written with its normalization constant so that objective
-values remain comparable across different r. All exponentials go through
-softplus / the two-branch sigmoid, so nothing here overflows.
+values remain comparable across different r. Nothing here overflows:
+softplus and sigmoid only ever exponentiate -|z|.
 
 The objective, its change along a step, the gradient and the Hessian take
 one parameter vector or S stacked ones, and optional per-sample counts: a
 bootstrap replicate is the full data with each row weighted by how often it
-was drawn, so S replicates share one feature matrix.
+was drawn, so S replicates share one feature matrix. No counts means count
+1 on every row, which takes the same path: a product with 1.0 is exact.
 """
 
 from __future__ import annotations
@@ -35,16 +36,14 @@ class Prior:
 
 
 def sigmoid(z):
-    """exp(z) / (1 + exp(z)) evaluated without overflow for any real z."""
+    """exp(z) / (1 + exp(z)) for any real z, as an array of z's shape.
+
+    With e = exp(-|z|) <= 1 it is 1 / (1 + e) for z >= 0 and e / (1 + e)
+    below, so neither branch can overflow.
+    """
     z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return float(out[0]) if scalar else out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softplus(z):
@@ -69,16 +68,10 @@ def _scores(w, y, F, counts):
     if F.shape[0] != y.shape[0]:
         raise ValueError("label and feature sample counts differ")
     z = w @ F.T
-    if counts is not None:
-        counts = np.asarray(counts, dtype=float)
-        if counts.shape != z.shape:
-            raise ValueError(f"counts have shape {counts.shape}, expected {z.shape}")
+    counts = np.broadcast_to(1.0, z.shape) if counts is None else np.asarray(counts, dtype=float)
+    if counts.shape != z.shape:
+        raise ValueError(f"counts have shape {counts.shape}, expected {z.shape}")
     return w, y, F, counts, z
-
-
-def _weighted_sum(terms, counts):
-    """Per-row sum over samples, each sample weighted by its count (1 when counts is None)."""
-    return np.sum(terms if counts is None else counts * terms, axis=-1)
 
 
 def _scalar(value, w):
@@ -95,10 +88,7 @@ def predict_prob(w, F):
     w = np.asarray(w, dtype=float)
     F = np.asarray(F, dtype=float)
     _check_dims(w, F)
-    p = sigmoid(F @ w)
-    if isinstance(p, float):
-        return min(max(p, _TINY), _ALMOST_ONE)
-    return np.clip(p, _TINY, _ALMOST_ONE)
+    return np.clip(sigmoid(F @ w), _TINY, _ALMOST_ONE)
 
 
 def log_prior(w, prior: Prior):
@@ -121,7 +111,7 @@ def log_likelihood(w, y, F, prior: Prior | None = None, counts=None):
     how often a bootstrap replicate drew it; None weights every sample 1.
     """
     w, y, F, counts, z = _scores(w, y, F, counts)
-    value = _weighted_sum(y * z - softplus(z), counts)
+    value = np.sum(counts * (y * z - softplus(z)), axis=-1)
     if prior is not None:
         value = value + log_prior(w, prior)
     return _scalar(value, w)
@@ -144,7 +134,7 @@ def log_likelihood_change(w, dw, y, F, prior: Prior | None = None, counts=None):
     mirrored = np.where(upper, -1.0, 1.0) * np.clip(dz, -1.0, 1.0)
     near = np.log1p(sigmoid(-np.abs(z)) * np.expm1(mirrored)) + np.where(upper, dz, 0.0)
     far = softplus(z + dz) - softplus(z)
-    value = _weighted_sum(y * dz - np.where(np.abs(dz) <= 1.0, near, far), counts)
+    value = np.sum(counts * (y * dz - np.where(np.abs(dz) <= 1.0, near, far)), axis=-1)
     if prior is not None:
         value = value - prior.r * np.sum(w * dw + 0.5 * dw * dw, axis=-1)
     return _scalar(value, w)
@@ -156,10 +146,7 @@ def gradient(w, y, F, prior: Prior | None = None, counts=None):
     ``counts`` weights samples as in ``log_likelihood``.
     """
     w, y, F, counts, z = _scores(w, y, F, counts)
-    residual = y - sigmoid(z)
-    if counts is not None:
-        residual = counts * residual
-    g = residual @ F
+    g = (counts * (y - sigmoid(z))) @ F
     if prior is not None:
         g = g - prior.r * w
     return g
@@ -173,9 +160,7 @@ def hessian(w, y, F, prior: Prior | None = None, counts=None):
     """
     w, y, F, counts, z = _scores(w, y, F, counts)
     p = sigmoid(z)
-    s = p * (1.0 - p)
-    if counts is not None:
-        s = counts * s
+    s = counts * (p * (1.0 - p))
     H = -np.matmul(F.T * s[..., None, :], F)
     if prior is not None:
         H = H - prior.r * np.eye(w.shape[-1])

@@ -7,14 +7,18 @@ their per-sample counts (a bootstrap replicate weights row t by how often it
 was drawn) and starting points. Every Newton step computes the gradients of
 all unfinished problems at once, their stacked Hessians in chunks of a
 bounded size, one batched Cholesky check and one batched solve. The line
-search keeps one step length per problem and backtracks until the Armijo
-condition holds, comparing against the directly computed objective change,
-so it stays sound when the change is below one ulp of the objective.
+search keeps one step length per problem and multiplies it by
+``_BACKTRACK`` until the Armijo condition (constant ``_ARMIJO``) holds,
+comparing against the directly computed objective change, so it stays
+sound when the change is below one ulp of the objective.
 
 A problem is finished once its gradient norm falls to ``grad_tol`` (the
-only convergence test), when its line search is exhausted, or when its
-negated Hessian has no Cholesky factor (it is then marked failed); finished
-problems take no further part. ``maximize`` is the one-problem case.
+only convergence test), when its line search is exhausted, after
+``max_iters`` steps, or when its negated Hessian has no Cholesky factor (it
+is then marked failed); finished problems take no further part. Its
+``grad_norm`` is from the gradient evaluation that finished it, so a solve
+evaluates at most ``max_iters + 1`` gradients. ``maximize`` is the
+one-problem case.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .model import Prior, gradient, hessian, log_likelihood, log_likelihood_change
 
+_BACKTRACK = 0.5
+_ARMIJO = 1e-4
 _MIN_STEP = 1e-20
 # float64 entries per stacked-Hessian chunk (0.5 MB), counting its (S, m, T) temporary
 _CHUNK_FLOATS = 1 << 16
@@ -35,27 +41,20 @@ _CHUNK_FLOATS = 1 << 16
 class SolverConfig:
     grad_tol: float = 1e-8
     max_iters: int = 100
-    backtrack: float = 0.5
-    armijo: float = 1e-4
 
     def __post_init__(self) -> None:
         if not self.grad_tol > 0:
             raise ConfigError("grad_tol must be positive")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ConfigError("backtrack factor must lie in (0, 1)")
-        if not 0.0 < self.armijo < 0.5:
-            raise ConfigError("armijo constant must lie in (0, 0.5)")
 
 
 @dataclass(frozen=True)
 class Solution:
     """Result of one maximization: final point, objective, and convergence state.
 
-    ``L_trace`` holds the objective at the start and after every accepted
-    step; it is non-decreasing by construction. ``converged`` means
-    ``grad_norm <= grad_tol``.
+    ``converged`` means ``grad_norm <= grad_tol``, where ``grad_norm`` comes
+    from the gradient evaluation that ended the solve.
     """
 
     w: np.ndarray
@@ -63,17 +62,16 @@ class Solution:
     grad_norm: float
     iterations: int
     converged: bool
-    L_trace: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class BatchSolution:
     """Results of S problems solved together; index s of every field is problem s.
 
-    ``L_trace[k]`` holds every objective after k steps; problem s's trace is
-    ``L_trace[:iterations[s] + 1, s]``. ``error[s]`` is None for a solved
-    problem, otherwise why it failed (its other entries are then not
-    meaningful and ``converged[s]`` is False).
+    ``converged[s]`` means ``grad_norm[s] <= grad_tol``, with ``grad_norm[s]``
+    from the gradient evaluation that finished problem s. ``error[s]`` is
+    None for a solved problem, otherwise why it failed (its other entries
+    are then not meaningful and ``converged[s]`` is False).
     """
 
     w: np.ndarray
@@ -81,7 +79,6 @@ class BatchSolution:
     grad_norm: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
-    L_trace: np.ndarray
     error: tuple[str | None, ...]
 
 
@@ -111,7 +108,7 @@ def _newton_directions(W, y, F, prior, counts, G):
     return D, ok
 
 
-def _line_search(W, D, slope, y, F, prior, counts, config):
+def _line_search(W, D, slope, y, F, prior, counts):
     """Backtrack each row's step length until its objective change passes Armijo.
 
     Returns the accepted changes (zero where none), the step lengths and
@@ -124,11 +121,11 @@ def _line_search(W, D, slope, y, F, prior, counts, config):
     while pending.size:
         step = t[pending, None] * D[pending]
         dL = log_likelihood_change(W[pending], step, y, F, prior, counts[pending])
-        good = np.isfinite(dL) & (dL >= config.armijo * t[pending] * slope[pending])
+        good = np.isfinite(dL) & (dL >= _ARMIJO * t[pending] * slope[pending])
         accepted[pending[good]] = True
         change[pending[good]] = dL[good]
         pending = pending[~good]
-        t[pending] *= config.backtrack
+        t[pending] *= _BACKTRACK
         pending = pending[t[pending] > _MIN_STEP]
     return change, t, accepted
 
@@ -155,16 +152,17 @@ def maximize_batch(
     active = np.isfinite(L)
     for s in np.flatnonzero(~active):
         error[s] = "objective is not finite at the starting point"
-    trace = [L.copy()]
+    grad_norm = np.full(S, np.nan)
     iterations = np.zeros(S, dtype=int)
 
-    for _ in range(config.max_iters):
+    for step in range(config.max_iters + 1):
         rows = np.flatnonzero(active)
         G = gradient(W[rows], y, F, prior, counts[rows])
-        moving = np.linalg.norm(G, axis=1) > config.grad_tol
+        grad_norm[rows] = np.linalg.norm(G, axis=1)
+        moving = grad_norm[rows] > config.grad_tol
         active[rows[~moving]] = False
         rows, G = rows[moving], G[moving]
-        if rows.size == 0:
+        if rows.size == 0 or step == config.max_iters:
             break
         D, ok = _newton_directions(W[rows], y, F, prior, counts[rows], G)
         for s in rows[~ok]:
@@ -172,27 +170,20 @@ def maximize_batch(
         active[rows[~ok]] = False
         rows, G, D = rows[ok], G[ok], D[ok]
         slope = np.sum(G * D, axis=1)
-        change, t, accepted = _line_search(W[rows], D, slope, y, F, prior, counts[rows], config)
+        change, t, accepted = _line_search(W[rows], D, slope, y, F, prior, counts[rows])
         # an exhausted line search has reached numerical precision: keep the best iterate
         active[rows[~accepted]] = False
         rows, t, D, change = rows[accepted], t[accepted], D[accepted], change[accepted]
         W[rows] += t[:, None] * D
         L[rows] += change
         iterations[rows] += 1
-        trace.append(L.copy())
 
-    solved = np.array([e is None for e in error], dtype=bool)
-    grad_norm = np.full(S, np.nan)
-    grad_norm[solved] = np.linalg.norm(
-        gradient(W[solved], y, F, prior, counts[solved]), axis=1
-    )
     return BatchSolution(
         w=W,
         L_value=L,
         grad_norm=grad_norm,
         iterations=iterations,
-        converged=solved & (grad_norm <= config.grad_tol),
-        L_trace=np.stack(trace),
+        converged=grad_norm <= config.grad_tol,
         error=tuple(error),
     )
 
@@ -213,12 +204,10 @@ def maximize(y, F, prior: Prior, config: SolverConfig | None = None, w_init=None
     batch = maximize_batch(y, F, np.ones((1, F.shape[0])), prior, config, w[None])
     if batch.error[0] is not None:
         raise NumericalError("solver", batch.error[0])
-    n = int(batch.iterations[0])
     return Solution(
         w=batch.w[0],
         L_value=float(batch.L_value[0]),
         grad_norm=float(batch.grad_norm[0]),
-        iterations=n,
+        iterations=int(batch.iterations[0]),
         converged=bool(batch.converged[0]),
-        L_trace=tuple(float(v) for v in batch.L_trace[: n + 1, 0]),
     )

@@ -282,31 +282,26 @@ def test_truncated_model_fails_cleanly(tmp_path, trained):
         load_model(broken)
 
 
-# the field each case corrupts, and the one line naming it
-NON_FINITE_MESSAGES = {
-    "w": "w: entries must be finite",
-    "layer0.v0": "layer0: v0 must be finite",
-    "layer0.u0": "layer0: u must be finite",
-    "r_per_iteration": "r_per_iteration: entries must be positive finite reals",
-}
+# the field each case corrupts, its first entry's new text, and the one line naming it
+NON_FINITE_CASES = [
+    ("w", "nan", "w: entries must be finite"),
+    ("w", "-inf", "w: entries must be finite"),
+    ("layer0.v0", "nan", "layer0: v0 must be finite"),
+    ("layer0.v0", "1e200", "layer0: v0 must have a finite norm"),
+    ("layer0.u0", "nan", "layer0: u must be finite"),
+    ("r_per_iteration", "nan", "r_per_iteration: entries must be positive finite reals"),
+    ("r_per_iteration", "inf", "r_per_iteration: entries must be positive finite reals"),
+    ("r_per_iteration", "-1.0", "r_per_iteration: entries must be positive finite reals"),
+    ("r_per_iteration", "0.0", "r_per_iteration: entries must be positive finite reals"),
+]
 
 
 @pytest.mark.parametrize("command", ["predict", "algebra"])
 @pytest.mark.parametrize(
-    "key, value",
-    [
-        ("w", "nan"),
-        ("w", "-inf"),
-        ("layer0.v0", "nan"),
-        ("layer0.u0", "nan"),
-        ("r_per_iteration", "nan"),
-        ("r_per_iteration", "inf"),
-        ("r_per_iteration", "-1.0"),
-        ("r_per_iteration", "0.0"),
-    ],
+    "key, value, message", NON_FINITE_CASES, ids=[f"{k}-{v}" for k, v, _ in NON_FINITE_CASES]
 )
 def test_non_finite_model_value_is_a_model_error(
-    tmp_path, trained, xor_csv, capsys, command, key, value
+    tmp_path, trained, xor_csv, capsys, command, key, value, message
 ):
     # the first entry of the field's vector is replaced; the rest stay as trained
     first_entry = rf"^{re.escape(key)} = [^,\n]*"
@@ -317,7 +312,7 @@ def test_non_finite_model_value_is_a_model_error(
     out = tmp_path / "out.txt"
     argv = [command, "--model", str(broken), "--data", str(xor_csv), "--out", str(out)]
     assert main(argv) == 1
-    assert capsys.readouterr().err.splitlines() == [f"contilearn: {NON_FINITE_MESSAGES[key]}"]
+    assert capsys.readouterr().err.splitlines() == [f"contilearn: {message}"]
     assert not out.exists()
 
 

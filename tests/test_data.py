@@ -48,11 +48,16 @@ def test_malformed_row_after_header(tmp_path):
         load_csv(path, has_header=True)
 
 
-def test_non_binary_label(tmp_path):
+@pytest.mark.parametrize(
+    "text, has_header, row",
+    [("1.0,0\n2.0,2\n", False, 2), ("x,label\n1.0,0\n2.0,2\n", True, 3)],
+    ids=["plain", "header"],
+)
+def test_non_binary_label(tmp_path, text, has_header, row):
     path = tmp_path / "bad.csv"
-    path.write_text("1.0,0\n2.0,2\n")
-    with pytest.raises(DataError, match="label"):
-        load_csv(path)
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^row {row}: label must be 0 or 1, got 2.0$"):
+        load_csv(path, has_header)
 
 
 def test_empty_file(tmp_path):

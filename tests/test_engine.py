@@ -86,9 +86,11 @@ def test_closure_residual_is_reported_when_requested(xor_run1):
         assert report.closure_residual >= 0.0
 
 
-def test_algebra_stop_truncates_the_loop():
+@pytest.mark.parametrize("algebra_check", [True, False])
+def test_algebra_stop_truncates_the_loop(algebra_check):
+    # a stopping tolerance computes the residual whether or not it is reported
     ds = small_dataset(seed=42, n=40)
-    config = EngineConfig(n_iters=4, seed=6, algebra_check=True, algebra_stop_tol=1e6)
+    config = EngineConfig(n_iters=4, seed=6, algebra_check=algebra_check, algebra_stop_tol=1e6)
     result = run(ds, config)
     # an absurdly large tolerance stops after the first expansion cycle
     assert result.status == "algebra-converged"

@@ -68,6 +68,25 @@ def test_sigmoid_complement(z):
     assert abs(sigmoid(z) + sigmoid(-z) - 1.0) <= 1e-15
 
 
+def masked_sigmoid(z):
+    # the former two-branch evaluation, each branch on its own half of the line
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bitwise_the_masked_two_branch_formula():
+    edges = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308, np.inf, -np.inf]
+    z = np.concatenate([edges, np.random.default_rng(18).normal(scale=40.0, size=100_000)])
+    assert np.array_equal(sigmoid(z).view(np.uint64), masked_sigmoid(z).view(np.uint64))
+    for value in edges:
+        assert sigmoid(value).view(np.uint64) == masked_sigmoid(value).view(np.uint64)[0]
+
+
 def test_label_probabilities_sum_to_one():
     # P(y=0 | x) is the prediction under the negated score
     rng = np.random.default_rng(17)
