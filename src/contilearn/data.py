@@ -9,6 +9,7 @@ prediction-time inputs can be pushed through the exact same transform.
 from __future__ import annotations
 
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,13 +132,24 @@ def _read_numeric_rows(path, has_header: bool) -> np.ndarray:
     """Parse a CSV file into a value matrix; errors name the file line.
 
     Every line after the optional header is a row or an error, so row i of
-    the result is line ``i + 1 + has_header`` of the file.
+    the result is line ``i + 1 + has_header`` of the file. A field is any
+    text ``float()`` accepts, and it must be finite. When every line has the
+    first line's width, one numpy conversion (which accepts exactly what
+    ``float()`` does) parses the whole file. Any other file, or a failed
+    conversion, goes to the token-by-token scan, which raises the first
+    fault: a token ``float()`` rejects or a non-finite value, in file order;
+    then an empty file; then a row whose width differs from the first row's.
     """
     first = 1 + int(has_header)
     lines = read_text(path, "data", DataError).splitlines()[first - 1 :]
-    rows: list[list[float]] = []
+    commas = lines[0].count(",") if lines else 0
+    if lines and all(line.count(",") == commas for line in lines):
+        with suppress(ValueError):
+            M = np.array(",".join(lines).split(","), dtype=float)
+            if np.isfinite(M).all():
+                return M.reshape(len(lines), commas + 1)
+    values: list[float] = []
     for lineno, line in enumerate(lines, start=first):
-        values = []
         for tok in line.split(","):
             try:
                 v = float(tok)
@@ -148,14 +160,15 @@ def _read_numeric_rows(path, has_header: bool) -> np.ndarray:
             if not np.isfinite(v):
                 raise DataError(f"row {lineno}: non-finite value {tok.strip()!r}")
             values.append(v)
-        rows.append(values)
-    if not rows:
+    if not lines:
         raise DataError(f"empty data file: {path}")
-    width = len(rows[0])
-    for lineno, values in enumerate(rows, start=first):
-        if len(values) != width:
-            raise DataError(f"row {lineno}: expected {width} fields, found {len(values)}")
-    return np.array(rows, dtype=float)
+    for lineno, line in enumerate(lines, start=first):
+        if line.count(",") != commas:
+            raise DataError(
+                f"row {lineno}: expected {commas + 1} fields, found {line.count(',') + 1}"
+            )
+    # reached only if numpy rejected text that float() accepts
+    return np.array(values).reshape(len(lines), commas + 1)
 
 
 def load_csv(path, has_header: bool = False) -> Dataset:

@@ -80,8 +80,10 @@ class Layer:
         if not self.degenerate_v0 and norm == 0.0:
             raise ValueError("zero mean direction requires the degenerate flag")
         if u.shape[0]:
-            gram = u @ u.T
-            if not float(np.max(np.abs(gram - np.eye(u.shape[0])))) <= _ORTHO_TOL:
+            # an overflowing Gram matrix holds inf or nan, which the test rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                defect = float(np.max(np.abs(u @ u.T - np.eye(u.shape[0]))))
+            if not defect <= _ORTHO_TOL:
                 raise ValueError("projection rows must be orthonormal")
         if scales.shape != (expansion_size(u.shape[0] + 1),):
             raise ValueError("scale vector length does not match the expanded width")

@@ -171,6 +171,23 @@ def save_model(path, model: TrainedModel) -> None:
     Path(path).write_text(format_model(model), encoding="utf-8")
 
 
+def _probe_layers(feature_map: RecursiveFeatureMap) -> None:
+    """Reject a map that overflows on the standardized zero row and the +-1 unit rows.
+
+    The zero row is the training mean and each unit row lies one standard
+    deviation from it along one input; there a calibrated layer's features
+    are of order one. A layer whose features on these rows have no finite
+    squared norm is a fault of the model file, not of the rows scored later.
+    """
+    d = feature_map.d
+    Z = np.hstack([np.ones((2 * d + 1, 1)), np.vstack([np.zeros(d), np.eye(d), -np.eye(d)])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, layer in enumerate(feature_map.layers):
+            Z = layer.apply(Z)
+            if not np.isfinite(np.einsum("ij,ij->i", Z, Z)).all():
+                raise ModelFormatError(f"layer{i}: features overflow on the standardized unit rows")
+
+
 def parse_model(text: str) -> TrainedModel:
     fields: dict[str, str] = {}
     for key, value in _parse_kv_lines(text, ModelFormatError):
@@ -216,9 +233,15 @@ def parse_model(text: str) -> TrainedModel:
             except ValueError as exc:
                 raise ModelFormatError(f"layer{i}: {exc}") from None
         feature_map = RecursiveFeatureMap(standardization, tuple(layers))
+        _probe_layers(feature_map)
         w = take("w", _parse_vector)
         if not np.all(np.isfinite(w)):
             raise ModelFormatError("w: entries must be finite")
+        # |score| <= |w| |F| and every scored row has a finite |F|^2, so a
+        # finite 4 |w|^2 keeps every score below half the largest double
+        with np.errstate(over="ignore"):
+            if not np.isfinite(4.0 * (w @ w)):
+                raise ModelFormatError("w: entries too large in magnitude to score with")
         if w.shape != (feature_map.output_dim,):
             raise ModelFormatError(
                 f"parameter vector has {w.shape[0]} entries, the feature map emits"
@@ -280,5 +303,5 @@ def save_reports(path, reports) -> None:
 
 def save_predictions(path, probs) -> None:
     """One probability per line, 17 significant digits (exact for doubles)."""
-    probs = np.asarray(probs, dtype=float)
-    Path(path).write_text("".join(f"{p:.17g}\n" for p in probs), encoding="utf-8")
+    probs = np.asarray(probs, dtype=float).tolist()
+    Path(path).write_text(("%.17g\n" * len(probs)) % tuple(probs), encoding="utf-8")

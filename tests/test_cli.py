@@ -286,9 +286,12 @@ def test_truncated_model_fails_cleanly(tmp_path, trained):
 NON_FINITE_CASES = [
     ("w", "nan", "w: entries must be finite"),
     ("w", "-inf", "w: entries must be finite"),
+    ("w", "1e300", "w: entries too large in magnitude to score with"),
     ("layer0.v0", "nan", "layer0: v0 must be finite"),
     ("layer0.v0", "1e200", "layer0: v0 must have a finite norm"),
     ("layer0.u0", "nan", "layer0: u must be finite"),
+    ("layer0.u0", "1e200", "layer0: projection rows must be orthonormal"),
+    ("layer0.scales", "1e-300", "layer0: features overflow on the standardized unit rows"),
     ("r_per_iteration", "nan", "r_per_iteration: entries must be positive finite reals"),
     ("r_per_iteration", "inf", "r_per_iteration: entries must be positive finite reals"),
     ("r_per_iteration", "-1.0", "r_per_iteration: entries must be positive finite reals"),

@@ -1,16 +1,22 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from contilearn.data import (
     Dataset,
     Standardization,
+    _read_numeric_rows,
     fit_standardization,
     load_csv,
     load_inputs,
+    read_text,
 )
 from contilearn.errors import DataError
+from contilearn.model import _ALMOST_ONE, _TINY
+from contilearn.modelio import save_predictions
 
 XOR_ROWS = "0,0,0\n0,1,1\n1,0,1\n1,1,0\n"
 
@@ -186,3 +192,149 @@ def test_dataset_rejects_bad_labels():
     std = Standardization(np.zeros(1), np.ones(1))
     with pytest.raises(ValueError):
         Dataset(np.array([0.0, 0.5]), np.zeros((2, 1)), std)
+
+
+# ---------------------------------------------------------------- parse equivalence
+
+
+def scan_rows(path, has_header):
+    """Reference parser: the token-by-token scan ``_read_numeric_rows`` must agree with."""
+    first = 1 + int(has_header)
+    lines = read_text(path, "data", DataError).splitlines()[first - 1 :]
+    rows = []
+    for lineno, line in enumerate(lines, start=first):
+        values = []
+        for tok in line.split(","):
+            try:
+                v = float(tok)
+            except ValueError:
+                raise DataError(
+                    f"row {lineno}: cannot parse {tok.strip()!r} as a number"
+                ) from None
+            if not np.isfinite(v):
+                raise DataError(f"row {lineno}: non-finite value {tok.strip()!r}")
+            values.append(v)
+        rows.append(values)
+    if not rows:
+        raise DataError(f"empty data file: {path}")
+    width = len(rows[0])
+    for lineno, values in enumerate(rows, start=first):
+        if len(values) != width:
+            raise DataError(f"row {lineno}: expected {width} fields, found {len(values)}")
+    return np.array(rows, dtype=float)
+
+
+def parse_outcome(parse, path, has_header):
+    """The parsed matrix's shape and bytes, or the DataError message."""
+    try:
+        M = parse(path, has_header)
+    except DataError as exc:
+        return str(exc)
+    return M.dtype, M.shape, M.tobytes()
+
+
+# finite numbers; special numbers float() accepts, padded with text it ignores; and
+# text from the pieces of such fields, which it mostly rejects
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+)
+SPECIAL = st.sampled_from(["1_000", "\u0661\u0662", "+.5e-3", "1E400", "nan", "-inf"])
+PADDING = st.sampled_from(["", " ", "\xa0", "\t", "\x00"])
+FIELD_PIECES = list("0123456789.eE+-_ ,") + ["\xa0", "\x00", "\u0661", "nan", "inf"]
+PADDED = st.tuples(PADDING, st.one_of(FINITE, SPECIAL), PADDING).map("".join)
+JUNK = st.lists(st.sampled_from(FIELD_PIECES), max_size=5).map("".join)
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text with mostly equal-width rows, blank and ragged lines, LF or CRLF, maybe a header."""
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.sampled_from([width] * 8 + [0, 1, 5]))
+        fields = draw(st.sampled_from([FINITE] * 5 + [PADDED, JUNK]))
+        lines.append(",".join(draw(st.lists(fields, min_size=n, max_size=n))))
+    has_header = draw(st.booleans())
+    if has_header:
+        lines.insert(0, draw(st.sampled_from(["a,b", "", "1,2", "x"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), has_header
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=csv_files())
+def test_parse_matches_the_token_scanner(tmp_path, case):
+    text, has_header = case
+    path = tmp_path / "rows.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = parse_outcome(scan_rows, path, has_header)
+    assert parse_outcome(_read_numeric_rows, path, has_header) == expected
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        ("1_000,2\n", [[1000.0, 2.0]]),
+        (" 1.5 ,\xa02\n", [[1.5, 2.0]]),
+        ("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("nan,1\n", "row 1: non-finite value 'nan'"),
+        ("1,2\n1e400,2\n", "row 2: non-finite value '1e400'"),
+        ("1,2\n\n3,4\n", "row 2: cannot parse '' as a number"),
+        ("1,2\n3\nx,2\n", "row 3: cannot parse 'x' as a number"),
+        ("1,2\n3\n", "row 2: expected 2 fields, found 1"),
+    ],
+    ids=["underscore", "spaces", "crlf", "nan", "overflow", "blank", "token-before-width", "width"],
+)
+def test_parse_hand_cases(tmp_path, text, outcome):
+    path = tmp_path / "rows.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    if isinstance(outcome, str):
+        with pytest.raises(DataError, match=f"^{re.escape(outcome)}$"):
+            _read_numeric_rows(path, False)
+    else:
+        M = _read_numeric_rows(path, False)
+        assert M.dtype == np.float64 and np.array_equal(M, outcome)
+
+
+def test_parse_without_the_numpy_conversion_gives_the_same_matrix(tmp_path, monkeypatch):
+    # a numpy whose string conversion rejected what float() accepts costs speed, not a result
+    array = np.array
+
+    def no_float_conversion(obj, *args, dtype=None, **kwargs):
+        if dtype is float:
+            raise ValueError("string conversion unavailable")
+        return array(obj, *args, dtype=dtype, **kwargs)
+
+    path = tmp_path / "rows.csv"
+    path.write_text("1_000, 2.5\n-3,4e-3\n")
+    monkeypatch.setattr(np, "array", no_float_conversion)
+    M = _read_numeric_rows(path, False)
+    monkeypatch.undo()
+    assert M.dtype == np.float64 and np.array_equal(M, [[1000.0, 2.5], [-3.0, 0.004]])
+
+
+@pytest.mark.parametrize("text, has_header", [("", False), ("x,y\n", True)])
+def test_parse_empty_file(tmp_path, text, has_header):
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(f'empty data file: {path}')}$"):
+        _read_numeric_rows(path, has_header)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [],
+        [_TINY],
+        [_TINY, _ALMOST_ONE, 0.5, 1.0 - 2.0**-30, 2.0**-1000],
+        list(np.random.default_rng(3).random(200)),
+    ],
+    ids=["empty", "tiny", "edges", "random"],
+)
+def test_save_predictions_writes_17_significant_digits(tmp_path, probs):
+    path = tmp_path / "probs.txt"
+    save_predictions(path, np.array(probs, dtype=float))
+    assert path.read_bytes() == "".join(f"{p:.17g}\n" for p in probs).encode()

@@ -13,6 +13,7 @@ milliseconds.
 
 import contextlib
 import io
+import re
 import warnings
 
 import pytest
@@ -116,6 +117,47 @@ def test_mutated_models_keep_the_exit_code_contract(workdir, data):
     for command in ("predict", "algebra"):
         out = workdir / f"{command}.out"
         code = run_cli([command, "--model", str(model), "--data", str(rows), "--out", str(out)])
+        if command == "predict" and code == 0:
+            probs = [float(line) for line in out.read_text().splitlines()]
+            assert all(0.0 < p < 1.0 for p in probs), probs
+
+
+# key patterns of the model file's whole arrays; a layer's u rows form one array
+ARRAYS = ["w", "mean", "scale", r"layer0\.v0", r"layer0\.u\d+", r"layer0\.scales"]
+STANDARDIZATION = ["mean", "scale"]
+
+
+def scale_array(text, pattern, k):
+    """Model text with every entry of the lines whose key matches ``pattern`` times 10**k."""
+    lines = []
+    for line in text.splitlines():
+        key, _, value = line.partition(" = ")
+        if re.fullmatch(pattern, key):
+            value = ",".join(repr(float(v) * 10.0**k) for v in value.split(","))
+            line = f"{key} = {value}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(array=st.sampled_from(ARRAYS), k=st.integers(-300, 300), rows=INPUTS)
+def test_scaled_model_arrays_blame_the_model(workdir, array, k, rows):
+    """A map scaled out of range is a model error (exit 1) on the plain fixture rows.
+
+    Scaling ``mean`` or ``scale`` instead yields a valid standardization of
+    data far from the fixture, or of nearly constant data; the model alone
+    cannot tell it from one trained on such data, so there the fixture rows
+    may end in a data (2) or numerical (3) error.
+    """
+    model = workdir / "scaled.model"
+    model.write_text(scale_array((workdir / "base.model").read_text(), array, k))
+    (workdir / "scaled.csv").write_text(rows)
+    for command in ("predict", "algebra"):
+        out = workdir / f"scaled.{command}"
+        argv = [command, "--model", str(model), "--data", str(workdir / "scaled.csv")]
+        code = run_cli(argv + ["--out", str(out)])
+        if rows == PREDICT_ROWS and array not in STANDARDIZATION:
+            assert code in (0, 1)
         if command == "predict" and code == 0:
             probs = [float(line) for line in out.read_text().splitlines()]
             assert all(0.0 < p < 1.0 for p in probs), probs
