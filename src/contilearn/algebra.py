@@ -90,30 +90,23 @@ def multiply(a, b, sc: StructureConstants) -> np.ndarray:
     return np.einsum("a,b,abg->g", a, b, sc.c)
 
 
-def _check_identity(sc: StructureConstants, identity_index: int) -> None:
-    eye = np.eye(sc.n)
-    left = float(np.max(np.abs(sc.c[identity_index] - eye)))
-    right = float(np.max(np.abs(sc.c[:, identity_index, :] - eye)))
-    if max(left, right) > _IDENTITY_TOL:
-        raise ValueError(
-            f"basis element {identity_index} is not an identity; "
-            "a power series needs one for its constant term"
-        )
+def power_series(coeffs, a, sc: StructureConstants) -> np.ndarray:
+    """Coordinates of g(a) = sum_p coeffs[p] * a**p, evaluated by Horner's rule.
 
-
-def power_series(coeffs, a, sc: StructureConstants, identity_index: int = 0) -> np.ndarray:
-    """Coordinates of g(a) = sum_p coeffs[p] * a**p, evaluated by Horner's rule."""
+    Basis element 0 must be the identity; it carries the constant term.
+    """
     coeffs = [float(g) for g in coeffs]
     if not coeffs:
         raise ValueError("the coefficient list must be nonempty")
     a = np.asarray(a, dtype=float)
     if a.shape != (sc.n,):
         raise ValueError(f"coordinate vector must have length {sc.n}")
-    if not 0 <= identity_index < sc.n:
-        raise ValueError("identity_index out of range")
-    _check_identity(sc, identity_index)
-    e = np.zeros(sc.n)
-    e[identity_index] = 1.0
+    eye = np.eye(sc.n)
+    if max(np.max(np.abs(sc.c[0] - eye)), np.max(np.abs(sc.c[:, 0, :] - eye))) > _IDENTITY_TOL:
+        raise ValueError(
+            "basis element 0 is not an identity; a power series needs one for its constant term"
+        )
+    e = eye[0]
     acc = coeffs[-1] * e
     for g in reversed(coeffs[:-1]):
         acc = multiply(acc, a, sc) + g * e
@@ -138,16 +131,17 @@ class AlgebraFitReport:
     ill_conditioned: bool
 
 
-def fit_structure_constants(F_samples, ridge: float = _RIDGE) -> AlgebraFitReport:
+def fit_structure_constants(F_samples) -> AlgebraFitReport:
     """Fit C from sampled feature rows by ridge-damped normal equations.
 
     For each unordered pair (a, b) the product column F_a * F_b is projected
     onto the span of the feature columns. The constants are symmetric in
     (a, b) by construction since pointwise products commute. A rank-deficient
-    sample matrix does not stop the fit (the damping keeps it defined) but is
-    flagged as ill-conditioned. Fewer rows than features, or features whose
-    products overflow, raise DataError; a Gram matrix that is singular even
-    with the damping raises NumericalError.
+    sample matrix is flagged as ill-conditioned; the absolute damping
+    ``_RIDGE`` keeps its fit defined only while the Gram entries are small
+    enough for it to survive rounding. Fewer rows than features, or features
+    whose products overflow, raise DataError; a Gram matrix that is singular
+    even with the damping (large entries swamp it) raises NumericalError.
     """
     F = np.asarray(F_samples, dtype=float)
     if F.ndim != 2:
@@ -167,7 +161,7 @@ def fit_structure_constants(F_samples, ridge: float = _RIDGE) -> AlgebraFitRepor
         if not (np.isfinite(product_rms) and np.isfinite(G).all() and np.isfinite(rhs).all()):
             raise DataError("feature values too large in magnitude to fit their products")
         try:
-            coef = np.linalg.solve(G + ridge * np.eye(n), rhs)
+            coef = np.linalg.solve(G + _RIDGE * np.eye(n), rhs)
             gev = np.linalg.eigvalsh(G)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("algebra", f"structure-constant fit failed: {exc}") from None

@@ -23,6 +23,7 @@ from .modelio import (
     TrainedModel,
     load_model,
     load_run_config,
+    save_algebra_report,
     save_model,
     save_predictions,
     save_reports,
@@ -76,7 +77,7 @@ def cmd_train(args) -> int:
     model = TrainedModel(
         feature_map=result.feature_map,
         w=result.w,
-        r_per_iteration=result.r_history,
+        r_per_iteration=tuple(rep.r for rep in result.reports),
         status=result.status,
         config=config,
     )
@@ -109,23 +110,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _algebra_report_lines(report) -> list[str]:
-    n = report.constants.n
-    lines = [
-        f"n = {n}",
-        f"closure_residual = {report.closure_residual!r}",
-        f"normalized_residual = {report.normalized_residual!r}",
-        f"associativity_residual = {report.associativity_residual!r}",
-        f"product_rms = {report.product_rms!r}",
-        f"ill_conditioned = {'true' if report.ill_conditioned else 'false'}",
-    ]
-    for a in range(n):
-        for b in range(a, n):
-            coeffs = ",".join(repr(float(v)) for v in report.constants.c[a, b])
-            lines.append(f"c{a}.{b} = {coeffs}")
-    return lines
-
-
 def cmd_algebra(args) -> int:
     if args.reference is not None:
         try:
@@ -145,11 +129,8 @@ def cmd_algebra(args) -> int:
     if not (args.model and args.data and args.out):
         raise ConfigError("algebra needs either --reference NAME or --model, --data and --out")
     model = load_model(args.model)
-    report = fit_structure_constants(
-        _model_features(model, args.data, model.feature_map.super_features)
-    )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(_algebra_report_lines(report)) + "\n")
+    features = _model_features(model, args.data, model.feature_map.super_features)
+    save_algebra_report(args.out, fit_structure_constants(features))
     return 0
 
 

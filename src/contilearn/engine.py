@@ -75,18 +75,22 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class IterationReport:
-    """Per-stage record; expansion fields are None on the final fit stage."""
+    """Per-stage record, one ``name=value`` report token per field in this order.
+
+    Expansion fields are None on the final fit stage; ``closure`` is the
+    normalized closure residual of the stage's new layer.
+    """
 
     iteration: int
     m: int
-    expanded_dim: int | None
+    expanded: int | None
     k: int | None
     best_L: float
     embed_L: float
     r: float
     oob: float
-    closure_residual: float | None
-    train_accuracy: float
+    closure: float | None
+    accuracy: float
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,6 @@ class EngineResult:
     w: np.ndarray
     reports: tuple[IterationReport, ...]
     status: str
-    r_history: tuple[float, ...]
 
 
 def accuracy(w, y, F) -> float:
@@ -150,7 +153,6 @@ def run(dataset: Dataset, config: EngineConfig) -> EngineResult:
     w_init = np.zeros(F.shape[1])
     layers: list[Layer] = []
     reports: list[IterationReport] = []
-    r_history: list[float] = []
     status = "completed"
     last_stage = config.n_iters
     stage = 0
@@ -162,7 +164,6 @@ def run(dataset: Dataset, config: EngineConfig) -> EngineResult:
         sol = maximize(y, F, prior, config.solver, w_init)
         embed_L = log_likelihood(w_init, y, F, prior)
         train_acc = accuracy(sol.w, y, F)
-        r_history.append(r)
         w_final = sol.w
         m = F.shape[1]
 
@@ -203,4 +204,4 @@ def run(dataset: Dataset, config: EngineConfig) -> EngineResult:
         stage += 1
 
     feature_map = RecursiveFeatureMap(dataset.standardization, tuple(layers))
-    return EngineResult(feature_map, w_final, tuple(reports), status, tuple(r_history))
+    return EngineResult(feature_map, w_final, tuple(reports), status)

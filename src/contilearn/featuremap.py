@@ -78,6 +78,9 @@ class Layer:
         if not np.isfinite(norm):
             raise ValueError("v0 must have a finite norm")
         if not self.degenerate_v0 and norm == 0.0:
+            # squares of entries below about 1e-161 underflow, so a nonzero v0 can read 0
+            if v0.any():
+                raise ValueError("v0 too small in magnitude to normalize")
             raise ValueError("zero mean direction requires the degenerate flag")
         if u.shape[0]:
             # an overflowing Gram matrix holds inf or nan, which the test rejects

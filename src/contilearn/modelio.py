@@ -6,8 +6,11 @@ field, in declaration order, to the (parse, format) pair of its type. It
 parses config files, writes the model file's ``config.*`` echo (every key
 but the default paths) and reads that echo back; the README's
 configuration table is checked against it. Defaults and range checks live
-on the config classes themselves. The model format is versioned; floats are
-written with ``repr`` so a save/load/save round trip is byte-identical.
+on the config classes themselves. The stage and algebra reports are written
+field by field from ``IterationReport`` and ``AlgebraFitReport`` through the
+same per-type codecs, so each field's name is its key in the file. The
+model format is versioned; floats are written with ``repr`` so a
+save/load/save round trip is byte-identical.
 Unknown keys are rejected outright since a silently ignored typo in a
 hyper-parameter is worse than an error.
 """
@@ -19,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .algebra import AlgebraFitReport
 from .data import Standardization, read_text
 from .engine import EngineConfig, IterationReport
 from .errors import ConfigError, ModelFormatError
@@ -80,7 +84,7 @@ def _parse_field(parse, text: str, key: str, error):
         raise error(f"{key}: {exc}") from None
 
 
-# (parse, format) for each field annotation of RunConfig and IterationReport
+# (parse, format) for each field annotation of RunConfig, IterationReport and AlgebraFitReport
 _CODECS = {
     "int": (_parse_int, str),
     "float": (_parse_float, _fmt_float),
@@ -263,26 +267,10 @@ def load_model(path) -> TrainedModel:
     return parse_model(read_text(path, "model", ModelFormatError))
 
 
-# the report key of each IterationReport field, in field order
-_REPORT_FIELDS = (
-    "iteration",
-    "m",
-    "expanded",
-    "k",
-    "best_L",
-    "embed_L",
-    "r",
-    "oob",
-    "closure",
-    "accuracy",
-)
-
-
 def format_report_line(report: IterationReport) -> str:
     """One ``name=value`` token per IterationReport field, formatted by its type's codec."""
     return " ".join(
-        f"{name}={_CODECS[f.type][1](getattr(report, f.name))}"
-        for name, f in zip(_REPORT_FIELDS, fields(IterationReport))
+        f"{f.name}={_CODECS[f.type][1](getattr(report, f.name))}" for f in fields(IterationReport)
     )
 
 
@@ -299,6 +287,18 @@ def save_reports(path, reports) -> None:
     Path(path).write_text(
         "".join(format_report_line(r) + "\n" for r in reports), encoding="utf-8"
     )
+
+
+def save_algebra_report(path, report: AlgebraFitReport) -> None:
+    """``n``, then every diagnostic field in declaration order, then each row c{a}.{b}, a <= b."""
+    c = report.constants.c
+    lines = [f"n = {len(c)}"]
+    lines += [
+        f"{f.name} = {_CODECS[f.type][1](getattr(report, f.name))}"
+        for f in fields(AlgebraFitReport)[1:]
+    ]
+    lines += [f"c{a}.{b} = {_fmt_vector(c[a, b])}" for a, b in zip(*np.triu_indices(len(c)))]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def save_predictions(path, probs) -> None:

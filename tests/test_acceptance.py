@@ -173,14 +173,14 @@ def test_criterion_6_nonlinear_separability(
     result1, elapsed1 = xor_run1
     circle_result, circle_elapsed = circle_run1
 
-    acc0 = result0.reports[-1].train_accuracy
-    acc1 = result1.reports[-1].train_accuracy
+    acc0 = result0.reports[-1].accuracy
+    acc1 = result1.reports[-1].accuracy
     assert acc0 <= 0.6
     assert acc1 >= 0.95
-    assert circle_result.reports[-1].train_accuracy >= 0.9
+    assert circle_result.reports[-1].accuracy >= 0.9
 
     assert abs(acc1 - quadratic_oracle_accuracy(xor_data)) <= 0.03
-    assert abs(circle_result.reports[-1].train_accuracy - quadratic_oracle_accuracy(circle_data)) <= 0.03
+    assert abs(circle_result.reports[-1].accuracy - quadratic_oracle_accuracy(circle_data)) <= 0.03
 
     assert elapsed0 + elapsed1 < 30.0
     assert circle_elapsed < 30.0
@@ -191,8 +191,8 @@ def test_criterion_7_dimension_cap(xor_run0, xor_run1, circle_run1, multi_iter_r
     cap = 9 + 45
     for report in all_reports(xor_run0, xor_run1, circle_run1, multi_iter_run):
         assert report.m <= cap
-        if report.expanded_dim is not None:
-            assert report.expanded_dim <= cap
+        if report.expanded is not None:
+            assert report.expanded <= cap
     assert multi_iter_run.w.shape[0] <= cap
 
 

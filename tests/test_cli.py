@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from contilearn.algebra import AlgebraFitReport, StructureConstants
 from contilearn.cli import main
 from contilearn.data import load_csv, load_inputs
 from contilearn.engine import IterationReport
 from contilearn.errors import ConfigError, ModelFormatError
 from contilearn.model import predict_prob
 from contilearn.modelio import (
-    _REPORT_FIELDS,
     CONFIG_KEYS,
     RunConfig,
     format_model,
@@ -23,6 +23,7 @@ from contilearn.modelio import (
     load_run_config,
     parse_report_line,
     parse_run_config,
+    save_algebra_report,
 )
 
 XOR_CONFIG = """\
@@ -102,8 +103,25 @@ def test_config_key_table_covers_every_field_in_echo_order(trained):
     assert echoed == [key for key in CONFIG_KEYS if key not in ("data", "out")]
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "marker, report_class, first",
+    [("Stage report keys", IterationReport, 0), ("Algebra report keys", AlgebraFitReport, 1)],
+)
+def test_readme_report_keys_match_the_report_fields(marker, report_class, first):
+    # the sentence after "<marker>, in file order:" lists the keys up to its period
+    listed = " ".join(_readme().split()).split(f"{marker}, in file order:", 1)[1].split(".", 1)[0]
+    keys = re.findall(r"`(\w+)`", listed)
+    # the algebra file leads with n in place of the constants field
+    expected = ["n"] * first + [f.name for f in dataclasses.fields(report_class)[first:]]
+    assert keys == expected
+
+
 def test_readme_config_table_matches_the_key_table():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = _readme()
     section = readme.split("## Run configuration", 1)[1]
     rows = [line for line in section.splitlines() if line.startswith("| `")]
     documented = {}
@@ -152,10 +170,9 @@ def test_train_exit_zero_and_report_accuracy(trained):
 
 
 def test_report_fields_name_every_report_field_once(trained):
-    n_fields = len(dataclasses.fields(IterationReport))
-    assert len(set(_REPORT_FIELDS)) == len(_REPORT_FIELDS) == n_fields
+    names = [f.name for f in dataclasses.fields(IterationReport)]
     for line in Path(f"{trained}.report").read_text().splitlines():
-        assert list(parse_report_line(line)) == list(_REPORT_FIELDS)
+        assert list(parse_report_line(line)) == names
 
 
 def test_report_line_formats_each_field_by_its_type():
@@ -164,7 +181,7 @@ def test_report_line_formats_each_field_by_its_type():
         "iteration=2 m=6 expanded=none k=none best_L=-2.5 embed_L=-3.0 r=0.1 oob=-0.5"
         " closure=none accuracy=0.75"
     )
-    report = dataclasses.replace(report, expanded_dim=27, k=6, closure_residual=1e-17)
+    report = dataclasses.replace(report, expanded=27, k=6, closure=1e-17)
     assert " expanded=27 k=6 " in format_report_line(report)
     assert " closure=1e-17 " in format_report_line(report)
 
@@ -319,6 +336,24 @@ def test_non_finite_model_value_is_a_model_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "algebra"])
+def test_tiny_v0_is_blamed_on_its_magnitude(tmp_path, trained, xor_csv, capsys, command):
+    # each square underflows, so the norm reads 0 although v0 is nonzero
+    text, n = re.subn(
+        r"^layer0\.v0 = .*$", "layer0.v0 = 1e-200,-2e-200,3e-200", trained.read_text(), flags=re.M
+    )
+    assert n == 1
+    broken = tmp_path / "broken.model"
+    broken.write_text(text)
+    out = tmp_path / "out.txt"
+    argv = [command, "--model", str(broken), "--data", str(xor_csv), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "contilearn: layer0: v0 too small in magnitude to normalize"
+    ]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- predict
 
 
@@ -467,6 +502,26 @@ def test_algebra_fit_on_trained_model(tmp_path, trained, xor_csv):
     n = int(fields["n"])
     pair_keys = [key for key in fields if key[0] == "c" and key[1].isdigit()]
     assert len(pair_keys) == n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("ill", [True, False])
+def test_algebra_report_bytes(tmp_path, ill):
+    c = np.arange(8, dtype=float).reshape(2, 2, 2) - 3.5
+    c[1, 1, 0] = 1e-17
+    report = AlgebraFitReport(StructureConstants(c), 0.25, 1e-17, 0.0, 3.0, ill)
+    out = tmp_path / "algebra.txt"
+    save_algebra_report(out, report)
+    assert out.read_bytes() == (
+        "n = 2\n"
+        "closure_residual = 0.25\n"
+        "normalized_residual = 1e-17\n"
+        "associativity_residual = 0.0\n"
+        "product_rms = 3.0\n"
+        f"ill_conditioned = {'true' if ill else 'false'}\n"
+        "c0.0 = -3.5,-2.5\n"
+        "c0.1 = -1.5,-0.5\n"
+        "c1.1 = 1e-17,3.5\n"
+    ).encode()
 
 
 def test_algebra_requires_a_mode():

@@ -28,7 +28,7 @@ def test_zero_iterations_is_plain_regularized_logistic():
     # the returned vector is the full-data maximizer for the chosen r
     direct = maximize(ds.y, ds.design_matrix(), Prior(report.r), SolverConfig())
     assert np.allclose(result.w, direct.w, atol=1e-8)
-    assert report.m == 3 and report.k is None and report.expanded_dim is None
+    assert report.m == 3 and report.k is None and report.expanded is None
 
 
 def test_reports_are_deterministic(xor_data):
@@ -37,19 +37,19 @@ def test_reports_are_deterministic(xor_data):
     b = run(xor_data, config)
     assert a.reports == b.reports
     assert np.array_equal(a.w, b.w)
-    assert a.r_history == b.r_history
+    assert [rep.r for rep in a.reports] == [rep.r for rep in b.reports]
 
 
 def test_xor_needs_the_expansion(xor_run0, xor_run1):
     result0, _ = xor_run0
     result1, _ = xor_run1
-    assert result0.reports[-1].train_accuracy <= 0.6
-    assert result1.reports[-1].train_accuracy >= 0.95
+    assert result0.reports[-1].accuracy <= 0.6
+    assert result1.reports[-1].accuracy >= 0.95
 
 
 def test_circle_is_solved_after_one_iteration(circle_run1):
     result, _ = circle_run1
-    assert result.reports[-1].train_accuracy >= 0.9
+    assert result.reports[-1].accuracy >= 0.9
 
 
 def test_containment_bound_on_every_stage(xor_run0, xor_run1, circle_run1):
@@ -61,7 +61,7 @@ def test_containment_bound_on_every_stage(xor_run0, xor_run1, circle_run1):
 def test_warm_start_embeds_previous_mean(xor_run1):
     result, _ = xor_run1
     first, last = result.reports
-    assert first.expanded_dim == last.m
+    assert first.expanded == last.m
     assert first.k is not None and first.k >= 1
     assert last.iteration == 1
 
@@ -72,18 +72,18 @@ def test_parameter_dimension_cap():
     cap = 9 + 45
     for report in result.reports:
         assert report.m <= cap
-        if report.expanded_dim is not None:
-            assert report.expanded_dim <= cap
+        if report.expanded is not None:
+            assert report.expanded <= cap
     assert result.w.shape[0] <= cap
 
 
 def test_closure_residual_is_reported_when_requested(xor_run1):
     result, _ = xor_run1
-    expansion_reports = [r for r in result.reports if r.expanded_dim is not None]
+    expansion_reports = [r for r in result.reports if r.expanded is not None]
     assert expansion_reports
     for report in expansion_reports:
-        assert report.closure_residual is not None
-        assert report.closure_residual >= 0.0
+        assert report.closure is not None
+        assert report.closure >= 0.0
 
 
 @pytest.mark.parametrize("algebra_check", [True, False])
@@ -116,7 +116,7 @@ def test_single_r_grid_is_chosen():
     ds = small_dataset(seed=43)
     result = run(ds, EngineConfig(n_iters=0, seed=8, r_grid=(0.7,)))
     assert result.reports[0].r == 0.7
-    assert result.r_history == (0.7,)
+    assert [rep.r for rep in result.reports] == [0.7]
 
 
 def test_huge_precision_forces_chance_level_oob():

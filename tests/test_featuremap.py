@@ -90,6 +90,18 @@ def test_super_features_degenerate_mean_warns_once_and_uses_constant():
     assert np.array_equal(out, [[1.0, 5.0], [1.0, 1.0]])
 
 
+def test_mean_whose_norm_underflows_is_degenerate_only_when_flagged():
+    f = np.array([[5.0, 6.0], [1.0, 2.0]])
+    tiny = np.array([1e-200, -2e-200])
+    with pytest.warns(UserWarning, match="constant"):
+        layer = calibrate_layer(tiny, np.array([[1.0, 0.0]]), f)
+    assert layer.degenerate_v0
+    with pytest.raises(ValueError, match="v0 too small in magnitude to normalize"):
+        Layer(tiny, layer.u, layer.scales)
+    with pytest.raises(ValueError, match="degenerate flag"):
+        Layer(np.zeros(2), layer.u, layer.scales)
+
+
 def test_super_features_dimension_mismatch():
     layer = calibrate_layer(np.ones(2), np.zeros((0, 2)), np.ones((4, 2)))
     with pytest.raises(ValueError):
