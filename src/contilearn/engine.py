@@ -1,13 +1,18 @@
 """Orchestration of the iteration cycle and its per-stage diagnostics.
 
-Each cycle works on the current feature space: pick the prior precision r by
-out-of-bag score over a fresh bootstrap, solve the full-data problem (warm
-started at the embedded previous mean, so its objective can only go up),
-solve the replicates, fit the weighted solution distribution, select
-principal components, and append a calibrated expansion layer. After the
-requested number of cycles one more full-data solve on the final space
-produces the returned parameter vector. A zero-variance solution cloud
-(k = 0) stops the loop early with the model built so far.
+Each cycle works on the current feature space. It picks the prior precision
+r by out-of-bag score over a fresh bootstrap: the distinct grid values are
+solved from the largest r down, the largest starting every replicate at the
+cycle's start and each smaller r starting each replicate at its solution
+for the previous r (a regularization path). Scores are compared in grid
+order, so the choice does not depend on how the grid is written. The cycle
+then solves the full-data problem (warm started at the embedded previous
+mean, so its objective can only go up), fits the weighted distribution of
+the chosen r's replicate solutions, selects principal components, and
+appends a calibrated expansion layer. After the requested number of cycles
+one more full-data solve on the final space produces the returned parameter
+vector. A zero-variance solution cloud (k = 0) stops the loop early with the
+model built so far.
 """
 
 from __future__ import annotations
@@ -129,16 +134,23 @@ def oob_score(y, F, counts, solset: SolutionSet) -> float:
 def _choose_prior(y, F, counts, config: EngineConfig, w_init):
     """Grid-search r by out-of-bag score; ties keep the earliest grid entry.
 
-    Returns the chosen r, its score, and its replicate solutions so the
-    winning solves are reused for the distribution fit.
+    The distinct r values are solved from the largest down. The largest
+    starts every replicate at ``w_init``; each smaller r starts replicate s
+    at its solution for the previous r, or at ``w_init`` if that solve
+    failed. Scores are then compared in grid order, so the choice does not
+    depend on how the grid is ordered. Returns the chosen r, its score, and
+    its replicate solutions so the winning solves are reused for the
+    distribution fit.
     """
-    best = None
-    for r in config.r_grid:
-        solset = solve_replicates(y, F, counts, Prior(r), config.solver, w_init)
-        score = oob_score(y, F, counts, solset)
-        if best is None or score > best[1]:
-            best = (r, score, solset)
-    return best
+    scored = {}
+    start = w_init
+    for r in sorted(set(config.r_grid), reverse=True):
+        solset = solve_replicates(y, F, counts, Prior(r), config.solver, start)
+        scored[r] = (oob_score(y, F, counts, solset), solset)
+        start = np.tile(w_init, (len(counts), 1))
+        start[solset.index] = solset.w
+    r = max(config.r_grid, key=lambda value: scored[value][0])  # first of equal maxima
+    return (r, *scored[r])
 
 
 def run(dataset: Dataset, config: EngineConfig) -> EngineResult:

@@ -157,11 +157,14 @@ def hessian(w, y, F, prior: Prior | None = None, counts=None):
 
     Shape (m, m), or (S, m, m) for stacked ``w``. The stacked product
     builds an (S, m, T) temporary, so callers bound S for large problems.
+    Only the data part is symmetrized: adding the prior's diagonal to itself
+    would overflow for r above half the largest double.
     """
     w, y, F, counts, z = _scores(w, y, F, counts)
     p = sigmoid(z)
     s = counts * (p * (1.0 - p))
-    H = -np.matmul(F.T * s[..., None, :], F)
+    H = np.matmul(F.T * s[..., None, :], F)
+    H = -0.5 * (H + np.swapaxes(H, -1, -2))
     if prior is not None:
         H = H - prior.r * np.eye(w.shape[-1])
-    return 0.5 * (H + np.swapaxes(H, -1, -2))
+    return H

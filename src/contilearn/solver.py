@@ -14,8 +14,11 @@ sound when the change is below one ulp of the objective.
 
 A problem is finished once its gradient norm falls to ``grad_tol`` (the
 only convergence test), when its line search is exhausted, after
-``max_iters`` steps, or when its negated Hessian has no Cholesky factor (it
-is then marked failed); finished problems take no further part. Its
+``max_iters`` steps, or when its gradient is not finite or its negated
+Hessian has no Cholesky factor (it is then marked failed); finished problems
+take no further part. An objective, gradient or gradient norm beyond the
+largest double (a huge prior precision away from zero) reads as infinite
+and meets these checks instead of raising a numpy warning. Its
 ``grad_norm`` is from the gradient evaluation that finished it, so a solve
 evaluates at most ``max_iters + 1`` gradients. ``maximize`` is the
 one-problem case.
@@ -137,8 +140,9 @@ def maximize_batch(
 
     ``counts`` has shape (S, T); ``w_init`` is one start for every problem
     or S stacked starts (zero vectors by default). A problem whose starting
-    objective is not finite, or whose negated Hessian is not positive
-    definite, is reported in ``error`` and does not stop the others.
+    objective is not finite, whose gradient is not finite, or whose negated
+    Hessian is not positive definite, is reported in ``error`` and does not
+    stop the others.
     """
     config = config or SolverConfig()
     y = np.asarray(y, dtype=float)
@@ -147,7 +151,8 @@ def maximize_batch(
     S, m = counts.shape[0], F.shape[1]
     W = np.zeros((S, m)) if w_init is None else np.array(np.broadcast_to(w_init, (S, m)), float)
 
-    L = log_likelihood(W, y, F, prior, counts)
+    with np.errstate(over="ignore"):
+        L = log_likelihood(W, y, F, prior, counts)
     error: list[str | None] = [None] * S
     active = np.isfinite(L)
     for s in np.flatnonzero(~active):
@@ -157,9 +162,13 @@ def maximize_batch(
 
     for step in range(config.max_iters + 1):
         rows = np.flatnonzero(active)
-        G = gradient(W[rows], y, F, prior, counts[rows])
-        grad_norm[rows] = np.linalg.norm(G, axis=1)
-        moving = grad_norm[rows] > config.grad_tol
+        with np.errstate(over="ignore"):
+            G = gradient(W[rows], y, F, prior, counts[rows])
+            grad_norm[rows] = np.linalg.norm(G, axis=1)
+        finite = np.isfinite(G).all(axis=1)
+        for s in rows[~finite]:
+            error[s] = "gradient is not finite"
+        moving = finite & (grad_norm[rows] > config.grad_tol)
         active[rows[~moving]] = False
         rows, G = rows[moving], G[moving]
         if rows.size == 0 or step == config.max_iters:
@@ -193,8 +202,9 @@ def maximize(y, F, prior: Prior, config: SolverConfig | None = None, w_init=None
 
     Returns a converged solution when the gradient norm falls below
     ``grad_tol``; otherwise the best iterate found, flagged unconverged.
-    Raises NumericalError if the objective is not finite at the start or
-    the negated Hessian loses positive definiteness.
+    Raises NumericalError if the objective is not finite at the start, the
+    gradient is not finite, or the negated Hessian loses positive
+    definiteness.
     """
     F = np.asarray(F, dtype=float)
     m = F.shape[1]

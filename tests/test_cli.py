@@ -227,6 +227,31 @@ def test_algebra_check_on_too_few_rows_is_a_data_error(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "data, r_grid, chosen",
+    [
+        # 2r overflows a double, so the Hessian must not add the prior's diagonal to itself
+        ("xor_csv", "1e308", 1e308),
+        ("xor_csv", "1.7e308", 1.7e308),
+        # the second stage starts at the embedded mean, where |r w|^2 overflows
+        ("circle_csv", "1.0,1e300", 1.0),
+        ("circle_csv", "1.0,1e308", 1.0),
+    ],
+)
+def test_huge_prior_trains_without_a_warning(tmp_path, request, capsys, data, r_grid, chosen):
+    data = request.getfixturevalue(data)
+    config = tmp_path / "huge.cfg"
+    config.write_text(f"n_iters = 1\nn_replicates = 8\nseed = 3\nr_grid = {r_grid}\n")
+    out = tmp_path / "m"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["train", "--data", str(data), "--config", str(config), "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    for line in Path(f"{out}.report").read_text().splitlines():
+        assert float(parse_report_line(line)["r"]) == chosen
+
+
 def test_train_bad_config_exit_code(tmp_path, xor_csv):
     bad = tmp_path / "bad.cfg"
     bad.write_text("definitely_not_a_key = 1\n")

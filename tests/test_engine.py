@@ -3,12 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from contilearn import ensemble, solver
 from contilearn.data import Dataset, Standardization
-from contilearn.engine import EngineConfig, _stage_seed, accuracy, oob_score, run
+from contilearn.engine import (
+    EngineConfig,
+    _choose_prior,
+    _stage_seed,
+    accuracy,
+    oob_score,
+    run,
+)
 from contilearn.ensemble import sample_plans, solve_replicates
-from contilearn.model import Prior
+from contilearn.model import Prior, hessian
+from contilearn.modelio import format_report_line
 from contilearn.solver import SolverConfig, maximize
-from tests.conftest import dataset_from_arrays
+from tests.conftest import dataset_from_arrays, random_instance
 
 
 def small_dataset(seed=40, n=30):
@@ -136,6 +145,75 @@ def test_chosen_r_attains_the_exhaustive_maximum(circle_data):
     scores = [oob_score(y, F, counts, solve_replicates(y, F, counts, Prior(r))) for r in grid]
     assert result.reports[0].r == grid[int(np.argmax(scores))]
     assert abs(result.reports[0].oob - max(scores)) <= 1e-12
+
+
+def test_warm_started_r_grid_takes_fewer_newton_steps(monkeypatch):
+    # the 60-row, three-round problem of the acceptance gate
+    calls = []
+
+    def recording(y, F, counts, prior, config, w_init):
+        batch = solver.maximize_batch(y, F, counts, prior, config, w_init)
+        calls.append(((y, F, counts, prior, config), np.asarray(w_init), batch))
+        return batch
+
+    monkeypatch.setattr(ensemble, "maximize_batch", recording)
+    rng = np.random.default_rng(50)
+    X = rng.normal(size=(60, 2))
+    y = (X[:, 0] * X[:, 1] + 0.2 * rng.normal(size=60) > 0).astype(float)
+    run(dataset_from_arrays(X, y), EngineConfig(n_iters=3, seed=13, k_max=8))
+    assert len(calls) == 4 * 4  # r grid x stages
+    warm_steps = cold_steps = 0
+    for i, (args, start, batch) in enumerate(calls):
+        if i % 4 == 0:
+            # each stage solves its largest r first, from the stage's one start
+            assert args[3].r == 10.0 and start.ndim == 1
+            cold_start = start
+            continue
+        assert start.ndim == 2
+        cold = solver.maximize_batch(*args, cold_start)
+        assert np.all(batch.converged) and np.all(cold.converged)
+        assert np.max(np.abs(batch.w - cold.w)) <= 1e-6
+        warm_steps += batch.iterations.sum()
+        cold_steps += cold.iterations.sum()
+    assert warm_steps < cold_steps
+
+
+def test_r_grid_order_does_not_change_the_reports(circle_data):
+    lines = []
+    for grid in ((0.01, 1.0, 100.0), (100.0, 0.01, 1.0)):
+        result = run(circle_data, EngineConfig(n_iters=0, seed=10, r_grid=grid))
+        lines.append([format_report_line(report) for report in result.reports])
+    assert lines[0] == lines[1]
+
+
+def test_replicate_failed_at_the_largest_r_restarts_from_w_init(monkeypatch):
+    rng = np.random.default_rng(17)
+    y, F = random_instance(rng, t_max=25, m=3)
+    counts = sample_plans(4, 8, 25)
+    w_init = np.array([0.1, -0.2, 0.3])
+
+    def broken_hessian(w, y, F, prior=None, counts=None):
+        H = hessian(w, y, F, prior, counts)
+        if prior.r == 10.0:
+            H[(counts == doomed).all(axis=1)] *= -1.0
+        return H
+
+    doomed = counts[1]
+    batches = []
+
+    def recording(*args):
+        batches.append((args[-1], solver.maximize_batch(*args)))
+        return batches[-1][1]
+
+    monkeypatch.setattr(solver, "hessian", broken_hessian)
+    monkeypatch.setattr(ensemble, "maximize_batch", recording)
+    config = EngineConfig(r_grid=(1.0, 10.0), n_replicates=4)
+    _choose_prior(y, F, counts, config, w_init)
+    (_, first), (start, second) = batches
+    assert first.error[1] is not None and second.error == (None,) * 4
+    assert np.array_equal(start[1], w_init)
+    for s in (0, 2, 3):
+        assert np.array_equal(start[s], first.w[s])
 
 
 def test_accuracy_helper():

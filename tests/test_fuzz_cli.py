@@ -170,7 +170,7 @@ CONFIG_VALUES = {
     "rel_threshold": st.sampled_from(["0.05", "1", "1e-6", "0", "1.5", "nan"]),
     "k_max": st.integers(-1, 9).map(str),
     "r_grid": st.lists(
-        st.sampled_from(["0.01", "1.0", "10", "0", "-1", "nan", "1e300"]), max_size=3
+        st.sampled_from(["0.01", "1.0", "10", "0", "-1", "nan", "1e300", "1e308"]), max_size=3
     ).map(",".join),
     "grad_tol": st.sampled_from(["1e-08", "1e-300", "1", "0", "-1", "nan"]),
     "max_iters": st.integers(-1, 20).map(str),

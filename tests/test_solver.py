@@ -101,6 +101,20 @@ def test_non_finite_start_raises():
         maximize(np.array([0.0, 1.0]), np.ones((2, 1)), Prior(1.0), w_init=np.array([np.nan]))
 
 
+def test_overflow_under_a_huge_prior_reads_as_infinite():
+    # at r = 1e308: |r w|^2 overflows from w = 1, r w itself from 1.85, and r |w|^2 / 2 from 1.9
+    rng = np.random.default_rng(0)
+    y, F = random_instance(rng, t_max=10, m=3)
+    starts = np.array([[1.0, 0.0, 0.0], [1.85, 0.0, 0.0], [1.9, 0.0, 0.0]])
+    batch = maximize_batch(y, F, np.ones((3, 10)), Prior(1e308), w_init=starts)
+    assert batch.converged.tolist() == [True, False, False]
+    assert batch.error == (
+        None,
+        "gradient is not finite",
+        "objective is not finite at the starting point",
+    )
+
+
 def test_unconverged_run_is_flagged():
     rng = np.random.default_rng(9)
     y, F = random_instance(rng, t_max=40, m=5)
