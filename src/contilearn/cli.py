@@ -42,9 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="run the iteration cycles and save a model")
-    train.add_argument("--data", help="training CSV (label in the last column)")
+    train.add_argument("--data", required=True, help="training CSV (label in the last column)")
     train.add_argument("--config", required=True, help="flat key=value run configuration")
-    train.add_argument("--out", help="output model path; the report goes to <out>.report")
+    train.add_argument("--out", required=True, help="model path; the report goes to <out>.report")
     train.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     predict = sub.add_parser("predict", help="write P(y=1) for every input row")
@@ -66,13 +66,7 @@ def cmd_train(args) -> int:
     config = load_run_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    data_path = args.data or config.data
-    out_path = args.out or config.out
-    if data_path is None:
-        raise ConfigError("no training data given (pass --data or set 'data' in the config)")
-    if out_path is None:
-        raise ConfigError("no output path given (pass --out or set 'out' in the config)")
-    dataset = load_csv(data_path, has_header=config.has_header)
+    dataset = load_csv(args.data, has_header=config.has_header)
     result = run(dataset, config)
     model = TrainedModel(
         feature_map=result.feature_map,
@@ -81,8 +75,8 @@ def cmd_train(args) -> int:
         status=result.status,
         config=config,
     )
-    save_model(out_path, model)
-    save_reports(str(out_path) + ".report", result.reports)
+    save_model(args.out, model)
+    save_reports(args.out + ".report", result.reports)
     return 0
 
 

@@ -3,27 +3,33 @@
 Each cycle works on the current feature space. It picks the prior precision
 r by out-of-bag score over a fresh bootstrap: the distinct grid values are
 solved from the largest r down, the largest starting every replicate at the
-cycle's start and each smaller r starting each replicate at its solution
-for the previous r (a regularization path). Scores are compared in grid
-order, so the choice does not depend on how the grid is written. The cycle
-then solves the full-data problem (warm started at the embedded previous
-mean, so its objective can only go up), fits the weighted distribution of
-the chosen r's replicate solutions, selects principal components, and
-appends a calibrated expansion layer. After the requested number of cycles
-one more full-data solve on the final space produces the returned parameter
-vector. A zero-variance solution cloud (k = 0) stops the loop early with the
-model built so far.
+cycle's start and each smaller r starting each replicate at its solution for
+the last solved r (a regularization path); a value with fewer than two
+solved replicates is skipped. Scores are compared in grid order, so the
+choice does not depend on how the grid is written. The cycle then solves the
+full-data problem (warm started at the embedded previous mean, so its
+objective can only go up), weights the chosen r's replicate solutions by
+their full-data objective, fits their distribution, selects principal
+components and appends a calibrated expansion layer. A last full-data solve
+on the final space gives the returned parameter vector. A zero-variance
+solution cloud (k = 0) stops the loop early with the model built so far.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebra import fit_structure_constants
 from .data import Dataset
-from .ensemble import SolutionSet, fit_distribution, sample_plans, solve_replicates
+from .ensemble import (
+    SolutionSet,
+    fit_distribution,
+    sample_plans,
+    solve_replicates,
+    weights_from_loglik,
+)
 from .errors import ConfigError, NumericalError
 from .featuremap import (
     Layer,
@@ -136,20 +142,27 @@ def _choose_prior(y, F, counts, config: EngineConfig, w_init):
 
     The distinct r values are solved from the largest down. The largest
     starts every replicate at ``w_init``; each smaller r starts replicate s
-    at its solution for the previous r, or at ``w_init`` if that solve
-    failed. Scores are then compared in grid order, so the choice does not
-    depend on how the grid is ordered. Returns the chosen r, its score, and
-    its replicate solutions so the winning solves are reused for the
-    distribution fit.
+    at its solution for the last solved r, or at ``w_init`` if that solve
+    failed. A value whose replicates do not solve (NumericalError) is
+    skipped; the last such error is raised only if every value fails. Scores
+    are compared in grid order, so the choice does not depend on how the
+    grid is ordered. Returns the chosen r, its score, and its replicate
+    solutions so the winning solves are reused for the distribution fit.
     """
     scored = {}
     start = w_init
     for r in sorted(set(config.r_grid), reverse=True):
-        solset = solve_replicates(y, F, counts, Prior(r), config.solver, start)
+        try:
+            solset = solve_replicates(y, F, counts, Prior(r), config.solver, start)
+        except NumericalError as exc:
+            error = exc
+            continue
         scored[r] = (oob_score(y, F, counts, solset), solset)
         start = np.tile(w_init, (len(counts), 1))
         start[solset.index] = solset.w
-    r = max(config.r_grid, key=lambda value: scored[value][0])  # first of equal maxima
+    if not scored:
+        raise error
+    r = max((v for v in config.r_grid if v in scored), key=lambda v: scored[v][0])
     return (r, *scored[r])
 
 
@@ -167,31 +180,29 @@ def run(dataset: Dataset, config: EngineConfig) -> EngineResult:
     reports: list[IterationReport] = []
     status = "completed"
     last_stage = config.n_iters
-    stage = 0
 
-    while True:
+    for stage in range(config.n_iters + 1):
         counts = sample_plans(config.n_replicates, _stage_seed(config.seed, stage), dataset.t_max)
         r, oob, solset = _choose_prior(y, F, counts, config, w_init)
         prior = Prior(r)
         sol = maximize(y, F, prior, config.solver, w_init)
         embed_L = log_likelihood(w_init, y, F, prior)
-        train_acc = accuracy(sol.w, y, F)
-        w_final = sol.w
-        m = F.shape[1]
+        report = IterationReport(
+            stage, F.shape[1], None, None, sol.L_value, embed_L, r, oob, None, accuracy(sol.w, y, F)
+        )
 
         if stage == last_stage:
-            reports.append(
-                IterationReport(stage, m, None, None, sol.L_value, embed_L, r, oob, None, train_acc)
-            )
+            reports.append(report)
             break
 
-        mean, cov = fit_distribution(solset.w, solset.weights)
+        # weights use the full-data objective: subsample objectives are not
+        # comparable across replicates
+        weights = weights_from_loglik(log_likelihood(solset.w, y, F, prior))
+        mean, cov = fit_distribution(solset.w, weights)
         u = select_components(cov, config.rel_threshold, config.k_max)
         if len(u) == 0:
             status = "degenerate"
-            reports.append(
-                IterationReport(stage, m, None, 0, sol.L_value, embed_L, r, oob, None, train_acc)
-            )
+            reports.append(replace(report, k=0))
             break
 
         layer = calibrate_layer(mean, u, F)
@@ -201,11 +212,7 @@ def run(dataset: Dataset, config: EngineConfig) -> EngineResult:
         F = layer.apply(F)
         w_init = embed_mean_solution(layer)
         layers.append(layer)
-        reports.append(
-            IterationReport(
-                stage, m, F.shape[1], layer.k, sol.L_value, embed_L, r, oob, closure, train_acc
-            )
-        )
+        reports.append(replace(report, expanded=F.shape[1], k=layer.k, closure=closure))
         if (
             config.algebra_stop_tol is not None
             and closure <= config.algebra_stop_tol
@@ -213,7 +220,6 @@ def run(dataset: Dataset, config: EngineConfig) -> EngineResult:
         ):
             status = "algebra-converged"
             last_stage = stage + 1
-        stage += 1
 
     feature_map = RecursiveFeatureMap(dataset.standardization, tuple(layers))
-    return EngineResult(feature_map, w_final, tuple(reports), status)
+    return EngineResult(feature_map, sol.w, tuple(reports), status)

@@ -7,10 +7,10 @@ with replacement. Row s comes from its own generator, seeded with
 objective of replicate s is sum_t C[s, t] l_t, which equals the objective on
 its multiset, and its out-of-bag rows are those with count 0. All replicates
 of one prior are solved together as one batched Newton problem
-(``solver.maximize_batch``). Replicates are weighted by the softmax of their
-full-data objective values, computed in the log domain, and
-``fit_distribution`` returns the weighted mean and covariance of the solution
-cloud as the arrays ``(mean, cov)`` that the spectral step reads.
+(``solver.maximize_batch``). ``weights_from_loglik`` is the softmax of
+objective values, computed in the log domain, and ``fit_distribution``
+returns the weighted mean and covariance of the solution cloud as the arrays
+``(mean, cov)`` that the spectral step reads.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .model import Prior, log_likelihood
+from .model import Prior
 # maximize stays in this namespace: bench/tracing.py patches it here by name
 from .solver import SolverConfig, maximize, maximize_batch  # noqa: F401
 
@@ -58,7 +58,6 @@ class SolutionSet:
     """Surviving replicate solutions: row i of ``w`` solves count row ``index[i]``."""
 
     w: np.ndarray
-    weights: np.ndarray
     index: np.ndarray
     n_failed: int = 0
 
@@ -71,25 +70,19 @@ def solve_replicates(
     config: SolverConfig | None = None,
     w_init=None,
 ) -> SolutionSet:
-    """Solve every count row as one replicate and weight by full-data objective.
+    """Solve every count row as one replicate; replicates whose solve fails are dropped.
 
-    Replicates whose solve fails are dropped; fewer than two survivors is an
-    error. Weights use the full-data objective because subsample objectives
-    are not comparable across replicates.
+    Fewer than two survivors is a NumericalError.
     """
     if len(counts) == 0:
         raise ValueError("counts must have at least one row")
-    y = np.asarray(y, dtype=float)
-    F = np.asarray(F, dtype=float)
     batch = maximize_batch(y, F, counts, prior, config, w_init)
     index = np.flatnonzero([error is None for error in batch.error])
     if len(index) < 2:
         raise NumericalError(
             "ensemble", f"only {len(index)} of {len(counts)} replicate solves succeeded"
         )
-    w = batch.w[index]
-    weights = weights_from_loglik(log_likelihood(w, y, F, prior))
-    return SolutionSet(w, weights, index, n_failed=len(counts) - len(index))
+    return SolutionSet(batch.w[index], index, n_failed=len(counts) - len(index))
 
 
 def fit_distribution(w, weights) -> tuple[np.ndarray, np.ndarray]:

@@ -1,15 +1,15 @@
 """Run configuration, model persistence, and report serialization.
 
-Everything on disk is line-oriented ``key = value`` text. ``CONFIG_KEYS``
-is the one table of run-configuration keys: it maps every ``RunConfig``
-field, in declaration order, to the (parse, format) pair of its type. It
-parses config files, writes the model file's ``config.*`` echo (every key
-but the default paths) and reads that echo back; the README's
-configuration table is checked against it. Defaults and range checks live
-on the config classes themselves. The stage and algebra reports are written
-field by field from ``IterationReport`` and ``AlgebraFitReport`` through the
-same per-type codecs, so each field's name is its key in the file. The
-model format is versioned; floats are written with ``repr`` so a
+Everything on disk is line-oriented ``key = value`` text. ``CONFIG_KEYS`` is
+the one table of run-configuration keys: it maps every ``RunConfig`` field,
+in declaration order, to the (parse, format) pair of its type. It parses
+config files, writes the model file's ``config.*`` echo (every key) and
+reads that echo back; the README's configuration table is checked against
+it. File paths come from the command line only. Defaults and range checks
+live on the config classes themselves. The stage and algebra reports are
+written field by field from ``IterationReport`` and ``AlgebraFitReport``
+through the same per-type codecs, so each field's name is its key in the
+file. The model format is versioned; floats are written with ``repr`` so a
 save/load/save round trip is byte-identical.
 Unknown keys are rejected outright since a silently ignored typo in a
 hyper-parameter is worse than an error.
@@ -35,11 +35,9 @@ _STATUSES = ("completed", "degenerate", "algebra-converged")
 
 @dataclass(frozen=True)
 class RunConfig(EngineConfig):
-    """Engine settings plus the training CSV's header flag and optional default paths."""
+    """Engine settings plus the training CSV's header flag."""
 
     has_header: bool = False
-    data: str | None = None
-    out: str | None = None
 
 
 def _fmt_float(v: float) -> str:
@@ -94,7 +92,6 @@ _CODECS = {
         lambda text: None if text == "none" else _parse_float(text),
         lambda v: "none" if v is None else _fmt_float(v),
     ),
-    "str | None": (str, str),
     "int | None": (
         lambda text: None if text == "none" else _parse_int(text),
         lambda v: "none" if v is None else str(v),
@@ -102,8 +99,6 @@ _CODECS = {
 }
 
 CONFIG_KEYS = {f.name: _CODECS[f.type] for f in fields(RunConfig)}
-_PATH_KEYS = ("data", "out")
-_ECHO_KEYS = tuple(key for key in CONFIG_KEYS if key not in _PATH_KEYS)
 
 
 def _parse_kv_lines(text: str, error):
@@ -167,7 +162,7 @@ def format_model(model: TrainedModel) -> str:
             lines.append(f"layer{i}.u{j} = {_fmt_vector(layer.u[j])}")
         lines.append(f"layer{i}.scales = {_fmt_vector(layer.scales)}")
     lines.append(f"w = {_fmt_vector(model.w)}")
-    lines.extend(f"config.{k} = {CONFIG_KEYS[k][1](getattr(model.config, k))}" for k in _ECHO_KEYS)
+    lines.extend(f"config.{k} = {CONFIG_KEYS[k][1](getattr(model.config, k))}" for k in CONFIG_KEYS)
     return "\n".join(lines) + "\n"
 
 
@@ -251,7 +246,7 @@ def parse_model(text: str) -> TrainedModel:
                 f"parameter vector has {w.shape[0]} entries, the feature map emits"
                 f" {feature_map.output_dim}"
             )
-        echo = {f"config.{k}": k for k in _ECHO_KEYS}
+        echo = {f"config.{k}": k for k in CONFIG_KEYS}
         unknown = [key for key in fields if key not in echo]
         if unknown:
             raise ModelFormatError(f"unknown model field {unknown[0]!r}")

@@ -22,6 +22,17 @@ def random_instance(rng, t_max=None, m=None):
     return y, F
 
 
+def deep_dataset() -> Dataset:
+    """The 60-row, three-round problem of the acceptance gate (bootstrap seed 13)."""
+    rng = np.random.default_rng(50)
+    X = rng.normal(size=(60, 2))
+    y = (X[:, 0] * X[:, 1] + 0.2 * rng.normal(size=60) > 0).astype(float)
+    return dataset_from_arrays(X, y)
+
+
+DEEP_CONFIG = EngineConfig(n_iters=3, seed=13, k_max=8)
+
+
 @pytest.fixture(scope="session")
 def xor_csv(tmp_path_factory):
     X, y = xor_dataset()
@@ -67,3 +78,8 @@ def xor_run1(xor_data):
 @pytest.fixture(scope="session")
 def circle_run1(circle_data):
     return _timed_run(circle_data, EngineConfig(n_iters=1, seed=2024))
+
+
+@pytest.fixture(scope="session")
+def multi_iter_run():
+    return run(deep_dataset(), DEEP_CONFIG)

@@ -22,12 +22,11 @@ from contilearn.algebra import (
     fit_structure_constants,
     reference_algebra,
 )
-from contilearn.engine import EngineConfig, run
 from contilearn.ensemble import fit_distribution, weights_from_loglik
 from contilearn.model import Prior, gradient, log_likelihood
 from contilearn.solver import maximize
 from contilearn.spectral import eig_sym, select_components
-from tests.conftest import dataset_from_arrays, random_instance
+from tests.conftest import random_instance
 from tests.test_featuremap import interpolation_residual, random_map
 from tests.test_model import numeric_gradient
 
@@ -50,15 +49,6 @@ def criterion(label):
         return wrapper
 
     return decorate
-
-
-@pytest.fixture(scope="session")
-def multi_iter_run():
-    rng = np.random.default_rng(50)
-    X = rng.normal(size=(60, 2))
-    y = (X[:, 0] * X[:, 1] + 0.2 * rng.normal(size=60) > 0).astype(float)
-    ds = dataset_from_arrays(X, y)
-    return run(ds, EngineConfig(n_iters=3, seed=13, k_max=8))
 
 
 def all_reports(xor_run0, xor_run1, circle_run1, multi_iter_run):

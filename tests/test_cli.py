@@ -100,7 +100,7 @@ def test_config_key_table_covers_every_field_in_echo_order(trained):
         for line in trained.read_text().splitlines()
         if line.startswith("config.")
     ]
-    assert echoed == [key for key in CONFIG_KEYS if key not in ("data", "out")]
+    assert echoed == list(CONFIG_KEYS)
 
 
 def _readme() -> str:
@@ -130,10 +130,7 @@ def test_readme_config_table_matches_the_key_table():
         for key in keys.split(","):
             documented[key.strip().strip("`")] = default.strip("`")
     defaults = RunConfig()
-    expected = {
-        key: "unset" if key in ("data", "out") else fmt(getattr(defaults, key))
-        for key, (_, fmt) in CONFIG_KEYS.items()
-    }
+    expected = {key: fmt(getattr(defaults, key)) for key, (_, fmt) in CONFIG_KEYS.items()}
     assert documented == expected
 
 
@@ -252,6 +249,17 @@ def test_huge_prior_trains_without_a_warning(tmp_path, request, capsys, data, r_
         assert float(parse_report_line(line)["r"]) == chosen
 
 
+def test_a_prior_whose_replicates_all_fail_is_skipped(tmp_path, circle_csv, capsys):
+    # at stage 2 the embedded start makes r |w|^2 / 2 overflow for every r = 1e308 replicate
+    config = tmp_path / "skip.cfg"
+    config.write_text("n_iters = 2\nn_replicates = 8\nseed = 3\nr_grid = 1.0,1e308\n")
+    out = tmp_path / "m"
+    code = main(["train", "--data", str(circle_csv), "--config", str(config), "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    lines = Path(f"{out}.report").read_text().splitlines()
+    assert [float(parse_report_line(line)["r"]) for line in lines] == [1.0, 1.0, 1.0]
+
+
 def test_train_bad_config_exit_code(tmp_path, xor_csv):
     bad = tmp_path / "bad.cfg"
     bad.write_text("definitely_not_a_key = 1\n")
@@ -259,6 +267,29 @@ def test_train_bad_config_exit_code(tmp_path, xor_csv):
         ["train", "--data", str(xor_csv), "--config", str(bad), "--out", str(tmp_path / "m")]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("key", ["data", "out"])
+def test_paths_are_not_config_keys(tmp_path, xor_csv, capsys, key):
+    config = tmp_path / "paths.cfg"
+    config.write_text(f"{key} = {tmp_path / 'elsewhere'}\n")
+    code = main(
+        ["train", "--data", str(xor_csv), "--config", str(config), "--out", str(tmp_path / "m")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"contilearn: unknown config key '{key}'"]
+
+
+@pytest.mark.parametrize("flag", ["--data", "--out"])
+def test_train_needs_data_and_out(tmp_path, xor_csv, xor_config, capsys, flag):
+    out = tmp_path / "m"
+    argv = ["train", "--data", str(xor_csv), "--config", str(xor_config), "--out", str(out)]
+    del argv[argv.index(flag) : argv.index(flag) + 2]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"contilearn: the following arguments are required: {flag}"
+    ]
+    assert not out.exists()
 
 
 def test_usage_error_maps_to_config_exit_code():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contilearn import ensemble, solver
+from contilearn import engine, ensemble, solver
 from contilearn.data import Dataset, Standardization
 from contilearn.engine import (
     EngineConfig,
@@ -13,11 +13,18 @@ from contilearn.engine import (
     oob_score,
     run,
 )
-from contilearn.ensemble import sample_plans, solve_replicates
-from contilearn.model import Prior, hessian
+from contilearn.ensemble import (
+    fit_distribution,
+    sample_plans,
+    solve_replicates,
+    weights_from_loglik,
+)
+from contilearn.errors import NumericalError
+from contilearn.featuremap import embed_mean_solution
+from contilearn.model import Prior, hessian, log_likelihood
 from contilearn.modelio import format_report_line
 from contilearn.solver import SolverConfig, maximize
-from tests.conftest import dataset_from_arrays, random_instance
+from tests.conftest import DEEP_CONFIG, dataset_from_arrays, deep_dataset, random_instance
 
 
 def small_dataset(seed=40, n=30):
@@ -67,12 +74,31 @@ def test_containment_bound_on_every_stage(xor_run0, xor_run1, circle_run1):
             assert report.best_L >= report.embed_L - 1e-9
 
 
-def test_warm_start_embeds_previous_mean(xor_run1):
+def test_warm_start_embeds_previous_mean(
+    xor_data, xor_run1, circle_data, circle_run1, multi_iter_run
+):
     result, _ = xor_run1
     first, last = result.reports
     assert first.expanded == last.m
     assert first.k is not None and first.k >= 1
     assert last.iteration == 1
+    # the paper's containment step: the weighted-mean model of stage n and its
+    # embedding on stage n + 1 have the same data log-likelihood
+    cases = [
+        (xor_data, xor_run1[0]),
+        (circle_data, circle_run1[0]),
+        (deep_dataset(), multi_iter_run),
+    ]
+    transitions = 0
+    for dataset, result in cases:
+        F = dataset.design_matrix()
+        for layer in result.feature_map.layers:
+            before = log_likelihood(layer.v0, dataset.y, F)
+            F = layer.apply(F)
+            after = log_likelihood(embed_mean_solution(layer), dataset.y, F)
+            assert abs(after - before) <= 1e-12 * abs(before)
+            transitions += 1
+    assert transitions == 1 + 1 + 3
 
 
 def test_parameter_dimension_cap():
@@ -157,10 +183,7 @@ def test_warm_started_r_grid_takes_fewer_newton_steps(monkeypatch):
         return batch
 
     monkeypatch.setattr(ensemble, "maximize_batch", recording)
-    rng = np.random.default_rng(50)
-    X = rng.normal(size=(60, 2))
-    y = (X[:, 0] * X[:, 1] + 0.2 * rng.normal(size=60) > 0).astype(float)
-    run(dataset_from_arrays(X, y), EngineConfig(n_iters=3, seed=13, k_max=8))
+    run(deep_dataset(), DEEP_CONFIG)
     assert len(calls) == 4 * 4  # r grid x stages
     warm_steps = cold_steps = 0
     for i, (args, start, batch) in enumerate(calls):
@@ -214,6 +237,56 @@ def test_replicate_failed_at_the_largest_r_restarts_from_w_init(monkeypatch):
     assert np.array_equal(start[1], w_init)
     for s in (0, 2, 3):
         assert np.array_equal(start[s], first.w[s])
+
+
+def test_replicates_are_weighted_by_full_data_objective(monkeypatch):
+    calls = []
+
+    def recording(w, weights):
+        calls.append((w, weights))
+        return fit_distribution(w, weights)
+
+    monkeypatch.setattr(engine, "fit_distribution", recording)
+    ds = small_dataset(seed=45)
+    result = run(ds, EngineConfig(n_iters=1, seed=4, n_replicates=4))
+    ((w, weights),) = calls
+    prior = Prior(result.reports[0].r)
+    assert w.shape == (4, 3)
+    assert abs(float(weights.sum()) - 1.0) <= 1e-12
+    L_full = [log_likelihood(row, ds.y, ds.design_matrix(), prior) for row in w]
+    assert np.allclose(weights, weights_from_loglik(L_full), rtol=1e-12, atol=0.0)
+
+
+def test_a_prior_whose_replicates_all_fail_is_not_a_candidate(monkeypatch):
+    rng = np.random.default_rng(17)
+    y, F = random_instance(rng, t_max=25, m=3)
+    counts = sample_plans(4, 8, 25)
+    w_init = np.array([0.1, -0.2, 0.3])
+    broken = {10.0}  # priors at which every replicate's Hessian is indefinite
+
+    def broken_hessian(w, y, F, prior=None, counts=None):
+        H = hessian(w, y, F, prior, counts)
+        return -H if prior.r in broken else H
+
+    starts = []
+
+    def recording(*args):
+        starts.append(args[-1])
+        return solver.maximize_batch(*args)
+
+    monkeypatch.setattr(solver, "hessian", broken_hessian)
+    monkeypatch.setattr(ensemble, "maximize_batch", recording)
+    config = EngineConfig(r_grid=(10.0, 1.0), n_replicates=4)
+    r, _, solset = _choose_prior(y, F, counts, config, w_init)
+    assert r == 1.0 and solset.n_failed == 0
+    # the failed prior leaves the next one the start it had itself
+    assert [np.array_equal(start, w_init) for start in starts] == [True, True]
+    broken.add(1.0)
+    with pytest.raises(NumericalError, match="^ensemble: only 0 of 4 replicate solves succeeded$"):
+        _choose_prior(y, F, counts, config, w_init)
+    for grid in ((1.0,), (10.0,)):
+        with pytest.raises(NumericalError, match="^ensemble: only 0 of 4 replicate solves"):
+            _choose_prior(y, F, counts, EngineConfig(r_grid=grid, n_replicates=4), w_init)
 
 
 def test_accuracy_helper():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contilearn import ensemble, solver
-from contilearn.engine import EngineConfig, run
+from contilearn.engine import run
 from contilearn.ensemble import (
     fit_distribution,
     sample_plans,
@@ -14,9 +14,9 @@ from contilearn.ensemble import (
     weights_from_loglik,
 )
 from contilearn.errors import NumericalError
-from contilearn.model import Prior, hessian, log_likelihood
+from contilearn.model import Prior, hessian
 from contilearn.solver import SolverConfig, maximize
-from tests.conftest import dataset_from_arrays, random_instance
+from tests.conftest import DEEP_CONFIG, deep_dataset, random_instance
 
 
 def test_same_seed_reproduces_plans():
@@ -73,18 +73,6 @@ def test_weights_shift_invariance(L, shift):
     a = weights_from_loglik(np.array(L))
     b = weights_from_loglik(np.array(L) + shift)
     assert np.allclose(a, b, atol=1e-12)
-
-
-def test_solve_replicates_weights_by_full_data_objective():
-    rng = np.random.default_rng(10)
-    y, F = random_instance(rng, t_max=20, m=3)
-    prior = Prior(1.0)
-    solset = solve_replicates(y, F, sample_plans(4, 4, 20), prior)
-    assert solset.w.shape == (4, 3) and np.all(np.isfinite(solset.w))
-    assert np.array_equal(solset.index, np.arange(4))
-    assert abs(float(solset.weights.sum()) - 1.0) <= 1e-12
-    L_full = [log_likelihood(w, y, F, prior) for w in solset.w]
-    assert np.allclose(solset.weights, weights_from_loglik(L_full), rtol=1e-12, atol=0.0)
 
 
 def test_counts_count_each_drawn_row():
@@ -144,10 +132,7 @@ def test_every_acceptance_replicate_converges(monkeypatch):
         return batches[-1]
 
     monkeypatch.setattr(ensemble, "maximize_batch", recording)
-    rng = np.random.default_rng(50)
-    X = rng.normal(size=(60, 2))
-    y = (X[:, 0] * X[:, 1] + 0.2 * rng.normal(size=60) > 0).astype(float)
-    run(dataset_from_arrays(X, y), EngineConfig(n_iters=3, seed=13, k_max=8))
+    run(deep_dataset(), DEEP_CONFIG)
     config = SolverConfig()
     assert len(batches) == 4 * 4  # r grid x stages
     for batch in batches:
@@ -163,7 +148,6 @@ def test_solve_replicates_repeat_exactly():
     counts = sample_plans(6, 5, 25)
     first = solve_replicates(y, F, counts, Prior(1.0))
     second = solve_replicates(y, F, counts, Prior(1.0))
-    assert np.array_equal(first.weights, second.weights)
     assert np.array_equal(first.w, second.w)
     assert np.array_equal(first.index, second.index)
 
