@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DataError, NumericalError
 
 _TINY = float(np.finfo(float).tiny)
-_IDENTITY_TOL = 1e-9
 _RIDGE = 1e-10
 _COND_LIMIT = 1e12
 
@@ -79,38 +78,6 @@ def associativity_residual(sc: StructureConstants) -> float:
     lhs = np.einsum("abm,mgn->abgn", c, c)
     rhs = np.einsum("amn,bgm->abgn", c, c)
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def multiply(a, b, sc: StructureConstants) -> np.ndarray:
-    """Product of two coordinate vectors under the structure constants."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (sc.n,) or b.shape != (sc.n,):
-        raise ValueError(f"coordinate vectors must have length {sc.n}")
-    return np.einsum("a,b,abg->g", a, b, sc.c)
-
-
-def power_series(coeffs, a, sc: StructureConstants) -> np.ndarray:
-    """Coordinates of g(a) = sum_p coeffs[p] * a**p, evaluated by Horner's rule.
-
-    Basis element 0 must be the identity; it carries the constant term.
-    """
-    coeffs = [float(g) for g in coeffs]
-    if not coeffs:
-        raise ValueError("the coefficient list must be nonempty")
-    a = np.asarray(a, dtype=float)
-    if a.shape != (sc.n,):
-        raise ValueError(f"coordinate vector must have length {sc.n}")
-    eye = np.eye(sc.n)
-    if max(np.max(np.abs(sc.c[0] - eye)), np.max(np.abs(sc.c[:, 0, :] - eye))) > _IDENTITY_TOL:
-        raise ValueError(
-            "basis element 0 is not an identity; a power series needs one for its constant term"
-        )
-    e = eye[0]
-    acc = coeffs[-1] * e
-    for g in reversed(coeffs[:-1]):
-        acc = multiply(acc, a, sc) + g * e
-    return acc
 
 
 @dataclass(frozen=True)

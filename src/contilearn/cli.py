@@ -106,6 +106,8 @@ def cmd_predict(args) -> int:
 
 def cmd_algebra(args) -> int:
     if args.reference is not None:
+        if args.model is not None or args.data is not None:
+            raise ConfigError("algebra --reference NAME takes no --model or --data")
         try:
             sc = reference_algebra(args.reference)
         except ValueError as exc:

@@ -11,7 +11,8 @@ calibrated to unit root-mean-square on the training rows, which stops the
 products from exploding as layers stack. A parameter vector on the previous
 space is always representable on the expanded space, so each round can only
 enlarge the reachable model class. Stacking N layers yields features that
-are polynomials of degree at most 2**N in the raw inputs.
+are polynomials of degree at most 2**N in the raw inputs. Every function
+here takes a matrix whose rows are feature vectors, never a single vector.
 """
 
 from __future__ import annotations
@@ -31,28 +32,19 @@ def expansion_size(m: int) -> int:
     return m + m * (m + 1) // 2
 
 
-def expansion_pairs(m: int):
-    """Index pairs (a, b) with a <= b, in the fixed lexicographic output order."""
-    return np.triu_indices(m)
-
-
 def expand(F, scales) -> np.ndarray:
-    """Linear slots followed by all symmetric products, each divided by its scale."""
+    """Each row of F: its linear slots, then all symmetric products, each divided by its scale."""
     F = np.asarray(F, dtype=float)
     scales = np.asarray(scales, dtype=float)
-    single = F.ndim == 1
-    G = np.atleast_2d(F)
-    m = G.shape[1]
-    if scales.shape != (expansion_size(m),):
+    if F.ndim != 2 or scales.shape != (expansion_size(F.shape[1]),):
         raise ValueError(
-            f"scales must have length {expansion_size(m)} for {m} features,"
-            f" got {scales.shape}"
+            f"expected a matrix of feature rows and one scale per expanded slot,"
+            f" got shapes {F.shape} and {scales.shape}"
         )
     if np.any(scales <= 0):
         raise ValueError("scales must be strictly positive")
-    ii, jj = expansion_pairs(m)
-    out = np.concatenate([G, G[:, ii] * G[:, jj]], axis=1) / scales
-    return out[0] if single else out
+    ii, jj = np.triu_indices(F.shape[1])
+    return np.concatenate([F, F[:, ii] * F[:, jj]], axis=1) / scales
 
 
 @dataclass(frozen=True)
@@ -113,25 +105,22 @@ class Layer:
         return expansion_size(self.m_super)
 
     def super_features(self, F) -> np.ndarray:
-        """Projection step only: (F_0, F_1..F_k) of one feature vector or a matrix of them.
+        """Projection step only: (F_0, F_1..F_k) of every row of the matrix F.
 
         A degenerate (zero) mean direction has no usable F_0; the constant
         feature 1 takes its place so the model keeps a bias slot.
         """
         F = np.asarray(F, dtype=float)
-        single = F.ndim == 1
-        G = np.atleast_2d(F)
-        if G.shape[1] != self.m_in:
-            raise ValueError(f"layer expects width {self.m_in}, got {G.shape[1]}")
+        if F.shape[1:] != (self.m_in,):
+            raise ValueError(f"layer expects rows of width {self.m_in}, got shape {F.shape}")
         if self.degenerate_v0:
-            f0 = np.ones(G.shape[0])
+            f0 = np.ones(F.shape[0])
         else:
-            f0 = (G @ self.v0) / np.linalg.norm(self.v0)
-        out = np.concatenate([f0[:, None], G @ self.u.T], axis=1)
-        return out[0] if single else out
+            f0 = (F @ self.v0) / np.linalg.norm(self.v0)
+        return np.concatenate([f0[:, None], F @ self.u.T], axis=1)
 
     def apply(self, F) -> np.ndarray:
-        """Full layer: projection, quadratic expansion, and scaling."""
+        """Full layer on the rows of F: projection, quadratic expansion, and scaling."""
         return expand(self.super_features(F), self.scales)
 
 
@@ -196,14 +185,12 @@ class RecursiveFeatureMap:
         return self.layers[-1].m_out if self.layers else self.d + 1
 
     def transform(self, X) -> np.ndarray:
-        """Final feature matrix for raw input rows."""
-        Z = self.standardization.design_matrix(np.asarray(X, dtype=float))
-        for layer in self.layers:
-            Z = layer.apply(Z)
-        return Z
+        """Final feature matrix for a matrix of raw input rows."""
+        Z = self.super_features(X)
+        return expand(Z, self.layers[-1].scales) if self.layers else Z
 
     def super_features(self, X) -> np.ndarray:
-        """Last layer's projected features (before products) for raw input rows.
+        """Last layer's projected features (before products) for a matrix of raw input rows.
 
         With no layers this is just the basic feature matrix.
         """

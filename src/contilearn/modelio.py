@@ -64,7 +64,15 @@ def _parser(convert, expected: str):
     return parse
 
 
+def _nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise ValueError(text)
+    return n
+
+
 _parse_int = _parser(int, "an integer")
+_parse_count = _parser(_nonnegative_int, "a non-negative integer")
 _parse_float = _parser(float, "a number")
 _parse_bool = _parser({"true": True, "false": False}.__getitem__, "true or false")
 
@@ -205,13 +213,13 @@ def parse_model(text: str) -> TrainedModel:
     status = take("status")
     if status not in _STATUSES:
         raise ModelFormatError(f"unknown model status {status!r}")
-    d = take("d", _parse_int)
+    d = take("d", _parse_count)
     mean = take("mean", _parse_vector)
     scale = take("scale", _parse_vector)
     r_per_iteration = tuple(take("r_per_iteration", _parse_vector))
     if not all(np.isfinite(r) and r > 0 for r in r_per_iteration):
         raise ModelFormatError("r_per_iteration: entries must be positive finite reals")
-    n_layers = take("n_layers", _parse_int)
+    n_layers = take("n_layers", _parse_count)
 
     try:
         standardization = Standardization(mean, scale)
@@ -219,8 +227,8 @@ def parse_model(text: str) -> TrainedModel:
             raise ModelFormatError("standardization width does not match d")
         layers = []
         for i in range(n_layers):
-            m_in = take(f"layer{i}.m_in", _parse_int)
-            k = take(f"layer{i}.k", _parse_int)
+            m_in = take(f"layer{i}.m_in", _parse_count)
+            k = take(f"layer{i}.k", _parse_count)
             degenerate = take(f"layer{i}.degenerate_v0", _parse_bool)
             v0 = take(f"layer{i}.v0", _parse_vector)
             u = np.array([take(f"layer{i}.u{j}", _parse_vector) for j in range(k)]).reshape(k, m_in)

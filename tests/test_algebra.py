@@ -2,15 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from contilearn.algebra import (
     StructureConstants,
     associativity_residual,
     fit_structure_constants,
-    multiply,
-    power_series,
     reference_algebra,
 )
 from contilearn.errors import DataError, NumericalError
@@ -46,75 +42,22 @@ def test_perturbed_quaternion_product_breaks_associativity():
 
 
 def test_multiply_complex_square():
-    i = np.array([0.0, 1.0])
-    assert np.array_equal(multiply(i, i, COMPLEX), [-1.0, 0.0])
+    # c[a, b] holds the coordinates of the product of basis elements a and b
+    assert np.array_equal(COMPLEX.c[1, 1], [-1.0, 0.0])
 
 
 def test_identity_element_law():
-    rng = np.random.default_rng(30)
-    e = np.array([1.0, 0.0, 0.0, 0.0])
-    for _ in range(5):
-        a = rng.normal(size=4)
-        assert np.allclose(multiply(e, a, QUATERNION), a, atol=1e-12)
-        assert np.allclose(multiply(a, e, QUATERNION), a, atol=1e-12)
+    for sc in (COMPLEX, QUATERNION):
+        eye = np.eye(sc.n)
+        assert np.array_equal(sc.c[0], eye)
+        assert np.array_equal(sc.c[:, 0, :], eye)
 
 
 def test_quaternion_defining_relation():
-    i = np.array([0.0, 1.0, 0.0, 0.0])
-    j = np.array([0.0, 0.0, 1.0, 0.0])
-    k = np.array([0.0, 0.0, 0.0, 1.0])
-    assert np.array_equal(multiply(i, j, QUATERNION), k)
-    assert np.array_equal(multiply(j, i, QUATERNION), -k)
-
-
-@settings(max_examples=60)
-@given(st.floats(-10, 10), st.integers(0, 2**32 - 1))
-def test_multiply_is_bilinear(lam, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=4)
-    b = rng.normal(size=4)
-    left = multiply(lam * a, b, QUATERNION)
-    right = lam * multiply(a, b, QUATERNION)
-    assert np.max(np.abs(left - right)) <= 1e-12 * max(1.0, np.max(np.abs(right)))
-
-
-def test_multiply_dimension_mismatch():
-    with pytest.raises(ValueError):
-        multiply(np.ones(3), np.ones(2), COMPLEX)
-
-
-def test_power_series_square_of_i():
-    A = power_series([0.0, 0.0, 1.0], np.array([0.0, 1.0]), COMPLEX)
-    assert np.array_equal(A, [-1.0, 0.0])
-
-
-def test_power_series_constant_term():
-    A = power_series([1.0], np.array([0.3, -0.7]), COMPLEX)
-    assert np.array_equal(A, [1.0, 0.0])
-
-
-def test_power_series_cube_of_quaternion_i():
-    i = np.array([0.0, 1.0, 0.0, 0.0])
-    A = power_series([0.0, 0.0, 0.0, 1.0], i, QUATERNION)
-    assert np.allclose(A, [0.0, -1.0, 0.0, 0.0], atol=1e-15)
-
-
-def test_power_series_matches_repeated_multiplication():
-    rng = np.random.default_rng(31)
-    a = rng.normal(size=4)
-    a /= np.linalg.norm(a)
-    e = np.array([1.0, 0.0, 0.0, 0.0])
-    power = e
-    for degree in range(6):
-        coeffs = [0.0] * degree + [1.0]
-        assert np.max(np.abs(power_series(coeffs, a, QUATERNION) - power)) <= 1e-10
-        power = multiply(power, a, QUATERNION)
-
-
-def test_power_series_requires_an_identity():
-    c = np.zeros((2, 2, 2))  # the trivial algebra has no identity element
-    with pytest.raises(ValueError, match="identity"):
-        power_series([1.0, 1.0], np.ones(2), StructureConstants(c))
+    i, j, k = 1, 2, 3
+    assert np.array_equal(QUATERNION.c[i, i], [-1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(QUATERNION.c[i, j], np.eye(4)[k])
+    assert np.array_equal(QUATERNION.c[j, i], -np.eye(4)[k])
 
 
 def test_unknown_reference_name():

@@ -369,6 +369,10 @@ NON_FINITE_CASES = [
     ("r_per_iteration", "inf", "r_per_iteration: entries must be positive finite reals"),
     ("r_per_iteration", "-1.0", "r_per_iteration: entries must be positive finite reals"),
     ("r_per_iteration", "0.0", "r_per_iteration: entries must be positive finite reals"),
+    ("d", "-1", "d: expected a non-negative integer, got '-1'"),
+    ("n_layers", "-1", "n_layers: expected a non-negative integer, got '-1'"),
+    ("layer0.m_in", "-1", "layer0.m_in: expected a non-negative integer, got '-1'"),
+    ("layer0.k", "-1", "layer0.k: expected a non-negative integer, got '-1'"),
 ]
 
 
@@ -539,6 +543,24 @@ def test_algebra_reference_quaternion(capsys):
     assert "ok=true" in out
 
 
+@pytest.mark.parametrize("flag", ["--model", "--data"])
+def test_algebra_reference_takes_no_model_or_data(tmp_path, trained, xor_csv, capsys, flag):
+    out = tmp_path / "out.txt"
+    files = {"--model": trained, "--data": xor_csv}
+    argv = ["algebra", "--reference", "quaternion", flag, str(files[flag]), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "contilearn: algebra --reference NAME takes no --model or --data"
+    ]
+    assert not out.exists()
+
+
+def test_algebra_reference_writes_its_line_to_out(tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert main(["algebra", "--reference", "complex", "--out", str(out)]) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
 def test_algebra_unknown_reference(capsys):
     assert main(["algebra", "--reference", "octonion"]) == 1
     assert "unknown algebra" in capsys.readouterr().err
@@ -585,6 +607,18 @@ def test_algebra_requires_a_mode():
 
 
 # ---------------------------------------------------------------- module entry
+
+
+def test_package_root_loads_no_submodule_and_no_numpy():
+    # the CLI is the interface; the root carries only __version__ and imports nothing
+    code = (
+        "import sys, contilearn\n"
+        "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('contilearn.'))\n"
+        "print(contilearn.__version__, loaded)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0.1.0 []\n"
 
 
 def test_module_entrypoint_smoke():

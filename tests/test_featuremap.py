@@ -11,7 +11,6 @@ from contilearn.featuremap import (
     calibrate_layer,
     embed_mean_solution,
     expand,
-    expansion_pairs,
     expansion_size,
 )
 
@@ -55,27 +54,27 @@ def interpolation_residual(fmap, deg, rng):
     return float(np.max(np.abs(basis(X_eval) @ coef - V_eval)))
 
 
-def super_features(v0, u, f):
-    """Projection of the rows f through a layer calibrated on them."""
-    return calibrate_layer(v0, u, np.atleast_2d(f)).super_features(f)
+def super_features(v0, u, F):
+    """Projection of the rows F through a layer calibrated on them."""
+    return calibrate_layer(v0, u, F).super_features(F)
 
 
 def test_super_features_hand_case():
     # F_0 = (2*3 + 0*5)/2 = 3, F_1 = 5
-    out = super_features(np.array([2.0, 0.0]), np.array([[0.0, 1.0]]), np.array([3.0, 5.0]))
-    assert np.array_equal(out, [3.0, 5.0])
+    out = super_features(np.array([2.0, 0.0]), np.array([[0.0, 1.0]]), np.array([[3.0, 5.0]]))
+    assert np.array_equal(out, [[3.0, 5.0]])
 
 
 def test_super_features_orthogonal_input_vanishes():
     v0, u = np.array([1.0, 0.0, 0.0]), np.array([[0.0, 1.0, 0.0]])
-    out = super_features(v0, u, np.array([0.0, 0.0, 7.0]))
-    assert np.array_equal(out, [0.0, 0.0])
+    out = super_features(v0, u, np.array([[0.0, 0.0, 7.0]]))
+    assert np.array_equal(out, [[0.0, 0.0]])
 
 
 def test_super_features_with_no_components():
-    out = super_features(np.array([3.0, 4.0]), np.zeros((0, 2)), np.array([3.0, 4.0]))
-    assert out.shape == (1,)
-    assert np.isclose(out[0], 5.0)
+    out = super_features(np.array([3.0, 4.0]), np.zeros((0, 2)), np.array([[3.0, 4.0]]))
+    assert out.shape == (1, 1)
+    assert np.isclose(out[0, 0], 5.0)
 
 
 def test_super_features_degenerate_mean_warns_once_and_uses_constant():
@@ -104,8 +103,10 @@ def test_mean_whose_norm_underflows_is_degenerate_only_when_flagged():
 
 def test_super_features_dimension_mismatch():
     layer = calibrate_layer(np.ones(2), np.zeros((0, 2)), np.ones((4, 2)))
-    with pytest.raises(ValueError):
-        layer.super_features(np.ones(3))
+    with pytest.raises(ValueError, match="width 2"):
+        layer.super_features(np.ones((1, 3)))
+    with pytest.raises(ValueError, match="width 2"):
+        layer.super_features(np.ones(2))  # a single row must be a one-row matrix
     with pytest.raises(ValueError):
         calibrate_layer(np.ones(2), np.zeros((0, 2)), np.ones((4, 3)))
 
@@ -116,37 +117,40 @@ def test_calibrate_layer_rejects_mismatched_widths():
 
 
 def test_expand_two_features():
-    out = expand(np.array([2.0, 3.0]), np.ones(5))
-    assert np.array_equal(out, [2.0, 3.0, 4.0, 6.0, 9.0])
+    out = expand(np.array([[2.0, 3.0]]), np.ones(5))
+    assert np.array_equal(out, [[2.0, 3.0, 4.0, 6.0, 9.0]])
 
 
 def test_expand_pure_bias_direction():
-    out = expand(np.array([1.0, 0.0, 0.0]), np.ones(9))
-    expected = np.zeros(9)
-    expected[0] = 1.0  # linear bias slot
-    expected[3] = 1.0  # (0, 0) product slot
+    out = expand(np.array([[1.0, 0.0, 0.0]]), np.ones(9))
+    expected = np.zeros((1, 9))
+    expected[0, 0] = 1.0  # linear bias slot
+    expected[0, 3] = 1.0  # (0, 0) product slot
     assert np.array_equal(out, expected)
 
 
 def test_expand_output_width():
     assert expansion_size(3) == 9
-    assert expand(np.ones(3), np.ones(9)).shape == (9,)
+    assert expand(np.ones((4, 3)), np.ones(9)).shape == (4, 9)
 
 
 def test_expand_divides_by_scales():
     scales = np.array([2.0, 4.0, 8.0, 16.0, 32.0])
-    out = expand(np.array([2.0, 4.0]), scales)
-    assert np.array_equal(out, [1.0, 1.0, 0.5, 0.5, 0.5])
+    out = expand(np.array([[2.0, 4.0]]), scales)
+    assert np.array_equal(out, [[1.0, 1.0, 0.5, 0.5, 0.5]])
 
 
 def test_expand_scale_length_mismatch():
     with pytest.raises(ValueError):
-        expand(np.ones(2), np.ones(4))
+        expand(np.ones((1, 2)), np.ones(4))
+    with pytest.raises(ValueError):
+        expand(np.ones(2), np.ones(5))  # a single row must be a one-row matrix
 
 
 def test_expansion_pair_order_is_lexicographic():
-    ii, jj = expansion_pairs(3)
-    assert list(zip(ii, jj)) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    # products of distinct primes name their pair: (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)
+    out = expand(np.array([[2.0, 3.0, 5.0]]), np.ones(9))
+    assert np.array_equal(out[0, 3:], [4.0, 6.0, 10.0, 9.0, 15.0, 25.0])
 
 
 def test_calibrated_scales_give_unit_rms():
@@ -186,7 +190,7 @@ def test_one_layer_matches_symbolic_expansion():
     basis = [one, xs]
     f0_poly = sum(layer.v0[i] * basis[i] for i in range(2)) / np.linalg.norm(layer.v0)
     supers = [f0_poly] + [sum(layer.u[a, i] * basis[i] for i in range(2)) for a in range(layer.k)]
-    ii, jj = expansion_pairs(layer.m_super)
+    ii, jj = np.triu_indices(layer.m_super)
     expanded = supers + [supers[a] * supers[b] for a, b in zip(ii, jj)]
     polys = [p / s for p, s in zip(expanded, layer.scales)]
 
@@ -255,6 +259,16 @@ def test_transform_checks_input_width():
     fmap = RecursiveFeatureMap(std, ())
     with pytest.raises(ValueError):
         fmap.transform(np.zeros((1, 3)))
+
+
+def test_transform_applies_every_layer_in_turn():
+    rng = np.random.default_rng(25)
+    fmap = random_map(rng, d=2, n_layers=2)
+    X = rng.normal(size=(7, 2))
+    Z = fmap.standardization.design_matrix(X)
+    for layer in fmap.layers:
+        Z = layer.apply(Z)
+    assert np.array_equal(fmap.transform(X), Z)
 
 
 def test_super_features_with_and_without_layers():
