@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
+from .featuremap import pair_products
 
 _TINY = float(np.finfo(float).tiny)
 _RIDGE = 1e-10
@@ -121,7 +122,8 @@ def fit_structure_constants(F_samples) -> AlgebraFitReport:
 
     ii, jj = np.triu_indices(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        P = F[:, ii] * F[:, jj]
+        # Fortran order, as F[:, ii] * F[:, jj] would give: np.mean sums in memory order
+        P = pair_products(F, np.empty((n_samples, len(ii)), order="F"))
         G = F.T @ F
         rhs = F.T @ P
         product_rms = float(np.sqrt(np.mean(P * P)))
@@ -132,8 +134,10 @@ def fit_structure_constants(F_samples) -> AlgebraFitReport:
             gev = np.linalg.eigvalsh(G)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("algebra", f"structure-constant fit failed: {exc}") from None
-        defect = P - F @ coef
-        closure = float(np.sqrt(np.mean(defect * defect)))
+        defect = F @ coef
+        np.subtract(P, defect, out=defect)
+        defect *= defect
+        closure = float(np.sqrt(np.mean(defect)))
     if not np.isfinite(closure):
         raise NumericalError("algebra", "structure-constant fit overflowed")
     normalized = closure / max(product_rms, _TINY)

@@ -80,27 +80,35 @@ def cmd_train(args) -> int:
     return 0
 
 
+# rows scored per pass through the layers, so no (n × expanded width) matrix is built
+_BLOCK_ROWS = 8192
+
+
 def _model_features(model: TrainedModel, path, features):
     """``features`` (a method of the model's feature map) of the input rows at ``path``.
 
-    A row whose squared feature norm is not finite (a feature, or a product
-    of two, overflows) raises DataError naming it; no warning is printed.
+    Yields one matrix per block of ``_BLOCK_ROWS`` rows, in file order. A
+    row whose squared feature norm is not finite (a feature, or a product
+    of two, overflows) raises DataError naming its file row; no warning is
+    printed.
     """
     X = load_inputs(path, d=model.feature_map.d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        F = features(X)
-        bad = ~np.isfinite(np.einsum("ij,ij->i", F, F))
-    if bad.any():
-        raise DataError(
-            f"row {int(np.argmax(bad)) + 1}: input too large in magnitude for the model's features"
-        )
-    return F
+    for lo in range(0, X.shape[0], _BLOCK_ROWS):
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = features(X[lo : lo + _BLOCK_ROWS])
+            bad = ~np.isfinite(np.einsum("ij,ij->i", F, F))
+        if bad.any():
+            raise DataError(
+                f"row {lo + int(np.argmax(bad)) + 1}:"
+                " input too large in magnitude for the model's features"
+            )
+        yield F
 
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    probs = predict_prob(model.w, _model_features(model, args.data, model.feature_map.transform))
-    save_predictions(args.out, probs)
+    blocks = _model_features(model, args.data, model.feature_map.transform)
+    save_predictions(args.out, np.concatenate([predict_prob(model.w, F) for F in blocks]))
     return 0
 
 
@@ -125,8 +133,8 @@ def cmd_algebra(args) -> int:
     if not (args.model and args.data and args.out):
         raise ConfigError("algebra needs either --reference NAME or --model, --data and --out")
     model = load_model(args.model)
-    features = _model_features(model, args.data, model.feature_map.super_features)
-    save_algebra_report(args.out, fit_structure_constants(features))
+    blocks = _model_features(model, args.data, model.feature_map.super_features)
+    save_algebra_report(args.out, fit_structure_constants(np.concatenate(list(blocks))))
     return 0
 
 

@@ -45,18 +45,15 @@ class Standardization:
     def d(self) -> int:
         return self.mean.shape[0]
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        """Apply the recorded affine transform to a raw row or matrix of rows."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.d:
-            raise ValueError(f"expected input with {self.d} columns, got shape {x.shape}")
-        return (x - self.mean) / self.scale
+    def transform(self, X: np.ndarray) -> np.ndarray:
+        """Apply the recorded affine transform to a matrix of raw rows."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise ValueError(f"expected a matrix with {self.d} columns, got shape {X.shape}")
+        return (X - self.mean) / self.scale
 
     def design_matrix(self, X: np.ndarray) -> np.ndarray:
         """Basic feature matrix of raw rows: a column of ones, then the standardized entries."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError("design_matrix expects a 2-d array of raw rows")
         Z = self.transform(X)
         return np.hstack([np.ones((Z.shape[0], 1)), Z])
 

@@ -43,8 +43,22 @@ def expand(F, scales) -> np.ndarray:
         )
     if np.any(scales <= 0):
         raise ValueError("scales must be strictly positive")
-    ii, jj = np.triu_indices(F.shape[1])
-    return np.concatenate([F, F[:, ii] * F[:, jj]], axis=1) / scales
+    m = F.shape[1]
+    out = np.empty((F.shape[0], scales.shape[0]))
+    out[:, :m] = F
+    pair_products(F, out[:, m:])
+    out /= scales
+    return out
+
+
+def pair_products(F, out) -> np.ndarray:
+    """Fill the columns of ``out`` with every product F_a * F_b, a <= b, in (a, b) order."""
+    col = 0
+    for a in range(F.shape[1]):
+        width = F.shape[1] - a
+        np.multiply(F[:, a : a + 1], F[:, a:], out=out[:, col : col + width])
+        col += width
+    return out
 
 
 @dataclass(frozen=True)

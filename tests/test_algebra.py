@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from contilearn.algebra import (
+    _RIDGE,
     StructureConstants,
     associativity_residual,
     fit_structure_constants,
@@ -130,3 +131,27 @@ def test_fit_on_a_numerically_singular_gram_matrix_names_the_module():
     F = np.array([[1e8, 2e8], [2e8, 4e8], [3e8, 6e8]])
     with pytest.raises(NumericalError, match="^algebra: "):
         fit_structure_constants(F)
+
+
+def former_fit(F):
+    # the former products and defect: gathered pairs and a fresh defect array
+    n = F.shape[1]
+    ii, jj = np.triu_indices(n)
+    P = F[:, ii] * F[:, jj]
+    coef = np.linalg.solve(F.T @ F + _RIDGE * np.eye(n), F.T @ P)
+    defect = P - F @ coef
+    return np.sqrt(np.mean(P * P)), np.sqrt(np.mean(defect * defect)), coef.T
+
+
+@pytest.mark.parametrize("rows", [1, 7, 8195])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_fit_is_bitwise_the_former_products_and_defect(rows, order):
+    rng = np.random.default_rng(rows)
+    for n in range(1, min(rows, 10) + 1):
+        F = np.asarray(rng.normal(scale=3.0, size=(rows, n)), order=order)
+        report = fit_structure_constants(F)
+        product_rms, closure, coef = former_fit(F)
+        ii, jj = np.triu_indices(n)
+        assert np.float64(report.product_rms).view(np.int64) == product_rms.view(np.int64)
+        assert np.float64(report.closure_residual).view(np.int64) == closure.view(np.int64)
+        assert np.array_equal(report.constants.c[ii, jj].view(np.int64), coef.view(np.int64))

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contilearn.algebra import AlgebraFitReport, StructureConstants
+from contilearn import cli
+from contilearn.algebra import AlgebraFitReport, StructureConstants, fit_structure_constants
 from contilearn.cli import main
 from contilearn.data import load_csv, load_inputs
 from contilearn.engine import IterationReport
@@ -17,6 +18,7 @@ from contilearn.model import predict_prob
 from contilearn.modelio import (
     CONFIG_KEYS,
     RunConfig,
+    TrainedModel,
     format_model,
     format_report_line,
     load_model,
@@ -24,7 +26,10 @@ from contilearn.modelio import (
     parse_report_line,
     parse_run_config,
     save_algebra_report,
+    save_model,
+    save_predictions,
 )
+from tests.conftest import DEEP_CONFIG
 
 XOR_CONFIG = """\
 # one expansion round on the parity fixture
@@ -604,6 +609,79 @@ def test_algebra_report_bytes(tmp_path, ill):
 
 def test_algebra_requires_a_mode():
     assert main(["algebra"]) == 1
+
+
+# ---------------------------------------------------------------- blocked scoring
+
+B = cli._BLOCK_ROWS
+
+
+@pytest.fixture(scope="module")
+def deep_model(tmp_path_factory, multi_iter_run):
+    """The three-layer model of the deep acceptance run, as a model file."""
+    result = multi_iter_run
+    model = TrainedModel(
+        feature_map=result.feature_map,
+        w=result.w,
+        r_per_iteration=tuple(rep.r for rep in result.reports),
+        status=result.status,
+        config=RunConfig(**dataclasses.asdict(DEEP_CONFIG)),
+    )
+    path = tmp_path_factory.mktemp("deep") / "deep.model"
+    save_model(path, model)
+    return path
+
+
+def _score_rows(tmp_path, model_path, n, seed):
+    """Predict and fit the algebra on n random rows; returns the CSV path and both outputs."""
+    rows = tmp_path / "rows.csv"
+    np.savetxt(rows, np.random.default_rng(seed).normal(size=(n, 2)), fmt="%.17g", delimiter=",")
+    outputs = []
+    for command in ("predict", "algebra"):
+        out = tmp_path / f"rows.{command}"
+        argv = [command, "--model", str(model_path), "--data", str(rows), "--out", str(out)]
+        assert main(argv) == 0
+        outputs.append(out)
+    return rows, *outputs
+
+
+def test_a_file_within_one_block_is_scored_whole(tmp_path, deep_model):
+    rows, probs, algebra = _score_rows(tmp_path, deep_model, B - 1, seed=41)
+    model = load_model(deep_model)
+    X = load_inputs(rows, d=model.feature_map.d)
+    expected = tmp_path / "expected"
+    save_predictions(expected, predict_prob(model.w, model.feature_map.transform(X)))
+    assert probs.read_bytes() == expected.read_bytes()
+    save_algebra_report(expected, fit_structure_constants(model.feature_map.super_features(X)))
+    assert algebra.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("n", [B + 1, 2 * B + 1])
+def test_blocks_score_within_rounding_of_the_whole_file(tmp_path, deep_model, n):
+    rows, probs, _ = _score_rows(tmp_path, deep_model, n, seed=n)
+    model = load_model(deep_model)
+    fmap = model.feature_map
+    X = load_inputs(rows, d=fmap.d)
+    written = np.array([float(line) for line in probs.read_text().splitlines()])
+    whole = predict_prob(model.w, fmap.transform(X))
+    assert np.max(np.abs(written - whole)) <= 2 * np.finfo(float).eps
+    Z = fmap.super_features(X)
+    blocked = np.concatenate(list(cli._model_features(model, rows, fmap.super_features)))
+    assert np.all(np.abs(blocked - Z) <= 1e-13 * np.maximum(1.0, np.abs(Z)))
+
+
+@pytest.mark.parametrize("command", ["predict", "algebra"])
+def test_a_huge_row_past_the_first_block_is_named_by_its_file_row(
+    tmp_path, trained, capsys, command
+):
+    rows = ["0.5,0.5\n"] * (B + 5)
+    rows[B + 2] = "1e300,1e300\n"
+    code, err, wrote = _huge_input_exit(tmp_path, trained, command, "".join(rows), capsys)
+    assert code == 2
+    assert err == [
+        f"contilearn: row {B + 3}: input too large in magnitude for the model's features"
+    ]
+    assert not wrote
 
 
 # ---------------------------------------------------------------- module entry

@@ -124,6 +124,8 @@ def test_basic_features_dimension_mismatch():
     std = Standardization(np.zeros(2), np.ones(2))
     with pytest.raises(ValueError):
         std.design_matrix(np.array([[1.0, 2.0, 3.0]]))
+    with pytest.raises(ValueError):
+        std.transform(np.array([1.0, 2.0]))  # a single row must be a one-row matrix
 
 
 def test_scales_must_be_positive():

@@ -153,6 +153,31 @@ def test_expansion_pair_order_is_lexicographic():
     assert np.array_equal(out[0, 3:], [4.0, 6.0, 10.0, 9.0, 15.0, 25.0])
 
 
+def concatenated_expand(F, scales):
+    # the former one-line expansion: gathered product pairs, concatenated, then divided
+    ii, jj = np.triu_indices(F.shape[1])
+    return np.concatenate([F, F[:, ii] * F[:, jj]], axis=1) / scales
+
+
+# signed zeros, a subnormal, and values whose products overflow or are not numbers
+EDGES = [0.0, -0.0, 5e-324, 1e200, -1e200, np.inf, np.nan, 1.0]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 8195])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_expand_is_bitwise_the_concatenated_formula(rows, order):
+    rng = np.random.default_rng(rows)
+    for m in range(1, 11):
+        F = rng.normal(scale=3.0, size=(rows, m))
+        F.flat[: len(EDGES)] = EDGES[: F.size]
+        F = np.asarray(F, order=order)
+        scales = rng.uniform(0.1, 10.0, size=expansion_size(m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, expected = expand(F, scales), concatenated_expand(F, scales)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+
 def test_calibrated_scales_give_unit_rms():
     rng = np.random.default_rng(20)
     F = np.hstack([np.ones((30, 1)), rng.normal(size=(30, 2))])

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from contilearn import cli
 from contilearn.cli import main
 
 FUZZ = settings(
@@ -106,9 +107,7 @@ def mutated_models(draw, text):
     return "\n".join(lines) + "\n"
 
 
-@FUZZ
-@given(data=st.data())
-def test_mutated_models_keep_the_exit_code_contract(workdir, data):
+def check_mutated_model(workdir, data):
     text = (workdir / "base.model").read_text()
     model = workdir / "mutated.model"
     model.write_bytes(data.draw(encoded(mutated_models(text))))
@@ -120,6 +119,20 @@ def test_mutated_models_keep_the_exit_code_contract(workdir, data):
         if command == "predict" and code == 0:
             probs = [float(line) for line in out.read_text().splitlines()]
             assert all(0.0 < p < 1.0 for p in probs), probs
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_models_keep_the_exit_code_contract(workdir, data):
+    check_mutated_model(workdir, data)
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_models_keep_the_exit_code_contract_across_blocks(workdir, monkeypatch, data):
+    # two-row blocks, so every fuzz file spans several blocks
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
+    check_mutated_model(workdir, data)
 
 
 # key patterns of the model file's whole arrays; a layer's u rows form one array
@@ -139,9 +152,7 @@ def scale_array(text, pattern, k):
     return "\n".join(lines) + "\n"
 
 
-@FUZZ
-@given(array=st.sampled_from(ARRAYS), k=st.integers(-300, 300), rows=INPUTS)
-def test_scaled_model_arrays_blame_the_model(workdir, array, k, rows):
+def check_scaled_model(workdir, array, k, rows):
     """A map scaled out of range is a model error (exit 1) on the plain fixture rows.
 
     Scaling ``mean`` or ``scale`` instead yields a valid standardization of
@@ -161,6 +172,19 @@ def test_scaled_model_arrays_blame_the_model(workdir, array, k, rows):
         if command == "predict" and code == 0:
             probs = [float(line) for line in out.read_text().splitlines()]
             assert all(0.0 < p < 1.0 for p in probs), probs
+
+
+@FUZZ
+@given(array=st.sampled_from(ARRAYS), k=st.integers(-300, 300), rows=INPUTS)
+def test_scaled_model_arrays_blame_the_model(workdir, array, k, rows):
+    check_scaled_model(workdir, array, k, rows)
+
+
+@FUZZ
+@given(array=st.sampled_from(ARRAYS), k=st.integers(-300, 300), rows=INPUTS)
+def test_scaled_model_arrays_blame_the_model_across_blocks(workdir, monkeypatch, array, k, rows):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
+    check_scaled_model(workdir, array, k, rows)
 
 
 CONFIG_VALUES = {
