@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import featuremap
 from .errors import DataError, NumericalError
 from .featuremap import pair_products
 
 _TINY = float(np.finfo(float).tiny)
-_RIDGE = 1e-10
+_RIDGE = 1e-12  # relative: the equilibrated Gram matrix has a unit diagonal
 _COND_LIMIT = 1e12
 
 
@@ -104,12 +105,15 @@ def fit_structure_constants(F_samples) -> AlgebraFitReport:
 
     For each unordered pair (a, b) the product column F_a * F_b is projected
     onto the span of the feature columns. The constants are symmetric in
-    (a, b) by construction since pointwise products commute. A rank-deficient
-    sample matrix is flagged as ill-conditioned; the absolute damping
-    ``_RIDGE`` keeps its fit defined only while the Gram entries are small
-    enough for it to survive rounding. Fewer rows than features, or features
-    whose products overflow, raise DataError; a Gram matrix that is singular
-    even with the damping (large entries swamp it) raises NumericalError.
+    (a, b) by construction since pointwise products commute. The rows are
+    read in blocks of ``featuremap.BLOCK_ROWS``: one pass accumulates the
+    Gram matrix G, the right-hand side and the products' sum of squares, a
+    second the defect, so no (samples x pairs) array is built. G is
+    equilibrated by its diagonal before the relative damping ``_RIDGE`` is
+    added, which keeps the fit defined at any feature scale; the sample
+    matrix is flagged ill-conditioned from the eigenvalues of that
+    equilibrated G. Fewer rows than features, or features whose products
+    overflow, raise DataError.
     """
     F = np.asarray(F_samples, dtype=float)
     if F.ndim != 2:
@@ -121,23 +125,43 @@ def fit_structure_constants(F_samples) -> AlgebraFitReport:
         )
 
     ii, jj = np.triu_indices(n)
+    rows = featuremap.BLOCK_ROWS
+    # one block's products, Fortran order so pair_products fills whole columns
+    P = np.empty((min(rows, n_samples), len(ii)), order="F")
+
+    def blocks():
+        for lo in range(0, n_samples, rows):
+            Fb = F[lo : lo + rows]
+            yield Fb, pair_products(Fb, P[: len(Fb)])
+
+    G = np.zeros((n, n))
+    rhs = np.zeros((n, len(ii)))
+    product_sq = closure_sq = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        # Fortran order, as F[:, ii] * F[:, jj] would give: np.mean sums in memory order
-        P = pair_products(F, np.empty((n_samples, len(ii)), order="F"))
-        G = F.T @ F
-        rhs = F.T @ P
-        product_rms = float(np.sqrt(np.mean(P * P)))
+        for Fb, Pb in blocks():
+            G += Fb.T @ Fb
+            rhs += Fb.T @ Pb
+            Pb *= Pb
+            product_sq += Pb.sum()
+        product_rms = float(np.sqrt(product_sq / (n_samples * len(ii))))
         if not (np.isfinite(product_rms) and np.isfinite(G).all() and np.isfinite(rhs).all()):
             raise DataError("feature values too large in magnitude to fit their products")
-        try:
-            coef = np.linalg.solve(G + _RIDGE * np.eye(n), rhs)
-            gev = np.linalg.eigvalsh(G)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("algebra", f"structure-constant fit failed: {exc}") from None
-        defect = F @ coef
-        np.subtract(P, defect, out=defect)
-        defect *= defect
-        closure = float(np.sqrt(np.mean(defect)))
+
+        d = np.sqrt(np.diag(G))
+        d[d == 0.0] = 1.0
+        # divide twice rather than by d d^T, whose entries can underflow
+        A = G / d[:, None] / d
+        gev = np.linalg.eigvalsh(A)
+        A[np.diag_indices(n)] += _RIDGE
+        coef = np.linalg.solve(A, rhs / d[:, None]) / d[:, None]
+
+        defect = np.empty_like(P)
+        for Fb, Pb in blocks():
+            Db = np.matmul(Fb, coef, out=defect[: len(Fb)])
+            Db -= Pb
+            Db *= Db
+            closure_sq += Db.sum()
+        closure = float(np.sqrt(closure_sq / (n_samples * len(ii))))
     if not np.isfinite(closure):
         raise NumericalError("algebra", "structure-constant fit overflowed")
     normalized = closure / max(product_rms, _TINY)

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import featuremap
 from .algebra import associativity_residual, fit_structure_constants, reference_algebra
 from .data import load_csv, load_inputs
 from .engine import run
@@ -80,22 +81,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-# rows scored per pass through the layers, so no (n × expanded width) matrix is built
-_BLOCK_ROWS = 8192
-
-
 def _model_features(model: TrainedModel, path, features):
     """``features`` (a method of the model's feature map) of the input rows at ``path``.
 
-    Yields one matrix per block of ``_BLOCK_ROWS`` rows, in file order. A
-    row whose squared feature norm is not finite (a feature, or a product
-    of two, overflows) raises DataError naming its file row; no warning is
-    printed.
+    Yields one matrix per block of ``featuremap.BLOCK_ROWS`` rows, in file
+    order. A row whose squared feature norm is not finite (a feature, or a
+    product of two, overflows) raises DataError naming its file row; no
+    warning is printed.
     """
     X = load_inputs(path, d=model.feature_map.d)
-    for lo in range(0, X.shape[0], _BLOCK_ROWS):
+    rows = featuremap.BLOCK_ROWS
+    for lo in range(0, X.shape[0], rows):
         with np.errstate(over="ignore", invalid="ignore"):
-            F = features(X[lo : lo + _BLOCK_ROWS])
+            F = features(X[lo : lo + rows])
             bad = ~np.isfinite(np.einsum("ij,ij->i", F, F))
         if bad.any():
             raise DataError(

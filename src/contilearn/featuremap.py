@@ -25,6 +25,8 @@ import numpy as np
 from .data import Standardization
 
 _ORTHO_TOL = 1e-10
+# rows per pass for scoring and the algebra fit, so no (rows × expanded width) matrix is built
+BLOCK_ROWS = 8192
 
 
 def expansion_size(m: int) -> int:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contilearn import cli
+from contilearn import cli, featuremap
 from contilearn.algebra import AlgebraFitReport, StructureConstants, fit_structure_constants
 from contilearn.cli import main
 from contilearn.data import load_csv, load_inputs
@@ -613,7 +613,7 @@ def test_algebra_requires_a_mode():
 
 # ---------------------------------------------------------------- blocked scoring
 
-B = cli._BLOCK_ROWS
+B = featuremap.BLOCK_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -666,7 +666,9 @@ def test_blocks_score_within_rounding_of_the_whole_file(tmp_path, deep_model, n)
     whole = predict_prob(model.w, fmap.transform(X))
     assert np.max(np.abs(written - whole)) <= 2 * np.finfo(float).eps
     Z = fmap.super_features(X)
-    blocked = np.concatenate(list(cli._model_features(model, rows, fmap.super_features)))
+    blocks = list(cli._model_features(model, rows, fmap.super_features))
+    assert [len(F) for F in blocks] == [B] * (n // B) + [n % B]
+    blocked = np.concatenate(blocks)
     assert np.all(np.abs(blocked - Z) <= 1e-13 * np.maximum(1.0, np.abs(Z)))
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from contilearn import cli
+from contilearn import algebra, cli, featuremap
 from contilearn.cli import main
 
 FUZZ = settings(
@@ -127,11 +127,45 @@ def test_mutated_models_keep_the_exit_code_contract(workdir, data):
     check_mutated_model(workdir, data)
 
 
+@pytest.fixture
+def two_row_blocks(monkeypatch):
+    """Two-row blocks, so every fuzz file spans several; yields the rows of each block read.
+
+    Blocks are counted where prediction reduces them (``cli.predict_prob``)
+    and where the algebra fit forms their products (``algebra.pair_products``).
+    """
+    seen = []
+    predict_prob, pair_products = cli.predict_prob, algebra.pair_products
+
+    def counted_predict_prob(w, F):
+        seen.append(len(F))
+        return predict_prob(w, F)
+
+    def counted_pair_products(F, out):
+        seen.append(len(F))
+        return pair_products(F, out)
+
+    monkeypatch.setattr(featuremap, "BLOCK_ROWS", 2)
+    monkeypatch.setattr(cli, "predict_prob", counted_predict_prob)
+    monkeypatch.setattr(algebra, "pair_products", counted_pair_products)
+    yield seen
+    assert all(rows <= 2 for rows in seen), seen
+
+
+def test_two_row_blocks_split_scoring_and_the_algebra_fit(workdir, two_row_blocks):
+    rows = workdir / "blocks.csv"
+    rows.write_text(PREDICT_ROWS)
+    for command in ("predict", "algebra"):
+        out = workdir / f"blocks.{command}"
+        argv = [command, "--model", str(workdir / "base.model"), "--data", str(rows)]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+    # four blocks of the eight rows: once to predict, twice in the fit (normal equations, defect)
+    assert two_row_blocks == [2] * 12
+
+
 @FUZZ
 @given(data=st.data())
-def test_mutated_models_keep_the_exit_code_contract_across_blocks(workdir, monkeypatch, data):
-    # two-row blocks, so every fuzz file spans several blocks
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
+def test_mutated_models_keep_the_exit_code_contract_across_blocks(workdir, two_row_blocks, data):
     check_mutated_model(workdir, data)
 
 
@@ -182,9 +216,27 @@ def test_scaled_model_arrays_blame_the_model(workdir, array, k, rows):
 
 @FUZZ
 @given(array=st.sampled_from(ARRAYS), k=st.integers(-300, 300), rows=INPUTS)
-def test_scaled_model_arrays_blame_the_model_across_blocks(workdir, monkeypatch, array, k, rows):
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
+def test_scaled_model_arrays_blame_the_model_across_blocks(
+    workdir, two_row_blocks, array, k, rows
+):
     check_scaled_model(workdir, array, k, rows)
+
+
+@pytest.mark.parametrize("array", STANDARDIZATION)
+def test_rows_standardized_to_nearly_one_point_fit_their_algebra(workdir, array):
+    # mean x 10^k or scale x 10^-k puts every fixture row far from the mean in
+    # standard units; an absolute ridge was lost in the Gram matrix's rounding
+    sign = 1 if array == "mean" else -1
+    rows = workdir / "scaled.csv"
+    rows.write_text(PREDICT_ROWS)
+    failed = []
+    for k in range(4, 74):
+        model = workdir / "scaled.model"
+        model.write_text(scale_array((workdir / "base.model").read_text(), array, sign * k))
+        argv = ["algebra", "--model", str(model), "--data", str(rows)]
+        if run_cli(argv + ["--out", str(workdir / "scaled.algebra")]) != 0:
+            failed.append(k)
+    assert failed == []
 
 
 CONFIG_VALUES = {
