@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Disk-membership experiment: a quadratic boundary learned in one expansion round."""
 
-from contilearn.data import Dataset, fit_standardization
+from contilearn.data import Dataset
 from contilearn.engine import EngineConfig, run
 from contilearn.modelio import format_report_line
 from contilearn.synthetic import circle_dataset
@@ -9,8 +9,7 @@ from contilearn.synthetic import circle_dataset
 
 def main() -> None:
     X, y = circle_dataset()
-    std = fit_standardization(X)
-    dataset = Dataset(y, std.transform(X), std)
+    dataset = Dataset(y, X)
 
     result = run(dataset, EngineConfig(n_iters=1, seed=2024, algebra_check=True))
     print(f"status: {result.status}")

@@ -8,7 +8,7 @@ trained model's probabilities on the four clean cells.
 
 import numpy as np
 
-from contilearn.data import Dataset, fit_standardization
+from contilearn.data import Dataset
 from contilearn.engine import EngineConfig, run
 from contilearn.model import predict_prob
 from contilearn.modelio import format_report_line
@@ -17,8 +17,7 @@ from contilearn.synthetic import xor_dataset
 
 def main() -> None:
     X, y = xor_dataset()
-    std = fit_standardization(X)
-    dataset = Dataset(y, std.transform(X), std)
+    dataset = Dataset(y, X)
 
     for n_iters in (0, 1):
         result = run(dataset, EngineConfig(n_iters=n_iters, seed=2024, algebra_check=True))

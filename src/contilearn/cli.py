@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -46,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--data", required=True, help="training CSV (label in the last column)")
     train.add_argument("--config", required=True, help="flat key=value run configuration")
     train.add_argument("--out", required=True, help="model path; the report goes to <out>.report")
-    train.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     predict = sub.add_parser("predict", help="write P(y=1) for every input row")
     predict.add_argument("--model", required=True)
@@ -65,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     dataset = load_csv(args.data, has_header=config.has_header)
     result = run(dataset, config)
     model = TrainedModel(

@@ -1,16 +1,16 @@
 """Loading, validation, and standardization of binary-labelled tabular data.
 
 CSV rows hold d numeric inputs followed by a 0/1 label in the last column.
-Inputs are standardized column-wise at load time (constant columns keep
-scale 1) and the fitted mean/scale pair is recorded on the dataset so that
-prediction-time inputs can be pushed through the exact same transform.
+A ``Dataset`` fits the column-wise standardization of its raw rows (constant
+columns keep scale 1) and records the fitted mean/scale pair, so that
+prediction-time inputs are pushed through the exact same transform.
 """
 
 from __future__ import annotations
 
 import warnings
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -80,38 +80,42 @@ def fit_standardization(X: np.ndarray) -> Standardization:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable training corpus: standardized inputs plus exact 0/1 labels."""
+    """Immutable training corpus built from raw input rows ``X`` and exact 0/1 labels ``y``.
+
+    ``standardization`` is fitted on ``X`` as passed, and ``F``, its basic feature
+    matrix of ``X``, is the matrix the engine trains on. Fewer than two rows is a
+    DataError; a single label class is permitted but warns, as nothing can be learned.
+    """
 
     y: np.ndarray
-    inputs: np.ndarray
-    standardization: Standardization
+    X: InitVar[np.ndarray]
+    standardization: Standardization = field(init=False)
+    F: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        # contiguous copies so results do not depend on the caller's array layout
+    def __post_init__(self, X) -> None:
         y = np.ascontiguousarray(self.y, dtype=float)
-        inputs = np.ascontiguousarray(self.inputs, dtype=float)
-        if y.ndim != 1 or inputs.ndim != 2 or inputs.shape[0] != y.shape[0]:
+        X = np.asarray(X, dtype=float)
+        if y.ndim != 1 or X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise ValueError("labels and inputs must agree on the sample count")
-        if inputs.shape[1] != self.standardization.d:
-            raise ValueError("input width does not match the standardization")
         if not np.all((y == 0.0) | (y == 1.0)):
             raise ValueError("labels must be exactly 0 or 1")
-        if not np.all(np.isfinite(inputs)):
+        if not np.all(np.isfinite(X)):
             raise ValueError("inputs must be finite")
+        if y.shape[0] < 2:
+            raise DataError("training data needs at least 2 samples")
+        if np.all(y == y[0]):
+            # level 3 is the caller of the generated __init__
+            warnings.warn(
+                f"training data contains a single label class ({int(y[0])})", stacklevel=3
+            )
+        standardization = fit_standardization(X)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "inputs", inputs)
-
-    @property
-    def d(self) -> int:
-        return self.inputs.shape[1]
+        object.__setattr__(self, "standardization", standardization)
+        object.__setattr__(self, "F", standardization.design_matrix(X))
 
     @property
     def t_max(self) -> int:
-        return self.inputs.shape[0]
-
-    def design_matrix(self) -> np.ndarray:
-        """Basic feature matrix: bias column of ones, then the standardized inputs."""
-        return np.hstack([np.ones((self.t_max, 1)), self.inputs])
+        return self.F.shape[0]
 
 
 def read_text(path, kind: str, error) -> str:
@@ -169,29 +173,18 @@ def _read_numeric_rows(path, has_header: bool) -> np.ndarray:
 
 
 def load_csv(path, has_header: bool = False) -> Dataset:
-    """Load a training CSV (label in the last column) and standardize its inputs.
+    """Load a training CSV (label in the last column) as a Dataset of its raw rows.
 
-    Raises DataError for parse failures (naming the offending row), non-binary
-    labels, or fewer than two samples. A dataset with only one label class is
-    permitted but triggers a warning since nothing can be learned from it.
+    Raises DataError for parse failures and non-binary labels (naming the
+    offending row), and for everything ``Dataset`` raises DataError for.
     """
     M = _read_numeric_rows(path, has_header)
-    if M.shape[1] < 1:
-        raise DataError("rows must contain at least a label column")
     raw, labels = M[:, :-1], M[:, -1]
     bad = (labels != 0.0) & (labels != 1.0)
     if bad.any():
         i = int(np.argmax(bad))
         raise DataError(f"row {i + 1 + int(has_header)}: label must be 0 or 1, got {labels[i]}")
-    if M.shape[0] < 2:
-        raise DataError("training data needs at least 2 samples")
-    if np.all(labels == labels[0]):
-        warnings.warn(
-            f"training data contains a single label class ({int(labels[0])})",
-            stacklevel=2,
-        )
-    standardization = fit_standardization(raw)
-    return Dataset(labels, standardization.transform(raw), standardization)
+    return Dataset(labels, raw)
 
 
 def load_inputs(path, d: int) -> np.ndarray:

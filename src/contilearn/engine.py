@@ -174,7 +174,7 @@ def run(dataset: Dataset, config: EngineConfig) -> EngineResult:
     tolerance and the remaining cycles were skipped).
     """
     y = dataset.y
-    F = dataset.design_matrix()
+    F = dataset.F
     w_init = np.zeros(F.shape[1])
     layers: list[Layer] = []
     reports: list[IterationReport] = []

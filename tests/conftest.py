@@ -3,14 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from contilearn.data import Dataset, fit_standardization, load_csv
+from contilearn.data import Dataset, load_csv
 from contilearn.engine import EngineConfig, run
 from contilearn.synthetic import circle_dataset, write_csv, xor_dataset
-
-
-def dataset_from_arrays(X, y) -> Dataset:
-    std = fit_standardization(X)
-    return Dataset(y, std.transform(X), std)
 
 
 def random_instance(rng, t_max=None, m=None):
@@ -27,7 +22,7 @@ def deep_dataset() -> Dataset:
     rng = np.random.default_rng(50)
     X = rng.normal(size=(60, 2))
     y = (X[:, 0] * X[:, 1] + 0.2 * rng.normal(size=60) > 0).astype(float)
-    return dataset_from_arrays(X, y)
+    return Dataset(y, X)
 
 
 DEEP_CONFIG = EngineConfig(n_iters=3, seed=13, k_max=8)

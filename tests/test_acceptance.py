@@ -59,7 +59,7 @@ def all_reports(xor_run0, xor_run1, circle_run1, multi_iter_run):
 
 def quadratic_oracle_accuracy(dataset, ridge=1e-3):
     """Independent check: logistic fit on explicit quadratic features via scipy."""
-    B = np.hstack([np.ones((dataset.t_max, 1)), dataset.inputs])
+    B = dataset.F
     m = B.shape[1]
     cols = [B[:, a] * B[:, b] for a in range(m) for b in range(a, m)]
     Phi = np.column_stack(cols)

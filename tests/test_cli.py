@@ -144,12 +144,16 @@ def test_config_range_is_checked_when_built(tmp_path, xor_csv, xor_config, capsy
         RunConfig(n_replicates=1)
     with pytest.raises(ConfigError, match="grad_tol"):
         parse_run_config("grad_tol = 0\n")
-    argv = ["train", "--data", str(xor_csv), "--config", str(xor_config), "--seed", "-5"]
-    code = main(argv + ["--out", str(tmp_path / "m")])
-    assert code == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "contilearn: seed must be an unsigned 64-bit integer"
-    ]
+    for line, message in [
+        ("seed = -5", "seed must be an unsigned 64-bit integer"),
+        ("k_max = 0", "k_max must be at least 1"),
+        ("algebra_stop_tol = -1", "algebra_stop_tol must be non-negative"),
+    ]:
+        config = tmp_path / "range.cfg"
+        config.write_text(f"{line}\n")
+        argv = ["train", "--data", str(xor_csv), "--config", str(config)]
+        assert main(argv + ["--out", str(tmp_path / "m")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"contilearn: {message}"]
 
 
 def test_missing_config_file(tmp_path):
@@ -313,25 +317,15 @@ def test_same_seed_gives_byte_identical_models(tmp_path, xor_csv, xor_config):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_seed_flag_overrides_config(tmp_path, xor_csv, xor_config):
-    out_a = tmp_path / "a.model"
-    out_b = tmp_path / "b.model"
-    main(["train", "--data", str(xor_csv), "--config", str(xor_config), "--out", str(out_a)])
-    main(
-        [
-            "train",
-            "--data",
-            str(xor_csv),
-            "--config",
-            str(xor_config),
-            "--out",
-            str(out_b),
-            "--seed",
-            "777",
-        ]
-    )
-    assert load_model(out_a).config.seed == 2024
-    assert load_model(out_b).config.seed == 777
+def test_seed_flag_is_a_usage_error(tmp_path, xor_csv, xor_config, capsys):
+    # the seed has one source, the config's seed key
+    out = tmp_path / "m"
+    argv = ["train", "--data", str(xor_csv), "--config", str(xor_config), "--out", str(out)]
+    assert main(argv + ["--seed", "7"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "contilearn: unrecognized arguments: --seed 7"
+    ]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- model file
@@ -378,7 +372,21 @@ NON_FINITE_CASES = [
     ("n_layers", "-1", "n_layers: expected a non-negative integer, got '-1'"),
     ("layer0.m_in", "-1", "layer0.m_in: expected a non-negative integer, got '-1'"),
     ("layer0.k", "-1", "layer0.k: expected a non-negative integer, got '-1'"),
+    ("mean", "nan", "standardization parameters must be finite"),
+    ("scale", "inf", "standardization parameters must be finite"),
+    ("status", "bogus", "unknown model status 'bogus'"),
 ]
+
+
+def _model_error_lines(tmp_path, xor_csv, capsys, command, text):
+    """Stderr lines of ``command`` on the model ``text``, which must exit 1 and write nothing."""
+    broken = tmp_path / "broken.model"
+    broken.write_text(text)
+    out = tmp_path / "out.txt"
+    argv = [command, "--model", str(broken), "--data", str(xor_csv), "--out", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    return capsys.readouterr().err.splitlines()
 
 
 @pytest.mark.parametrize("command", ["predict", "algebra"])
@@ -392,13 +400,34 @@ def test_non_finite_model_value_is_a_model_error(
     first_entry = rf"^{re.escape(key)} = [^,\n]*"
     text, n = re.subn(first_entry, f"{key} = {value}", trained.read_text(), flags=re.M)
     assert n == 1
-    broken = tmp_path / "broken.model"
-    broken.write_text(text)
-    out = tmp_path / "out.txt"
-    argv = [command, "--model", str(broken), "--data", str(xor_csv), "--out", str(out)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err.splitlines() == [f"contilearn: {message}"]
-    assert not out.exists()
+    assert _model_error_lines(tmp_path, xor_csv, capsys, command, text) == [
+        f"contilearn: {message}"
+    ]
+
+
+# the vector field each case makes one entry short (-1) or long (+1), and the line naming it
+WIDTH_CASES = [
+    ("w", -1, "parameter vector has 13 entries, the feature map emits 14"),
+    ("layer0.v0", +1, "layer0.v0 width does not match layer0.m_in"),
+    ("mean", +1, "mean and scale must be 1-d arrays of the same length"),
+]
+
+
+@pytest.mark.parametrize("command", ["predict", "algebra"])
+@pytest.mark.parametrize(
+    "key, change, message", WIDTH_CASES, ids=[f"{k}{c:+d}" for k, c, _ in WIDTH_CASES]
+)
+def test_model_vector_of_the_wrong_width_is_a_model_error(
+    tmp_path, trained, xor_csv, capsys, command, key, change, message
+):
+    line = rf"^{re.escape(key)} = (.*)$"
+    entries = re.search(line, trained.read_text(), flags=re.M).group(1).split(",")
+    entries = entries[:-1] if change < 0 else entries + ["0.5"]
+    text, n = re.subn(line, f"{key} = {','.join(entries)}", trained.read_text(), flags=re.M)
+    assert n == 1
+    assert _model_error_lines(tmp_path, xor_csv, capsys, command, text) == [
+        f"contilearn: {message}"
+    ]
 
 
 @pytest.mark.parametrize("command", ["predict", "algebra"])
@@ -408,15 +437,9 @@ def test_tiny_v0_is_blamed_on_its_magnitude(tmp_path, trained, xor_csv, capsys, 
         r"^layer0\.v0 = .*$", "layer0.v0 = 1e-200,-2e-200,3e-200", trained.read_text(), flags=re.M
     )
     assert n == 1
-    broken = tmp_path / "broken.model"
-    broken.write_text(text)
-    out = tmp_path / "out.txt"
-    argv = [command, "--model", str(broken), "--data", str(xor_csv), "--out", str(out)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err.splitlines() == [
+    assert _model_error_lines(tmp_path, xor_csv, capsys, command, text) == [
         "contilearn: layer0: v0 too small in magnitude to normalize"
     ]
-    assert not out.exists()
 
 
 # ---------------------------------------------------------------- predict

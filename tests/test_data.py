@@ -15,6 +15,7 @@ from contilearn.data import (
     read_text,
 )
 from contilearn.errors import DataError
+from contilearn.featuremap import RecursiveFeatureMap
 from contilearn.model import _ALMOST_ONE, _TINY
 from contilearn.modelio import save_predictions
 
@@ -25,7 +26,7 @@ def test_load_xor_table(tmp_path):
     path = tmp_path / "xor.csv"
     path.write_text(XOR_ROWS)
     ds = load_csv(path)
-    assert ds.d == 2
+    assert ds.standardization.d == 2
     assert ds.t_max == 4
     assert np.array_equal(ds.y, [0.0, 1.0, 1.0, 0.0])
 
@@ -104,7 +105,7 @@ def test_constant_column_standardizes_to_zero(tmp_path):
     path = tmp_path / "const.csv"
     path.write_text("5.0,1.0,0\n5.0,2.0,1\n5.0,3.0,0\n")
     ds = load_csv(path)
-    assert np.array_equal(ds.inputs[:, 0], [0.0, 0.0, 0.0])
+    assert np.array_equal(ds.F[:, 1], [0.0, 0.0, 0.0])
     assert ds.standardization.scale[0] == 1.0
 
 
@@ -162,6 +163,7 @@ def test_recorded_transform_is_reproducible():
 
 
 def test_load_then_predict_transform_bitwise_equal(tmp_path):
+    # the engine trains on ds.F; a model without layers scores the same rows as exactly that
     rng = np.random.default_rng(2)
     X = rng.normal(size=(12, 3))
     y = rng.integers(0, 2, size=12).astype(float)
@@ -172,7 +174,7 @@ def test_load_then_predict_transform_bitwise_equal(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     ds = load_csv(path)
     raw = load_inputs(path, d=3)
-    assert np.array_equal(ds.standardization.transform(raw), ds.inputs)
+    assert np.array_equal(ds.F, RecursiveFeatureMap(ds.standardization).transform(raw))
 
 
 def test_load_inputs_drops_trailing_label(tmp_path):
@@ -191,9 +193,30 @@ def test_load_inputs_width_mismatch(tmp_path):
 
 
 def test_dataset_rejects_bad_labels():
-    std = Standardization(np.zeros(1), np.ones(1))
-    with pytest.raises(ValueError):
-        Dataset(np.array([0.0, 0.5]), np.zeros((2, 1)), std)
+    with pytest.raises(ValueError, match="labels must be exactly 0 or 1"):
+        Dataset(np.array([0.0, 0.5]), np.zeros((2, 1)))
+
+
+def test_dataset_fits_its_standardization_on_the_raw_rows():
+    rng = np.random.default_rng(4)
+    X = rng.normal(loc=3.0, scale=5.0, size=(15, 3))
+    y = (X[:, 0] > 3.0).astype(float)
+    ds = Dataset(y, X)
+    expected = fit_standardization(X)
+    assert np.array_equal(ds.standardization.mean, expected.mean)
+    assert np.array_equal(ds.standardization.scale, expected.scale)
+    assert np.array_equal(ds.F, expected.design_matrix(X))
+
+
+def test_dataset_of_one_row_is_a_data_error():
+    with pytest.raises(DataError, match="^training data needs at least 2 samples$"):
+        Dataset(np.array([1.0]), np.zeros((1, 2)))
+
+
+def test_one_class_dataset_warns_at_its_constructor():
+    with pytest.warns(UserWarning, match=r"single label class \(0\)") as caught:
+        Dataset(np.zeros(3), np.arange(6.0).reshape(3, 2))
+    assert [w.filename for w in caught] == [__file__]
 
 
 # ---------------------------------------------------------------- parse equivalence

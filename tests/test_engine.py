@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from contilearn import engine, ensemble, solver
-from contilearn.data import Dataset, Standardization
+from contilearn.data import Dataset
 from contilearn.engine import (
     EngineConfig,
     _choose_prior,
@@ -24,14 +24,14 @@ from contilearn.featuremap import embed_mean_solution
 from contilearn.model import Prior, hessian, log_likelihood
 from contilearn.modelio import format_report_line
 from contilearn.solver import SolverConfig, maximize
-from tests.conftest import DEEP_CONFIG, dataset_from_arrays, deep_dataset, random_instance
+from tests.conftest import DEEP_CONFIG, deep_dataset, random_instance
 
 
 def small_dataset(seed=40, n=30):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 2))
     y = (X[:, 0] + 0.5 * X[:, 1] + 0.3 * rng.normal(size=n) > 0).astype(float)
-    return dataset_from_arrays(X, y)
+    return Dataset(y, X)
 
 
 def test_zero_iterations_is_plain_regularized_logistic():
@@ -42,7 +42,7 @@ def test_zero_iterations_is_plain_regularized_logistic():
     assert result.feature_map.layers == ()
     report = result.reports[0]
     # the returned vector is the full-data maximizer for the chosen r
-    direct = maximize(ds.y, ds.design_matrix(), Prior(report.r), SolverConfig())
+    direct = maximize(ds.y, ds.F, Prior(report.r), SolverConfig())
     assert np.allclose(result.w, direct.w, atol=1e-8)
     assert report.m == 3 and report.k is None and report.expanded is None
 
@@ -91,7 +91,7 @@ def test_warm_start_embeds_previous_mean(
     ]
     transitions = 0
     for dataset, result in cases:
-        F = dataset.design_matrix()
+        F = dataset.F
         for layer in result.feature_map.layers:
             before = log_likelihood(layer.v0, dataset.y, F)
             F = layer.apply(F)
@@ -138,7 +138,7 @@ def test_degenerate_covariance_stops_early():
     # two solves agree bitwise, the covariance is exactly zero, and k = 0
     X = np.array([[0.0], [1.0]])
     y = np.array([0.0, 1.0])
-    ds = dataset_from_arrays(X, y)
+    ds = Dataset(y, X)
     result = run(ds, EngineConfig(n_iters=2, seed=27, n_replicates=2, r_grid=(1.0,)))
     assert result.status == "degenerate"
     assert result.reports[-1].k == 0
@@ -157,7 +157,7 @@ def test_single_r_grid_is_chosen():
 def test_huge_precision_forces_chance_level_oob():
     # r -> infinity pins w near zero; every held-out point scores ln(1/2)
     ds = small_dataset(seed=44, n=40)
-    F = ds.design_matrix()
+    F = ds.F
     counts = sample_plans(8, 9, ds.t_max)
     score = oob_score(ds.y, F, counts, solve_replicates(ds.y, F, counts, Prior(1e9)))
     assert abs(score - math.log(0.5)) <= 1e-5
@@ -166,7 +166,7 @@ def test_huge_precision_forces_chance_level_oob():
 def test_chosen_r_attains_the_exhaustive_maximum(circle_data):
     grid = (0.01, 1.0, 100.0)
     result = run(circle_data, EngineConfig(n_iters=0, seed=10, r_grid=grid))
-    y, F = circle_data.y, circle_data.design_matrix()
+    y, F = circle_data.y, circle_data.F
     counts = sample_plans(64, _stage_seed(10, 0), circle_data.t_max)
     scores = [oob_score(y, F, counts, solve_replicates(y, F, counts, Prior(r))) for r in grid]
     assert result.reports[0].r == grid[int(np.argmax(scores))]
@@ -253,7 +253,7 @@ def test_replicates_are_weighted_by_full_data_objective(monkeypatch):
     prior = Prior(result.reports[0].r)
     assert w.shape == (4, 3)
     assert abs(float(weights.sum()) - 1.0) <= 1e-12
-    L_full = [log_likelihood(row, ds.y, ds.design_matrix(), prior) for row in w]
+    L_full = [log_likelihood(row, ds.y, ds.F, prior) for row in w]
     assert np.allclose(weights, weights_from_loglik(L_full), rtol=1e-12, atol=0.0)
 
 
