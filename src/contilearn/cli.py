@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 configuration / model-format / usage errors,
 2 data errors, 3 numerical failures (the message names the failing module).
+A warning prints one ``contilearn: warning: ...`` line and leaves the exit
+code alone; a UserWarning the warnings filter escalates to an error exits 2.
 ``contilearn train`` writes the model to --out and the per-iteration report
 to ``<out>.report``.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -142,7 +145,8 @@ def main(argv=None) -> int:
     except (ConfigError, ModelFormatError, OSError) as exc:
         print(f"contilearn: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, UserWarning) as exc:
+        # a UserWarning arrives here only when the caller's filter made it an error
         print(f"contilearn: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
@@ -150,5 +154,11 @@ def main(argv=None) -> int:
         return 3
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"contilearn: warning: {message}\n"
+
+
 def entrypoint() -> None:
+    """Console and ``python -m`` entry: warnings print as one ``contilearn: warning:`` line."""
+    warnings.formatwarning = _format_warning
     raise SystemExit(main())

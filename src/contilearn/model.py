@@ -79,7 +79,7 @@ def _scalar(value, w):
 
 
 def predict_prob(w, F):
-    """P(y=1 | features) for one feature vector or a matrix of them.
+    """P(y=1 | features): one probability per row of the feature matrix F.
 
     The result is clamped into the open interval (0, 1): saturated scores
     return the smallest positive normal double (or its complement), which

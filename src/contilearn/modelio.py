@@ -1,18 +1,18 @@
 """Run configuration, model persistence, and report serialization.
 
-Everything on disk is line-oriented ``key = value`` text. ``CONFIG_KEYS`` is
-the one table of run-configuration keys: it maps every ``RunConfig`` field,
-in declaration order, to the (parse, format) pair of its type. It parses
-config files, writes the model file's ``config.*`` echo (every key) and
-reads that echo back; the README's configuration table is checked against
-it. File paths come from the command line only. Defaults and range checks
-live on the config classes themselves. The stage and algebra reports are
-written field by field from ``IterationReport`` and ``AlgebraFitReport``
-through the same per-type codecs, so each field's name is its key in the
-file. The model format is versioned; floats are written with ``repr`` so a
-save/load/save round trip is byte-identical.
-Unknown keys are rejected outright since a silently ignored typo in a
-hyper-parameter is worse than an error.
+Everything on disk is line-oriented ``key = value`` text, read by
+``_parse_kv_lines`` (which rejects a repeated key). ``_field_texts`` writes
+a dataclass's fields through ``_CODECS``, the (parse, format) pair of each
+field type: the model file's ``config.*`` echo of ``RunConfig`` and the stage
+and algebra reports (``IterationReport``, ``AlgebraFitReport``), so a field's
+name is its key in the file. ``CONFIG_KEYS`` maps every ``RunConfig`` field,
+in declaration order, to its parser; it parses config files and reads the
+echo back. File paths come from the command line only. Defaults and range
+checks live on the config classes, and the README's configuration table is
+checked against them. The model format is versioned; floats are written with
+``repr`` so a save/load/save round trip is byte-identical. Unknown keys are
+rejected outright since a silently ignored typo in a hyper-parameter is
+worse than an error.
 """
 
 from __future__ import annotations
@@ -106,32 +106,40 @@ _CODECS = {
     ),
 }
 
-CONFIG_KEYS = {f.name: _CODECS[f.type] for f in fields(RunConfig)}
+CONFIG_KEYS = {f.name: _CODECS[f.type][0] for f in fields(RunConfig)}
 
 
-def _parse_kv_lines(text: str, error):
-    """Ordered (key, value) pairs from ``key = value`` lines; '#' starts a comment."""
-    pairs: list[tuple[str, str]] = []
+def _field_texts(record, skip: int = 0) -> list[tuple[str, str]]:
+    """(name, text) of each dataclass field of ``record`` after the first ``skip``, by type."""
+    return [(f.name, _CODECS[f.type][1](getattr(record, f.name))) for f in fields(record)[skip:]]
+
+
+def _parse_kv_lines(text: str, error, noun: str) -> dict[str, str]:
+    """Key to value of ``key = value`` lines, in file order; a repeated key raises ``error``.
+
+    A line whose first non-blank character is '#' is a comment.
+    """
+    pairs: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise error(f"line {lineno}: expected 'key = value', got {stripped!r}")
-        key, value = stripped.split("=", 1)
-        pairs.append((key.strip(), value.strip()))
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in pairs:
+            raise error(f"duplicate {noun} {key!r}")
+        pairs[key] = value
     return pairs
 
 
 def parse_run_config(text: str) -> RunConfig:
     """Config-file text to a validated RunConfig; absent keys keep their defaults."""
     values: dict = {}
-    for key, value in _parse_kv_lines(text, ConfigError):
+    for key, value in _parse_kv_lines(text, ConfigError, "config key").items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in values:
-            raise ConfigError(f"duplicate config key {key!r}")
-        values[key] = _parse_field(CONFIG_KEYS[key][0], value, key, ConfigError)
+        values[key] = _parse_field(CONFIG_KEYS[key], value, key, ConfigError)
     return RunConfig(**values)
 
 
@@ -170,7 +178,7 @@ def format_model(model: TrainedModel) -> str:
             lines.append(f"layer{i}.u{j} = {_fmt_vector(layer.u[j])}")
         lines.append(f"layer{i}.scales = {_fmt_vector(layer.scales)}")
     lines.append(f"w = {_fmt_vector(model.w)}")
-    lines.extend(f"config.{k} = {CONFIG_KEYS[k][1](getattr(model.config, k))}" for k in CONFIG_KEYS)
+    lines.extend(f"config.{key} = {text}" for key, text in _field_texts(model.config))
     return "\n".join(lines) + "\n"
 
 
@@ -196,11 +204,7 @@ def _probe_layers(feature_map: RecursiveFeatureMap) -> None:
 
 
 def parse_model(text: str) -> TrainedModel:
-    fields: dict[str, str] = {}
-    for key, value in _parse_kv_lines(text, ModelFormatError):
-        if key in fields:
-            raise ModelFormatError(f"duplicate model field {key!r}")
-        fields[key] = value
+    fields = _parse_kv_lines(text, ModelFormatError, "model field")
 
     def take(key: str, parse=str):
         if key not in fields:
@@ -230,10 +234,12 @@ def parse_model(text: str) -> TrainedModel:
             m_in = take(f"layer{i}.m_in", _parse_count)
             k = take(f"layer{i}.k", _parse_count)
             degenerate = take(f"layer{i}.degenerate_v0", _parse_bool)
-            v0 = take(f"layer{i}.v0", _parse_vector)
-            u = np.array([take(f"layer{i}.u{j}", _parse_vector) for j in range(k)]).reshape(k, m_in)
-            if v0.shape != (m_in,):
-                raise ModelFormatError(f"layer{i}.v0 width does not match layer{i}.m_in")
+            rows = []  # v0, then u0 .. u{k-1}, each checked as it is taken
+            for name in ("v0" if j < 0 else f"u{j}" for j in range(-1, k)):
+                rows.append(take(f"layer{i}.{name}", _parse_vector))
+                if rows[-1].shape != (m_in,):
+                    raise ModelFormatError(f"layer{i}.{name} width does not match layer{i}.m_in")
+            v0, u = rows[0], np.array(rows[1:]).reshape(k, m_in)
             scales = take(f"layer{i}.scales", _parse_vector)
             try:
                 layers.append(Layer(v0, u, scales, degenerate))
@@ -258,7 +264,7 @@ def parse_model(text: str) -> TrainedModel:
         unknown = [key for key in fields if key not in echo]
         if unknown:
             raise ModelFormatError(f"unknown model field {unknown[0]!r}")
-        config = RunConfig(**{k: take(key, CONFIG_KEYS[k][0]) for key, k in echo.items()})
+        config = RunConfig(**{k: take(key, CONFIG_KEYS[k]) for key, k in echo.items()})
     except ModelFormatError:
         raise
     except ValueError as exc:
@@ -272,18 +278,7 @@ def load_model(path) -> TrainedModel:
 
 def format_report_line(report: IterationReport) -> str:
     """One ``name=value`` token per IterationReport field, formatted by its type's codec."""
-    return " ".join(
-        f"{f.name}={_CODECS[f.type][1](getattr(report, f.name))}" for f in fields(IterationReport)
-    )
-
-
-def parse_report_line(line: str) -> dict[str, str]:
-    """Field name to raw value text; the writer's field order is fixed."""
-    out: dict[str, str] = {}
-    for token in line.split():
-        key, _, value = token.partition("=")
-        out[key] = value
-    return out
+    return " ".join(f"{name}={text}" for name, text in _field_texts(report))
 
 
 def save_reports(path, reports) -> None:
@@ -296,10 +291,7 @@ def save_algebra_report(path, report: AlgebraFitReport) -> None:
     """``n``, then every diagnostic field in declaration order, then each row c{a}.{b}, a <= b."""
     c = report.constants.c
     lines = [f"n = {len(c)}"]
-    lines += [
-        f"{f.name} = {_CODECS[f.type][1](getattr(report, f.name))}"
-        for f in fields(AlgebraFitReport)[1:]
-    ]
+    lines += [f"{name} = {text}" for name, text in _field_texts(report, skip=1)]
     lines += [f"c{a}.{b} = {_fmt_vector(c[a, b])}" for a, b in zip(*np.triu_indices(len(c)))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

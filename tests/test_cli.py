@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import re
 import subprocess
 import sys
@@ -19,11 +20,11 @@ from contilearn.modelio import (
     CONFIG_KEYS,
     RunConfig,
     TrainedModel,
+    _field_texts,
     format_model,
     format_report_line,
     load_model,
     load_run_config,
-    parse_report_line,
     parse_run_config,
     save_algebra_report,
     save_model,
@@ -91,6 +92,15 @@ def test_duplicate_key_rejected():
         parse_run_config("n_iters = 1\nn_iters = 2\n")
 
 
+@pytest.mark.parametrize(
+    "text", ["bogus = 1\nn_iters = 1\nn_iters = 2\n", "n_iters = x\nn_iters = 2\n"]
+)
+def test_a_repeated_key_is_named_before_any_key_is_interpreted(text):
+    with pytest.raises(ConfigError) as caught:
+        parse_run_config(text)
+    assert str(caught.value) == "duplicate config key 'n_iters'"
+
+
 def test_out_of_range_value_rejected():
     with pytest.raises(ConfigError):
         parse_run_config("rel_threshold = 1.5\n")
@@ -134,9 +144,7 @@ def test_readme_config_table_matches_the_key_table():
         keys, default = [cell.strip() for cell in row.strip("|").split("|")[:2]]
         for key in keys.split(","):
             documented[key.strip().strip("`")] = default.strip("`")
-    defaults = RunConfig()
-    expected = {key: fmt(getattr(defaults, key)) for key, (_, fmt) in CONFIG_KEYS.items()}
-    assert documented == expected
+    assert documented == dict(_field_texts(RunConfig()))
 
 
 def test_config_range_is_checked_when_built(tmp_path, xor_csv, xor_config, capsys):
@@ -164,13 +172,17 @@ def test_missing_config_file(tmp_path):
 # ---------------------------------------------------------------- train
 
 
+def _report_fields(line: str) -> dict[str, str]:
+    return dict(token.split("=", 1) for token in line.split())
+
+
 def test_train_exit_zero_and_report_accuracy(trained):
     report_lines = (trained.parent / (trained.name + ".report")).read_text().splitlines()
     assert len(report_lines) == 2
-    final = parse_report_line(report_lines[1])
+    final = _report_fields(report_lines[1])
     assert final["iteration"] == "1"
     assert float(final["accuracy"]) >= 0.95
-    first = parse_report_line(report_lines[0])
+    first = _report_fields(report_lines[0])
     assert first["closure"] != "none"
     assert float(first["best_L"]) >= float(first["embed_L"]) - 1e-9
 
@@ -178,7 +190,7 @@ def test_train_exit_zero_and_report_accuracy(trained):
 def test_report_fields_name_every_report_field_once(trained):
     names = [f.name for f in dataclasses.fields(IterationReport)]
     for line in Path(f"{trained}.report").read_text().splitlines():
-        assert list(parse_report_line(line)) == names
+        assert list(_report_fields(line)) == names
 
 
 def test_report_line_formats_each_field_by_its_type():
@@ -255,7 +267,7 @@ def test_huge_prior_trains_without_a_warning(tmp_path, request, capsys, data, r_
     assert code == 0
     assert capsys.readouterr().err == ""
     for line in Path(f"{out}.report").read_text().splitlines():
-        assert float(parse_report_line(line)["r"]) == chosen
+        assert float(_report_fields(line)["r"]) == chosen
 
 
 def test_a_prior_whose_replicates_all_fail_is_skipped(tmp_path, circle_csv, capsys):
@@ -266,7 +278,7 @@ def test_a_prior_whose_replicates_all_fail_is_skipped(tmp_path, circle_csv, caps
     code = main(["train", "--data", str(circle_csv), "--config", str(config), "--out", str(out)])
     assert (code, capsys.readouterr().err) == (0, "")
     lines = Path(f"{out}.report").read_text().splitlines()
-    assert [float(parse_report_line(line)["r"]) for line in lines] == [1.0, 1.0, 1.0]
+    assert [float(_report_fields(line)["r"]) for line in lines] == [1.0, 1.0, 1.0]
 
 
 def test_train_bad_config_exit_code(tmp_path, xor_csv):
@@ -410,6 +422,8 @@ WIDTH_CASES = [
     ("w", -1, "parameter vector has 13 entries, the feature map emits 14"),
     ("layer0.v0", +1, "layer0.v0 width does not match layer0.m_in"),
     ("mean", +1, "mean and scale must be 1-d arrays of the same length"),
+    ("layer0.u0", +1, "layer0.u0 width does not match layer0.m_in"),
+    ("layer0.u1", -1, "layer0.u1 width does not match layer0.m_in"),
 ]
 
 
@@ -431,6 +445,19 @@ def test_model_vector_of_the_wrong_width_is_a_model_error(
 
 
 @pytest.mark.parametrize("command", ["predict", "algebra"])
+def test_a_huge_projection_count_stops_at_the_first_missing_row(
+    tmp_path, trained, xor_csv, capsys, command
+):
+    # the rows are taken one at a time, so a count no file could hold costs nothing
+    k = int(re.search(r"^layer0\.k = (\d+)$", trained.read_text(), flags=re.M).group(1))
+    text, n = re.subn(r"^layer0\.k = .*$", f"layer0.k = {10**12}", trained.read_text(), flags=re.M)
+    assert n == 1
+    assert _model_error_lines(tmp_path, xor_csv, capsys, command, text) == [
+        f"contilearn: missing model field 'layer0.u{k}'"
+    ]
+
+
+@pytest.mark.parametrize("command", ["predict", "algebra"])
 def test_tiny_v0_is_blamed_on_its_magnitude(tmp_path, trained, xor_csv, capsys, command):
     # each square underflows, so the norm reads 0 although v0 is nonzero
     text, n = re.subn(
@@ -439,6 +466,15 @@ def test_tiny_v0_is_blamed_on_its_magnitude(tmp_path, trained, xor_csv, capsys, 
     assert n == 1
     assert _model_error_lines(tmp_path, xor_csv, capsys, command, text) == [
         "contilearn: layer0: v0 too small in magnitude to normalize"
+    ]
+
+
+@pytest.mark.parametrize("command", ["predict", "algebra"])
+def test_a_repeated_model_field_is_a_model_error(tmp_path, trained, xor_csv, capsys, command):
+    text = trained.read_text()
+    w_line = re.search(r"^w = .*\n", text, flags=re.M).group(0)
+    assert _model_error_lines(tmp_path, xor_csv, capsys, command, text + w_line) == [
+        "contilearn: duplicate model field 'w'"
     ]
 
 
@@ -722,6 +758,52 @@ def test_package_root_loads_no_submodule_and_no_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0.1.0 []\n"
+
+
+SINGLE_CLASS_ROWS = "0,1\n1,1\n2,1\n"
+SINGLE_CLASS_MESSAGE = "training data contains a single label class (1)"
+
+
+def _module_train(tmp_path, xor_config, *python_flags):
+    """Exit code, stderr and written files of ``python -m contilearn train`` on one class."""
+    data = tmp_path / "one.csv"
+    data.write_text(SINGLE_CLASS_ROWS)
+    out = tmp_path / "m"
+    argv = ["train", "--data", str(data), "--config", str(xor_config), "--out", str(out)]
+    # the run's own -W flags alone decide how the warning is handled
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    proc = subprocess.run(
+        [sys.executable, *python_flags, "-m", "contilearn", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    return proc.returncode, proc.stderr, sorted(p.name for p in tmp_path.glob("m*"))
+
+
+def test_a_warning_prints_one_line_and_keeps_the_exit_code(tmp_path, xor_config):
+    assert _module_train(tmp_path, xor_config) == (
+        0,
+        f"contilearn: warning: {SINGLE_CLASS_MESSAGE}\n",
+        ["m", "m.report"],
+    )
+
+
+def test_an_escalated_warning_is_a_data_error(tmp_path, xor_config):
+    assert _module_train(tmp_path, xor_config, "-W", "error::UserWarning") == (
+        2,
+        f"contilearn: {SINGLE_CLASS_MESSAGE}\n",
+        [],
+    )
+
+
+def test_main_returns_2_when_the_caller_escalates_a_warning(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        code = _train_exit(tmp_path, SINGLE_CLASS_ROWS, XOR_CONFIG)
+    assert code == 2
+    assert capsys.readouterr().err == f"contilearn: {SINGLE_CLASS_MESSAGE}\n"
+    assert not (tmp_path / "m").exists()
 
 
 def test_module_entrypoint_smoke():
