@@ -43,6 +43,10 @@ from .spectral import select_components
 
 _SEED_MASK = (1 << 64) - 1
 _SEED_STRIDE = 0x9E3779B97F4A7C15
+# most entries an (n_replicates, rows) bootstrap count matrix may have. A train
+# holds about 12 float64 matrices of that shape at once (peak RSS grows by 84 to
+# 99 bytes per entry), so one at this bound would need about 400 GB
+MAX_COUNT_ENTRIES = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -126,12 +130,16 @@ def oob_score(y, F, counts, solset: SolutionSet) -> float:
     """Mean over replicates of the mean per-sample log-probability on held-out rows.
 
     A replicate's held-out rows are those its row of ``counts`` drew zero times.
+    When no surviving replicate has one, the error counts the failed solves.
     """
     held = counts[solset.index] == 0
     n_held = held.sum(axis=1)
     if not n_held.any():
+        failed = f"{solset.n_failed} of {len(counts)} replicate solves failed and "
         raise NumericalError(
-            "engine", "every replicate resampled the full training set; no out-of-bag rows"
+            "engine",
+            f"{failed if solset.n_failed else ''}every surviving replicate resampled"
+            " the full training set; no out-of-bag rows",
         )
     totals = log_likelihood(solset.w, y, F, counts=held)
     return float(np.mean(totals[n_held > 0] / n_held[n_held > 0]))
@@ -171,8 +179,16 @@ def run(dataset: Dataset, config: EngineConfig) -> EngineResult:
 
     Status is "completed", "degenerate" (zero covariance stopped the loop),
     or "algebra-converged" (the closure residual fell below the configured
-    tolerance and the remaining cycles were skipped).
+    tolerance and the remaining cycles were skipped). A bootstrap count
+    matrix of more than ``MAX_COUNT_ENTRIES`` entries (n_replicates times
+    the training rows) is a ConfigError, raised before anything is sampled.
     """
+    S, T = config.n_replicates, dataset.t_max
+    if S * T > MAX_COUNT_ENTRIES:
+        raise ConfigError(
+            f"n_replicates * rows = {S} * {T} exceeds the bound of {MAX_COUNT_ENTRIES}"
+            " bootstrap count entries"
+        )
     y = dataset.y
     F = dataset.F
     w_init = np.zeros(F.shape[1])

@@ -6,22 +6,26 @@ problems of one batch share the labels and the feature matrix and differ in
 their per-sample counts (a bootstrap replicate weights row t by how often it
 was drawn) and starting points. Every Newton step computes the gradients of
 all unfinished problems at once, their stacked Hessians in chunks of a
-bounded size, one batched Cholesky check and one batched solve. The line
-search keeps one step length per problem and multiplies it by
-``_BACKTRACK`` until the Armijo condition (constant ``_ARMIJO``) holds,
-comparing against the directly computed objective change, so it stays
-sound when the change is below one ulp of the objective.
+bounded size and one batched solve per chunk, so each Newton system is
+factored once. The line search keeps one step length per problem and
+multiplies it by ``_BACKTRACK`` until the Armijo condition (constant
+``_ARMIJO``) holds, comparing against the directly computed objective
+change, so it stays sound when the change is below one ulp of the
+objective.
 
 A problem is finished once its gradient norm falls to ``grad_tol`` (the
 only convergence test), when its line search is exhausted, after
-``max_iters`` steps, or when its gradient is not finite or its negated
-Hessian has no Cholesky factor (it is then marked failed); finished problems
-take no further part. An objective, gradient or gradient norm beyond the
-largest double (a huge prior precision away from zero) reads as infinite
-and meets these checks instead of raising a numpy warning. Its
-``grad_norm`` is from the gradient evaluation that finished it, so a solve
-evaluates at most ``max_iters + 1`` gradients. ``maximize`` is the
-one-problem case.
+``max_iters`` steps, or when its gradient is not finite, its Newton system
+is singular or its direction is not finite or does not ascend (it is then
+marked failed); finished problems take no further part. Only rounding
+reaches the last two cases, since the negated Hessian is positive definite
+in exact arithmetic. An indefinite negated Hessian whose direction ascends
+is accepted, and the Armijo search keeps every accepted step an ascent. An
+objective, gradient or gradient norm beyond the largest double (a huge
+prior precision away from zero) reads as infinite and meets these checks
+instead of raising a numpy warning. Its ``grad_norm`` is from the gradient
+evaluation that finished it, so a solve evaluates at most ``max_iters + 1``
+gradients. ``maximize`` is the one-problem case.
 """
 
 from __future__ import annotations
@@ -85,30 +89,28 @@ class BatchSolution:
     error: tuple[str | None, ...]
 
 
-def _positive_definite(A: np.ndarray) -> np.ndarray:
-    """Which matrices of the stack have a Cholesky factor; one batched call when all do."""
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        if len(A) == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_positive_definite(a[None]) for a in A])
-    return np.ones(len(A), dtype=bool)
-
-
 def _newton_directions(W, y, F, prior, counts, G):
-    """Solve -H_s d_s = g_s for every row; also returns which -H_s were positive definite."""
+    """Solve -H_s d_s = g_s for every row; a singular system's row of the result is NaN.
+
+    Each chunk of the stack is one batched solve. Only when that call finds
+    a singular matrix are the chunk's systems solved one at a time.
+    """
     S, m = W.shape
     chunk = max(1, _CHUNK_FLOATS // (m * max(F.shape[0], m)))
-    D = np.zeros_like(G)
-    ok = np.ones(S, dtype=bool)
+    D = np.empty_like(G)
     for lo in range(0, S, chunk):
         part = slice(lo, lo + chunk)
         A = -hessian(W[part], y, F, prior, counts[part])
-        good = _positive_definite(A)
-        ok[part] = good
-        D[part][good] = np.linalg.solve(A[good], G[part][good][..., None])[..., 0]
-    return D, ok
+        b = G[part, :, None]
+        try:
+            D[part] = np.linalg.solve(A, b)[..., 0]
+        except np.linalg.LinAlgError:
+            for i in range(len(A)):
+                try:
+                    D[lo + i] = np.linalg.solve(A[i : i + 1], b[i : i + 1])[0, :, 0]
+                except np.linalg.LinAlgError:
+                    D[lo + i] = np.nan
+    return D
 
 
 def _line_search(W, D, slope, y, F, prior, counts):
@@ -140,9 +142,9 @@ def maximize_batch(
 
     ``counts`` has shape (S, T); ``w_init`` is one start for every problem
     or S stacked starts (zero vectors by default). A problem whose starting
-    objective is not finite, whose gradient is not finite, or whose negated
-    Hessian is not positive definite, is reported in ``error`` and does not
-    stop the others.
+    objective is not finite, whose gradient is not finite, whose Newton
+    system is singular, or whose Newton direction is not finite or does not
+    ascend (g·d <= 0), is reported in ``error`` and does not stop the others.
     """
     config = config or SolverConfig()
     y = np.asarray(y, dtype=float)
@@ -173,12 +175,14 @@ def maximize_batch(
         rows, G = rows[moving], G[moving]
         if rows.size == 0 or step == config.max_iters:
             break
-        D, ok = _newton_directions(W[rows], y, F, prior, counts[rows], G)
+        D = _newton_directions(W[rows], y, F, prior, counts[rows], G)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = np.sum(G * D, axis=1)
+        ok = np.isfinite(D).all(axis=1) & (slope > 0)
         for s in rows[~ok]:
-            error[s] = "negated Hessian is not positive definite"
+            error[s] = "Newton system is singular or its direction does not ascend"
         active[rows[~ok]] = False
-        rows, G, D = rows[ok], G[ok], D[ok]
-        slope = np.sum(G * D, axis=1)
+        rows, D, slope = rows[ok], D[ok], slope[ok]
         change, t, accepted = _line_search(W[rows], D, slope, y, F, prior, counts[rows])
         # an exhausted line search has reached numerical precision: keep the best iterate
         active[rows[~accepted]] = False
@@ -203,8 +207,8 @@ def maximize(y, F, prior: Prior, config: SolverConfig | None = None, w_init=None
     Returns a converged solution when the gradient norm falls below
     ``grad_tol``; otherwise the best iterate found, flagged unconverged.
     Raises NumericalError if the objective is not finite at the start, the
-    gradient is not finite, or the negated Hessian loses positive
-    definiteness.
+    gradient is not finite, or a Newton system is singular or its direction
+    does not ascend.
     """
     F = np.asarray(F, dtype=float)
     m = F.shape[1]

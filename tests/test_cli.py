@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contilearn import cli, featuremap
+from contilearn import cli, engine, featuremap
 from contilearn.algebra import AlgebraFitReport, StructureConstants, fit_structure_constants
 from contilearn.cli import main
 from contilearn.data import load_csv, load_inputs
@@ -145,6 +145,12 @@ def test_readme_config_table_matches_the_key_table():
         for key in keys.split(","):
             documented[key.strip().strip("`")] = default.strip("`")
     assert documented == dict(_field_texts(RunConfig()))
+
+
+def test_readme_states_the_count_bound():
+    bound = engine.MAX_COUNT_ENTRIES
+    text = " ".join(_readme().split())
+    assert f"2^{bound.bit_length() - 1} = {bound:,} entries".replace(",", " ") in text
 
 
 def test_config_range_is_checked_when_built(tmp_path, xor_csv, xor_config, capsys):
@@ -595,6 +601,87 @@ def test_numerical_failure_exit_code_names_module(tmp_path, capsys):
     )
     assert code == 3
     assert "engine:" in capsys.readouterr().err
+
+
+def _collinear_rows() -> str:
+    """12 rows ``x0,x1,2*x0,label``: the third column standardizes onto the first."""
+    rows = []
+    for t in range(12):
+        x0, x1 = (5 * t) % 12 - 5.5, (5 * t) % 7 - 3.0
+        rows.append(f"{x0!r},{x1!r},{2 * x0!r},{int(x0 + x1 > 0)}\n")
+    return "".join(rows)
+
+
+def _mixed_scale_rows() -> str:
+    """50 rows of one column at the scales 1e150, 1e-150 and 1, with alternating labels."""
+    rows = []
+    for t in range(50):
+        z = (11 * t) % 50 - 24.5
+        rows.append(f"{z * 1e150!r},{z * 1e-150!r},{z!r},{t % 2}\n")
+    return "".join(rows)
+
+
+SMALL_PRIOR = "n_iters = 2\nn_replicates = 8\nr_grid = {}\n"
+NO_OOB = "every surviving replicate resampled the full training set; no out-of-bag rows"
+
+
+@pytest.mark.parametrize(
+    "rows, config, message",
+    [
+        (
+            "0,0\n1,1\n",
+            "n_iters = 0\nr_grid = 1e-300\n",
+            f"engine: 29 of 64 replicate solves failed and {NO_OOB}",
+        ),
+        (
+            "0,0\n1,1\n",
+            SMALL_PRIOR.format("1e-20"),
+            f"engine: 2 of 8 replicate solves failed and {NO_OOB}",
+        ),
+        (
+            "0,0\n1,1\n",
+            SMALL_PRIOR.format("5e-324"),
+            f"engine: 2 of 8 replicate solves failed and {NO_OOB}",
+        ),
+        (
+            _collinear_rows(),
+            SMALL_PRIOR.format("1e-16"),
+            "ensemble: only 0 of 8 replicate solves succeeded",
+        ),
+        (
+            _mixed_scale_rows(),
+            SMALL_PRIOR.format("1e-200"),
+            "ensemble: only 1 of 8 replicate solves succeeded",
+        ),
+    ],
+    ids=["two-rows-1e-300", "two-rows-1e-20", "two-rows-5e-324", "collinear", "mixed-scale"],
+)
+def test_a_singular_newton_system_is_a_numerical_failure(tmp_path, rows, config, message):
+    # a prior this weak leaves Newton systems that LU finds exactly singular; the
+    # message counts the failed replicate solves
+    (tmp_path / "rows.csv").write_text(rows)
+    (tmp_path / "run.cfg").write_text(config)
+    data, cfg, out = (str(tmp_path / name) for name in ("rows.csv", "run.cfg", "m"))
+    argv = ["train", "--data", data, "--config", cfg, "--out", out]
+    proc = subprocess.run([sys.executable, "-m", "contilearn", *argv], capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"contilearn: {message}"]
+    assert not (tmp_path / "m").exists()
+
+
+def test_a_count_matrix_above_the_bound_is_a_config_error(tmp_path, capsys, monkeypatch):
+    sampled = []
+    monkeypatch.setattr(engine, "sample_plans", lambda *args: sampled.append(args))
+    rows = "".join(f"{t},{t % 2}\n" for t in range(64))
+    code = _train_exit(tmp_path, rows, f"n_replicates = {10**8}\n")
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"contilearn: n_replicates * rows = {10**8} * 64 exceeds the bound of"
+        f" {engine.MAX_COUNT_ENTRIES} bootstrap count entries"
+    ]
+    assert sampled == []
+    assert not (tmp_path / "m").exists()
 
 
 # ---------------------------------------------------------------- algebra

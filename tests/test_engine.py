@@ -19,7 +19,7 @@ from contilearn.ensemble import (
     solve_replicates,
     weights_from_loglik,
 )
-from contilearn.errors import NumericalError
+from contilearn.errors import ConfigError, NumericalError
 from contilearn.featuremap import embed_mean_solution
 from contilearn.model import Prior, hessian, log_likelihood
 from contilearn.modelio import format_report_line
@@ -287,6 +287,15 @@ def test_a_prior_whose_replicates_all_fail_is_not_a_candidate(monkeypatch):
     for grid in ((1.0,), (10.0,)):
         with pytest.raises(NumericalError, match="^ensemble: only 0 of 4 replicate solves"):
             _choose_prior(y, F, counts, EngineConfig(r_grid=grid, n_replicates=4), w_init)
+
+
+def test_the_count_bound_admits_a_matrix_of_exactly_its_size(monkeypatch):
+    ds = small_dataset(n=10)
+    monkeypatch.setattr(engine, "MAX_COUNT_ENTRIES", 4 * 10)
+    assert run(ds, EngineConfig(n_iters=0, n_replicates=4)).status == "completed"
+    message = r"^n_replicates \* rows = 5 \* 10 exceeds the bound of 40 bootstrap count entries$"
+    with pytest.raises(ConfigError, match=message):
+        run(ds, EngineConfig(n_iters=0, n_replicates=5))
 
 
 def test_accuracy_helper():

@@ -246,7 +246,10 @@ CONFIG_VALUES = {
     "rel_threshold": st.sampled_from(["0.05", "1", "1e-6", "0", "1.5", "nan"]),
     "k_max": st.integers(-1, 9).map(str),
     "r_grid": st.lists(
-        st.sampled_from(["0.01", "1.0", "10", "0", "-1", "nan", "1e300", "1e308"]), max_size=3
+        st.sampled_from(
+            ["0.01", "1.0", "10", "0", "-1", "nan", "1e300", "1e308", "1e-300", "5e-324"]
+        ),
+        max_size=3,
     ).map(",".join),
     "grad_tol": st.sampled_from(["1e-08", "1e-300", "1", "0", "-1", "nan"]),
     "max_iters": st.integers(-1, 20).map(str),
@@ -278,6 +281,10 @@ def training_csvs(draw):
         value = st.sampled_from(["1e300", "-1e300", "1e200", "1e154", "1e-300", "0", "1"])
     label = st.just("1") if kind == "one-class" else st.sampled_from(["0", "1"])
     rows = [draw(st.lists(value, min_size=d, max_size=d)) + [draw(label)] for _ in range(n)]
+    if draw(st.booleans()):
+        # a duplicated column standardizes onto its original: a singular data Hessian
+        j = draw(st.integers(0, d - 1))
+        rows = [row[:-1] + [row[j], row[-1]] for row in rows]
     return "".join(",".join(row) + "\n" for row in rows)
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from contilearn import solver
 from contilearn.errors import NumericalError
-from contilearn.model import Prior, log_likelihood, sigmoid
+from contilearn.model import Prior, gradient, hessian, log_likelihood, sigmoid
 from contilearn.solver import Solution, SolverConfig, maximize, maximize_batch
 from tests.conftest import random_instance
 
@@ -157,3 +158,91 @@ def test_convergence_below_one_ulp_of_the_objective():
     batch = maximize_batch(y, F, counts, Prior(1.0), SolverConfig(grad_tol=1e-6))
     assert batch.converged[0]
     assert batch.iterations[0] < SolverConfig().max_iters
+
+
+NO_ASCENT = "Newton system is singular or its direction does not ascend"
+
+
+def _four_replicates(seed):
+    rng = np.random.default_rng(seed)
+    y, F = random_instance(rng, t_max=25, m=3)
+    counts = np.stack([np.bincount(rng.integers(0, 25, size=25), minlength=25) for _ in range(4)])
+    return y, F, counts.astype(float)
+
+
+def _replace_hessian(monkeypatch, doomed_counts, replace):
+    """Patch ``solver.hessian`` so the problem with counts ``doomed_counts`` gets ``replace(H)``."""
+
+    def patched(w, y, F, prior=None, counts=None):
+        H = hessian(w, y, F, prior, counts)
+        for i in np.flatnonzero((counts == doomed_counts).all(axis=1)):
+            H[i] = replace(H[i])
+        return H
+
+    monkeypatch.setattr(solver, "hessian", patched)
+
+
+@pytest.mark.parametrize("chunk_floats", [1 << 16, 150], ids=["one-chunk", "two-per-chunk"])
+def test_a_singular_system_leaves_the_other_directions_bit_equal(monkeypatch, chunk_floats):
+    # 150 floats hold two 3 x 25 problems, so the singular one shares its chunk with one other
+    monkeypatch.setattr(solver, "_CHUNK_FLOATS", chunk_floats)
+    y, F, counts = _four_replicates(440)
+    W = np.random.default_rng(1).normal(scale=0.3, size=(4, 3))
+    prior = Prior(1.0)
+    G = gradient(W, y, F, prior, counts)
+    intact = solver._newton_directions(W, y, F, prior, counts, G)
+    _replace_hessian(monkeypatch, counts[2], np.zeros_like)
+    D = solver._newton_directions(W, y, F, prior, counts, G)
+    assert np.isnan(D[2]).all()
+    assert np.array_equal(D[[0, 1, 3]], intact[[0, 1, 3]])
+
+
+@pytest.mark.parametrize("replace", [np.zeros_like, np.negative], ids=["singular", "descent"])
+def test_a_failed_newton_system_fails_its_problem_alone(monkeypatch, replace):
+    # a zero matrix is singular; a negated one solves, but its direction descends.
+    # The others' iterates agree to rounding only: once a problem leaves the batch,
+    # BLAS may round each row of the smaller stacked products differently.
+    y, F, counts = _four_replicates(440)
+    intact = maximize_batch(y, F, counts, Prior(1.0))
+    _replace_hessian(monkeypatch, counts[2], replace)
+    batch = maximize_batch(y, F, counts, Prior(1.0))
+    assert intact.error == (None,) * 4
+    assert batch.error == (None, None, NO_ASCENT, None)
+    assert not batch.converged[2]
+    for s in (0, 1, 3):
+        assert np.max(np.abs(batch.w[s] - intact.w[s])) <= 1e-12
+        assert batch.converged[s] and batch.iterations[s] == intact.iterations[s]
+
+
+def test_an_indefinite_system_whose_direction_ascends_is_accepted(monkeypatch):
+    # the first Newton system becomes u u^T - v v^T, with u along the gradient and v
+    # orthogonal to it: indefinite, and its direction is the gradient itself
+    rng = np.random.default_rng(441)
+    y, F = random_instance(rng, t_max=30, m=2)
+    prior = Prior(1.0)
+    w0 = np.array([0.4, -0.3])
+    intact = maximize(y, F, prior, w_init=w0)
+    calls = []
+
+    def first_indefinite(w, y, F, prior=None, counts=None):
+        calls.append(len(w))
+        if len(calls) > 1:
+            return hessian(w, y, F, prior, counts)
+        u = gradient(w, y, F, prior, counts)[0]
+        u = u / np.linalg.norm(u)
+        v = np.array([-u[1], u[0]])
+        return -(np.outer(u, u) - np.outer(v, v))[None]
+
+    monkeypatch.setattr(solver, "hessian", first_indefinite)
+    sol = maximize(y, F, prior, w_init=w0)
+    assert len(calls) > 1
+    assert sol.converged
+    assert np.max(np.abs(sol.w - intact.w)) <= 1e-6
+
+
+def test_a_singular_newton_system_raises_from_maximize(monkeypatch):
+    monkeypatch.setattr(solver, "hessian", lambda w, *args, **kwargs: np.zeros((len(w), 2, 2)))
+    rng = np.random.default_rng(442)
+    y, F = random_instance(rng, t_max=10, m=2)
+    with pytest.raises(NumericalError, match=f"^solver: {NO_ASCENT}$"):
+        maximize(y, F, Prior(1.0))
