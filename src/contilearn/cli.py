@@ -1,7 +1,8 @@
 """Command-line driver: train, predict, algebra.
 
-Exit codes: 0 success, 1 configuration / model-format / usage errors,
-2 data errors, 3 numerical failures (the message names the failing module).
+Exit codes: 0 success, 1 configuration / model-format / usage errors and
+running out of memory, 2 data errors, 3 numerical failures (the message
+names the failing module).
 A warning prints one ``contilearn: warning: ...`` line and leaves the exit
 code alone; a UserWarning the warnings filter escalates to an error exits 2.
 ``contilearn train`` writes the model to --out and the per-iteration report
@@ -152,6 +153,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"contilearn: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # the size that did not fit is n_replicates times the rows: a configuration choice
+        print(f"contilearn: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 1
 
 
 def _format_warning(message, category, filename, lineno, line=None) -> str:

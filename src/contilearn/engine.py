@@ -44,8 +44,8 @@ from .spectral import select_components
 _SEED_MASK = (1 << 64) - 1
 _SEED_STRIDE = 0x9E3779B97F4A7C15
 # most entries an (n_replicates, rows) bootstrap count matrix may have. A train
-# holds about 12 float64 matrices of that shape at once (peak RSS grows by 84 to
-# 99 bytes per entry), so one at this bound would need about 400 GB
+# holds about 5 float64 matrices of that shape at once (peak RSS grows by about
+# 42 bytes per entry), so one at this bound would need about 180 GB
 MAX_COUNT_ENTRIES = 1 << 32
 
 

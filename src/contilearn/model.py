@@ -42,14 +42,26 @@ def sigmoid(z):
     below, so neither branch can overflow.
     """
     z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = _exp_minus_abs(z)
+    d = np.add(1.0, e, out=np.empty_like(e))
+    np.divide(e, d, out=e)
+    np.putmask(e, z >= 0, np.divide(1.0, d, out=d))
+    return e
 
 
 def softplus(z):
     """log(1 + exp(z)) without overflow."""
     z = np.asarray(z, dtype=float)
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    e = _exp_minus_abs(z)
+    np.log1p(e, out=e)
+    return np.add(np.maximum(z, 0.0), e, out=e)
+
+
+def _exp_minus_abs(z):
+    """exp(-|z|) in a new array, also for 0-d z, so callers can keep writing into it."""
+    e = np.abs(z, out=np.empty_like(z))
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
 
 
 def _check_dims(w: np.ndarray, F: np.ndarray) -> None:
@@ -67,7 +79,7 @@ def _scores(w, y, F, counts):
     _check_dims(w, F)
     if F.shape[0] != y.shape[0]:
         raise ValueError("label and feature sample counts differ")
-    z = w @ F.T
+    z = np.asarray(w @ F.T)
     counts = np.broadcast_to(1.0, z.shape) if counts is None else np.asarray(counts, dtype=float)
     if counts.shape != z.shape:
         raise ValueError(f"counts have shape {counts.shape}, expected {z.shape}")
@@ -111,7 +123,10 @@ def log_likelihood(w, y, F, prior: Prior | None = None, counts=None):
     how often a bootstrap replicate drew it; None weights every sample 1.
     """
     w, y, F, counts, z = _scores(w, y, F, counts)
-    value = np.sum(counts * (y * z - softplus(z)), axis=-1)
+    sp = softplus(z)
+    np.multiply(y, z, out=z)
+    np.subtract(z, sp, out=z)
+    value = np.sum(np.multiply(counts, z, out=z), axis=-1)
     if prior is not None:
         value = value + log_prior(w, prior)
     return _scalar(value, w)
@@ -129,12 +144,26 @@ def log_likelihood_change(w, dw, y, F, prior: Prior | None = None, counts=None):
     """
     w, y, F, counts, z = _scores(w, y, F, counts)
     dw = np.asarray(dw, dtype=float)
-    dz = dw @ F.T
+    dz = np.asarray(dw @ F.T)
+    a = np.abs(dz, out=np.empty_like(dz))
+    far = ~(a <= 1.0)
+    zf, dzf = z[far], dz[far]
+    far_change = softplus(zf + dzf) - softplus(zf)
+    # the near branch, in place over z and a
     upper = z >= 0.0
-    mirrored = np.where(upper, -1.0, 1.0) * np.clip(dz, -1.0, 1.0)
-    near = np.log1p(sigmoid(-np.abs(z)) * np.expm1(mirrored)) + np.where(upper, dz, 0.0)
-    far = softplus(z + dz) - softplus(z)
-    value = np.sum(counts * (y * dz - np.where(np.abs(dz) <= 1.0, near, far)), axis=-1)
+    near = np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
+    np.divide(near, np.add(1.0, near, out=a), out=near)  # sigmoid(-|z|) = e / (1 + e)
+    np.clip(dz, -1.0, 1.0, out=a)
+    np.multiply(a, 1 - 2 * upper.view(np.int8), out=a)  # times -1 where z >= 0, else 1
+    np.multiply(near, np.expm1(a, out=a), out=near)
+    np.log1p(near, out=near)
+    # dz is added where z >= 0 only: adding 0.0 elsewhere could change nothing but a
+    # zero's sign, which the sum below, starting from +0.0, never passes on
+    np.putmask(near, upper, np.add(near, dz, out=a))
+    near[far] = far_change
+    np.multiply(y, dz, out=dz)
+    np.subtract(dz, near, out=dz)
+    value = np.sum(np.multiply(counts, dz, out=dz), axis=-1)
     if prior is not None:
         value = value - prior.r * np.sum(w * dw + 0.5 * dw * dw, axis=-1)
     return _scalar(value, w)
@@ -146,7 +175,9 @@ def gradient(w, y, F, prior: Prior | None = None, counts=None):
     ``counts`` weights samples as in ``log_likelihood``.
     """
     w, y, F, counts, z = _scores(w, y, F, counts)
-    g = (counts * (y - sigmoid(z))) @ F
+    p = sigmoid(z)
+    np.subtract(y, p, out=p)
+    g = np.multiply(counts, p, out=p) @ F
     if prior is not None:
         g = g - prior.r * w
     return g

@@ -26,6 +26,12 @@ prior precision away from zero) reads as infinite and meets these checks
 instead of raising a numpy warning. Its ``grad_norm`` is from the gradient
 evaluation that finished it, so a solve evaluates at most ``max_iters + 1``
 gradients. ``maximize`` is the one-problem case.
+
+The unfinished problems' original indices, iterates and count rows are
+kept as compact arrays, and the batch shrinks, by one boolean mask, only in
+a step where some problem finishes; the line search shrinks its pending
+rows the same way. So a step copies no (S, T) count rows unless a problem
+finished in it.
 """
 
 from __future__ import annotations
@@ -124,15 +130,21 @@ def _line_search(W, D, slope, y, F, prior, counts):
     accepted = np.zeros(len(W), dtype=bool)
     pending = np.arange(len(W))
     while pending.size:
-        step = t[pending, None] * D[pending]
-        dL = log_likelihood_change(W[pending], step, y, F, prior, counts[pending])
-        good = np.isfinite(dL) & (dL >= _ARMIJO * t[pending] * slope[pending])
+        dL = log_likelihood_change(W, t[pending, None] * D, y, F, prior, counts)
+        good = np.isfinite(dL) & (dL >= _ARMIJO * t[pending] * slope)
         accepted[pending[good]] = True
         change[pending[good]] = dL[good]
-        pending = pending[~good]
-        t[pending] *= _BACKTRACK
-        pending = pending[t[pending] > _MIN_STEP]
+        t[pending[~good]] *= _BACKTRACK
+        more = ~good & (t[pending] > _MIN_STEP)
+        pending, W, D, slope, counts = _keep(more, pending, W, D, slope, counts)
     return change, t, accepted
+
+
+def _keep(mask, *arrays):
+    """The rows of each array where ``mask`` is set; the arrays themselves if it is all set."""
+    if mask.all():
+        return arrays
+    return tuple(a[mask] for a in arrays)
 
 
 def maximize_batch(
@@ -149,47 +161,46 @@ def maximize_batch(
     config = config or SolverConfig()
     y = np.asarray(y, dtype=float)
     F = np.asarray(F, dtype=float)
-    counts = np.asarray(counts, dtype=float)
+    counts = np.ascontiguousarray(counts, dtype=float)
     S, m = counts.shape[0], F.shape[1]
     W = np.zeros((S, m)) if w_init is None else np.array(np.broadcast_to(w_init, (S, m)), float)
 
     with np.errstate(over="ignore"):
         L = log_likelihood(W, y, F, prior, counts)
     error: list[str | None] = [None] * S
-    active = np.isfinite(L)
-    for s in np.flatnonzero(~active):
+    finite_start = np.isfinite(L)
+    for s in np.flatnonzero(~finite_start):
         error[s] = "objective is not finite at the starting point"
     grad_norm = np.full(S, np.nan)
     iterations = np.zeros(S, dtype=int)
+    # the unfinished problems: their original indices, iterates and counts
+    idx, Wa, C = _keep(finite_start, np.arange(S), W.copy(), counts)
 
     for step in range(config.max_iters + 1):
-        rows = np.flatnonzero(active)
         with np.errstate(over="ignore"):
-            G = gradient(W[rows], y, F, prior, counts[rows])
-            grad_norm[rows] = np.linalg.norm(G, axis=1)
+            G = gradient(Wa, y, F, prior, C)
+            grad_norm[idx] = np.linalg.norm(G, axis=1)
         finite = np.isfinite(G).all(axis=1)
-        for s in rows[~finite]:
+        for s in idx[~finite]:
             error[s] = "gradient is not finite"
-        moving = finite & (grad_norm[rows] > config.grad_tol)
-        active[rows[~moving]] = False
-        rows, G = rows[moving], G[moving]
-        if rows.size == 0 or step == config.max_iters:
+        moving = finite & (grad_norm[idx] > config.grad_tol)
+        if step == config.max_iters or not moving.any():
             break
-        D = _newton_directions(W[rows], y, F, prior, counts[rows], G)
+        idx, Wa, C, G = _keep(moving, idx, Wa, C, G)
+        D = _newton_directions(Wa, y, F, prior, C, G)
         with np.errstate(over="ignore", invalid="ignore"):
             slope = np.sum(G * D, axis=1)
         ok = np.isfinite(D).all(axis=1) & (slope > 0)
-        for s in rows[~ok]:
+        for s in idx[~ok]:
             error[s] = "Newton system is singular or its direction does not ascend"
-        active[rows[~ok]] = False
-        rows, D, slope = rows[ok], D[ok], slope[ok]
-        change, t, accepted = _line_search(W[rows], D, slope, y, F, prior, counts[rows])
+        idx, Wa, C, D, slope = _keep(ok, idx, Wa, C, D, slope)
+        change, t, accepted = _line_search(Wa, D, slope, y, F, prior, C)
         # an exhausted line search has reached numerical precision: keep the best iterate
-        active[rows[~accepted]] = False
-        rows, t, D, change = rows[accepted], t[accepted], D[accepted], change[accepted]
-        W[rows] += t[:, None] * D
-        L[rows] += change
-        iterations[rows] += 1
+        idx, Wa, C, D, t, change = _keep(accepted, idx, Wa, C, D, t, change)
+        Wa += t[:, None] * D
+        W[idx] = Wa
+        L[idx] += change
+        iterations[idx] += 1
 
     return BatchSolution(
         w=W,

@@ -684,6 +684,26 @@ def test_a_count_matrix_above_the_bound_is_a_config_error(tmp_path, capsys, monk
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize(
+    "message, line",
+    [
+        ("Unable to allocate 128. MiB", "contilearn: out of memory: Unable to allocate 128. MiB"),
+        ("", "contilearn: out of memory: an allocation failed"),
+    ],
+)
+def test_running_out_of_memory_is_one_line_and_exit_1(
+    tmp_path, capsys, monkeypatch, message, line
+):
+    def sample_plans(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(engine, "sample_plans", sample_plans)
+    rows = "".join(f"{t},{t % 2}\n" for t in range(64))
+    assert _train_exit(tmp_path, rows, "n_iters = 0\n") == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not (tmp_path / "m").exists()
+
+
 # ---------------------------------------------------------------- algebra
 
 

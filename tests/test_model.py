@@ -87,6 +87,87 @@ def test_sigmoid_is_bitwise_the_masked_two_branch_formula():
         assert sigmoid(value).view(np.uint64) == masked_sigmoid(value).view(np.uint64)[0]
 
 
+def former_softplus(z):
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+# the objective, its change and the gradient as whole-array expressions, both branches of
+# the change on every entry; the library computes them in place and must match bit for bit
+def former_log_likelihood(w, y, F, r, counts):
+    z = w @ F.T
+    value = np.sum(counts * (y * z - former_softplus(z)), axis=-1)
+    return value if r is None else value + log_prior(w, Prior(r))
+
+
+def former_log_likelihood_change(w, dw, y, F, r, counts):
+    z, dz = w @ F.T, dw @ F.T
+    upper = z >= 0.0
+    mirrored = np.where(upper, -1.0, 1.0) * np.clip(dz, -1.0, 1.0)
+    near = np.log1p(masked_sigmoid(-np.abs(z)) * np.expm1(mirrored)) + np.where(upper, dz, 0.0)
+    far = former_softplus(z + dz) - former_softplus(z)
+    value = np.sum(counts * (y * dz - np.where(np.abs(dz) <= 1.0, near, far)), axis=-1)
+    return value if r is None else value - r * np.sum(w * dw + 0.5 * dw * dw, axis=-1)
+
+
+def former_gradient(w, y, F, r, counts):
+    g = (counts * (y - masked_sigmoid(w @ F.T))) @ F
+    return g if r is None else g - r * w
+
+
+def same_bits(a, b):
+    bits = [np.asarray(x, dtype=float).view(np.uint64) for x in (a, b)]
+    return np.array_equal(*bits)
+
+
+def oracle_instance():
+    """Scores and score changes on a grid of edge values, exact in the products.
+
+    Row 0 of W reads the scores from column 1 and row 0 of dW the changes from
+    column 0, so z and dz are those columns exactly; the other rows are random.
+    A score product sums from +0.0, so -0.0 never reaches these functions as a score.
+    """
+    zs = [0.0, 0.3, -0.3, 45.0, -45.0, 800.0, -800.0]
+    dzs = [0.0, 1e-12, -0.5, 1.0, -1.0, float(np.nextafter(1.0, 2.0)), 1.5, -7.0, 60.0]
+    grid = np.array([(dz, z) for z in zs for dz in dzs])
+    rng = np.random.default_rng(61)
+    F = np.hstack([grid, rng.normal(size=(len(grid), 2))])
+    y = rng.integers(0, 2, size=len(grid)).astype(float)
+    W = np.vstack([[0.0, 1.0, 0.0, 0.0], rng.normal(scale=3.0, size=(3, 4))])
+    scales = np.array([[1e-9], [0.3], [6.0]])
+    dW = np.vstack([[1.0, 0.0, 0.0, 0.0], scales * rng.normal(size=(3, 4))])
+    counts = rng.integers(0, 4, size=(4, len(grid))).astype(float)
+    z, dz = W[0] @ F.T, dW[0] @ F.T
+    assert np.array_equal(z, grid[:, 1]) and np.array_equal(dz, grid[:, 0])
+    assert (counts == 0).any(axis=1).all()
+    return y, F, W, dW, counts
+
+
+def assert_bitwise_the_former_expressions(w, dw, y, F, r, counts):
+    prior = None if r is None else Prior(r)
+    weights = np.ones(len(y)) if counts is None else counts
+    assert same_bits(
+        log_likelihood_change(w, dw, y, F, prior, counts),
+        former_log_likelihood_change(w, dw, y, F, r, weights),
+    )
+    assert same_bits(gradient(w, y, F, prior, counts), former_gradient(w, y, F, r, weights))
+    assert same_bits(
+        log_likelihood(w, y, F, prior, counts), former_log_likelihood(w, y, F, r, weights)
+    )
+
+
+@pytest.mark.parametrize("r", [None, 0.1, 7.0])
+def test_objective_change_and_gradient_are_bitwise_the_former_expressions(r):
+    y, F, W, dW, counts = oracle_instance()
+    for w, dw, c in [(W, dW, counts), (W[0], dW[0], counts[0]), (W[1], dW[2], None)]:
+        assert_bitwise_the_former_expressions(w, dw, y, F, r, c)
+    # one row at a time, so each entry's term is compared on its own
+    for t in range(len(y)):
+        for label in (0.0, 1.0):
+            assert_bitwise_the_former_expressions(
+                W[0], dW[0], np.array([label]), F[t : t + 1], r, None
+            )
+
+
 def test_label_probabilities_sum_to_one():
     # P(y=0 | x) is the prediction under the negated score
     rng = np.random.default_rng(17)

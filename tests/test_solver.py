@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from contilearn import solver
+from contilearn.ensemble import sample_plans
 from contilearn.errors import NumericalError
 from contilearn.model import Prior, gradient, hessian, log_likelihood, sigmoid
 from contilearn.solver import Solution, SolverConfig, maximize, maximize_batch
@@ -246,3 +249,26 @@ def test_a_singular_newton_system_raises_from_maximize(monkeypatch):
     y, F = random_instance(rng, t_max=10, m=2)
     with pytest.raises(NumericalError, match=f"^solver: {NO_ASCENT}$"):
         maximize(y, F, Prior(1.0))
+
+
+def test_a_batch_solve_peaks_at_a_few_count_matrices():
+    # starts at different distances finish their problems in different steps, so the
+    # batch shrinks mid-solve. The peak counts every array the solve allocates, in units
+    # of the (S, T) count matrix: about 3.4 for the objective change's temporaries, plus
+    # up to two shrunk copies of the count rows (the batch's and the line search's)
+    S, T, m = 16, 20_000, 6
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(T, m - 1))
+    F = np.hstack([np.ones((T, 1)), X])
+    y = (X[:, 0] * X[:, 1] + rng.normal(size=T) > 0).astype(float)
+    counts = sample_plans(S, 5, T)
+    w_init = rng.normal(size=(S, 1)) * rng.normal(size=(S, m))
+    tracemalloc.start()
+    try:
+        batch = maximize_batch(y, F, counts, Prior(1.0), w_init=w_init)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.converged.all()
+    assert len(set(batch.iterations)) > 1
+    assert peak < 6 * S * T * 8
