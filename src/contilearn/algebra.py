@@ -116,8 +116,6 @@ def fit_structure_constants(F_samples) -> AlgebraFitReport:
     overflow, raise DataError.
     """
     F = np.asarray(F_samples, dtype=float)
-    if F.ndim != 2:
-        raise ValueError("expected a matrix of feature rows")
     n_samples, n = F.shape
     if n_samples < n:
         raise DataError(

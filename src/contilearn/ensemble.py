@@ -24,8 +24,6 @@ from .model import Prior
 # maximize stays in this namespace: bench/tracing.py patches it here by name
 from .solver import SolverConfig, maximize, maximize_batch  # noqa: F401
 
-_SEED_LIMIT = 1 << 64
-
 
 def sample_plans(n_replicates: int, seed: int, t_max: int) -> np.ndarray:
     """Bootstrap count matrix: entry (s, t) is how often replicate s drew row t.
@@ -33,12 +31,6 @@ def sample_plans(n_replicates: int, seed: int, t_max: int) -> np.ndarray:
     Replicate s draws t_max row indices with replacement from a generator
     seeded with ``seed ^ s``; every row of the result sums to t_max.
     """
-    if n_replicates < 2:
-        raise ValueError("a bootstrap needs at least 2 replicates")
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ValueError("seed must be an unsigned 64-bit integer")
-    if t_max < 2:
-        raise ValueError("t_max must be at least 2")
     draws = (
         np.random.default_rng(seed ^ s).integers(0, t_max, size=t_max, dtype=np.int64)
         for s in range(n_replicates)
@@ -74,8 +66,6 @@ def solve_replicates(
 
     Fewer than two survivors is a NumericalError.
     """
-    if len(counts) == 0:
-        raise ValueError("counts must have at least one row")
     batch = maximize_batch(y, F, counts, prior, config, w_init)
     index = np.flatnonzero([error is None for error in batch.error])
     if len(index) < 2:
@@ -89,12 +79,6 @@ def fit_distribution(w, weights) -> tuple[np.ndarray, np.ndarray]:
     """Weighted mean and symmetrized outer-product covariance of the rows of ``w``."""
     W = np.asarray(w, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if len(W) < 2:
-        raise ValueError("need at least 2 solutions to fit a distribution")
-    if weights.shape != (len(W),):
-        raise ValueError("one weight per solution required")
-    if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-12:
-        raise ValueError("weights must be non-negative and sum to 1")
     mean = weights @ W
     dev = W - mean
     cov = (dev * weights[:, None]).T @ dev

@@ -38,13 +38,6 @@ def expand(F, scales) -> np.ndarray:
     """Each row of F: its linear slots, then all symmetric products, each divided by its scale."""
     F = np.asarray(F, dtype=float)
     scales = np.asarray(scales, dtype=float)
-    if F.ndim != 2 or scales.shape != (expansion_size(F.shape[1]),):
-        raise ValueError(
-            f"expected a matrix of feature rows and one scale per expanded slot,"
-            f" got shapes {F.shape} and {scales.shape}"
-        )
-    if np.any(scales <= 0):
-        raise ValueError("scales must be strictly positive")
     m = F.shape[1]
     out = np.empty((F.shape[0], scales.shape[0]))
     out[:, :m] = F
@@ -127,8 +120,6 @@ class Layer:
         feature 1 takes its place so the model keeps a bias slot.
         """
         F = np.asarray(F, dtype=float)
-        if F.shape[1:] != (self.m_in,):
-            raise ValueError(f"layer expects rows of width {self.m_in}, got shape {F.shape}")
         if self.degenerate_v0:
             f0 = np.ones(F.shape[0])
         else:
@@ -147,9 +138,6 @@ def calibrate_layer(v0, u, F_train) -> Layer:
     identically zero there keep scale 1. A zero mean direction is flagged
     degenerate, with a warning. ``Layer`` validates ``v0`` and ``u``.
     """
-    G = np.asarray(F_train, dtype=float)
-    if G.ndim != 2:
-        raise ValueError("calibration requires a matrix of training feature rows")
     degenerate = float(np.linalg.norm(v0)) == 0.0
     unit = Layer(v0, u, np.ones(expansion_size(len(u) + 1)), degenerate)
     if degenerate:
@@ -157,7 +145,7 @@ def calibrate_layer(v0, u, F_train) -> Layer:
             "mean direction is zero; its derived feature is replaced by the constant 1",
             stacklevel=2,
         )
-    raw = expand(unit.super_features(G), unit.scales)
+    raw = expand(unit.super_features(F_train), unit.scales)
     rms = np.sqrt(np.mean(raw * raw, axis=0))
     return replace(unit, scales=np.where(rms > 0.0, rms, 1.0))
 

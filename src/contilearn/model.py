@@ -64,25 +64,18 @@ def _exp_minus_abs(z):
     return np.exp(e, out=e)
 
 
-def _check_dims(w: np.ndarray, F: np.ndarray) -> None:
-    if F.shape[-1] != w.shape[-1]:
-        raise ValueError(
-            f"feature dimension {F.shape[-1]} does not match parameter dimension {w.shape[-1]}"
-        )
-
-
 def _scores(w, y, F, counts):
-    """Validated arrays plus the scores z = w F^T: shape (T,), or (S, T) for stacked w."""
+    """w, y and F as float arrays, the counts (ones if None) as passed, and the scores.
+
+    The scores are z = w F^T: shape (T,), or (S, T) for stacked w. Counts are
+    only ever multiplied in, so a boolean mask weights its rows by 0.0 and 1.0
+    without first being copied into a float array.
+    """
     w = np.asarray(w, dtype=float)
     y = np.asarray(y, dtype=float)
     F = np.asarray(F, dtype=float)
-    _check_dims(w, F)
-    if F.shape[0] != y.shape[0]:
-        raise ValueError("label and feature sample counts differ")
     z = np.asarray(w @ F.T)
-    counts = np.broadcast_to(1.0, z.shape) if counts is None else np.asarray(counts, dtype=float)
-    if counts.shape != z.shape:
-        raise ValueError(f"counts have shape {counts.shape}, expected {z.shape}")
+    counts = np.broadcast_to(1.0, z.shape) if counts is None else counts
     return w, y, F, counts, z
 
 
@@ -99,7 +92,6 @@ def predict_prob(w, F):
     """
     w = np.asarray(w, dtype=float)
     F = np.asarray(F, dtype=float)
-    _check_dims(w, F)
     return np.clip(sigmoid(F @ w), _TINY, _ALMOST_ONE)
 
 

@@ -222,11 +222,7 @@ def maximize(y, F, prior: Prior, config: SolverConfig | None = None, w_init=None
     does not ascend.
     """
     F = np.asarray(F, dtype=float)
-    m = F.shape[1]
-    w = np.zeros(m) if w_init is None else np.asarray(w_init, dtype=float)
-    if w.shape != (m,):
-        raise ValueError(f"w_init has shape {w.shape}, expected ({m},)")
-    batch = maximize_batch(y, F, np.ones((1, F.shape[0])), prior, config, w[None])
+    batch = maximize_batch(y, F, np.ones((1, F.shape[0])), prior, config, w_init)
     if batch.error[0] is not None:
         raise NumericalError("solver", batch.error[0])
     return Solution(

@@ -10,8 +10,6 @@ import numpy as np
 
 from .errors import NumericalError
 
-_SYM_TOL = 1e-10
-
 
 def eig_sym(A: np.ndarray):
     """Eigenvalues (descending) and orthonormal eigenvector rows of a symmetric matrix.
@@ -20,10 +18,6 @@ def eig_sym(A: np.ndarray):
     positive, which makes persisted decompositions reproducible.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if float(np.max(np.abs(A - A.T), initial=0.0)) > _SYM_TOL:
-        raise ValueError("matrix is not symmetric")
     try:
         evals, evecs = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
@@ -42,10 +36,6 @@ def select_components(cov, rel_threshold: float, k_max: int) -> np.ndarray:
     At most ``k_max`` components are kept, at least one when the spectrum is
     positive. A (numerically) zero covariance selects nothing: k = 0 rows.
     """
-    if not 0.0 < rel_threshold <= 1.0:
-        raise ValueError("rel_threshold must lie in (0, 1]")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
     evals, rows = eig_sym(cov)
     top = float(evals[0]) if evals.size else 0.0
     if top <= 0.0:

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import os
 import re
@@ -151,6 +152,49 @@ def test_readme_states_the_count_bound():
     bound = engine.MAX_COUNT_ENTRIES
     text = " ".join(_readme().split())
     assert f"2^{bound.bit_length() - 1} = {bound:,} entries".replace(",", " ") in text
+
+
+# the functions where a value enters the library, by module: every other function
+# assumes what these establish and raises no ValueError of its own
+BOUNDARY_CHECKS = {
+    "algebra": {"StructureConstants.__post_init__", "reference_algebra"},
+    "data": {
+        "Standardization.__post_init__",
+        "Standardization.transform",
+        "Dataset.__post_init__",
+    },
+    "featuremap": {"Layer.__post_init__", "RecursiveFeatureMap.__post_init__"},
+    "model": {"Prior.__post_init__"},
+    "modelio": {"_parser.parse", "_nonnegative_int"},  # the codecs
+}
+
+
+def _value_error_raisers(source: str) -> set[str]:
+    """Dotted name of the enclosing function of every ``raise ValueError`` in ``source``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Raise):
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_only_boundary_functions_raise_value_error():
+    package = Path(cli.__file__).parent
+    raisers = {
+        path.stem: _value_error_raisers(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {module: names for module, names in raisers.items() if names} == BOUNDARY_CHECKS
 
 
 def test_config_range_is_checked_when_built(tmp_path, xor_csv, xor_config, capsys):
@@ -382,6 +426,7 @@ NON_FINITE_CASES = [
     ("layer0.u0", "nan", "layer0: u must be finite"),
     ("layer0.u0", "1e200", "layer0: projection rows must be orthonormal"),
     ("layer0.scales", "1e-300", "layer0: features overflow on the standardized unit rows"),
+    ("layer0.scales", "0.0", "layer0: scales must be positive and finite"),
     ("r_per_iteration", "nan", "r_per_iteration: entries must be positive finite reals"),
     ("r_per_iteration", "inf", "r_per_iteration: entries must be positive finite reals"),
     ("r_per_iteration", "-1.0", "r_per_iteration: entries must be positive finite reals"),
@@ -430,6 +475,7 @@ WIDTH_CASES = [
     ("mean", +1, "mean and scale must be 1-d arrays of the same length"),
     ("layer0.u0", +1, "layer0.u0 width does not match layer0.m_in"),
     ("layer0.u1", -1, "layer0.u1 width does not match layer0.m_in"),
+    ("layer0.scales", -1, "layer0: scale vector length does not match the expanded width"),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from contilearn.engine import (
     run,
 )
 from contilearn.ensemble import (
+    SolutionSet,
     fit_distribution,
     sample_plans,
     solve_replicates,
@@ -161,6 +163,31 @@ def test_huge_precision_forces_chance_level_oob():
     counts = sample_plans(8, 9, ds.t_max)
     score = oob_score(ds.y, F, counts, solve_replicates(ds.y, F, counts, Prior(1e9)))
     assert abs(score - math.log(0.5)) <= 1e-5
+
+
+def test_oob_score_weights_by_the_held_out_mask_itself(monkeypatch):
+    # the boolean mask is multiplied in as it is, which gives the same 0.0 and 1.0
+    # as a float copy. The peak, in units of the (S, T) float64 count matrix, is the
+    # mask plus the objective's three temporaries: about 3.1, and 4.1 with a copy
+    S, T, m = 64, 20_000, 5
+    rng = np.random.default_rng(21)
+    F = np.hstack([np.ones((T, 1)), rng.normal(size=(T, m - 1))])
+    y = (rng.random(T) < 0.5).astype(float)
+    counts = sample_plans(S, 4, T)
+    solset = SolutionSet(rng.normal(size=(S, m)), np.arange(S))
+    tracemalloc.start()
+    try:
+        score = oob_score(y, F, counts, solset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.6 * S * T * 8
+
+    def with_float_mask(w, y, F, counts):
+        return log_likelihood(w, y, F, counts=counts.astype(float))
+
+    monkeypatch.setattr(engine, "log_likelihood", with_float_mask)
+    assert repr(score) == repr(oob_score(y, F, counts, solset))
 
 
 def test_chosen_r_attains_the_exhaustive_maximum(circle_data):
@@ -316,3 +343,9 @@ def test_engine_config_validation():
         EngineConfig(rel_threshold=0.0)
     with pytest.raises(ValueError):
         EngineConfig(seed=-5)
+    with pytest.raises(ConfigError, match="n_replicates must be at least 2"):
+        EngineConfig(n_replicates=1)
+    with pytest.raises(ConfigError, match="k_max must be at least 1"):
+        EngineConfig(k_max=0)
+    with pytest.raises(ConfigError, match="seed must be an unsigned 64-bit integer"):
+        EngineConfig(seed=1 << 64)

@@ -57,11 +57,6 @@ def test_predict_prob_saturation_stays_inside_unit_interval():
     assert np.isfinite(np.log1p(-p_high))
 
 
-def test_predict_prob_dimension_mismatch():
-    with pytest.raises(ValueError):
-        predict_prob(np.zeros(2), np.zeros(3))
-
-
 @settings(max_examples=200)
 @given(st.floats(-50, 50))
 def test_sigmoid_complement(z):
