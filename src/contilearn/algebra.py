@@ -124,13 +124,14 @@ def fit_structure_constants(F_samples) -> AlgebraFitReport:
 
     ii, jj = np.triu_indices(n)
     rows = featuremap.BLOCK_ROWS
-    # one block's products, Fortran order so pair_products fills whole columns
-    P = np.empty((min(rows, n_samples), len(ii)), order="F")
+    # one block's products, a row per pair so pair_products fills whole rows; the sums and
+    # matmuls read the transpose, a Fortran-order (rows, pairs) array, and round by that layout
+    P = np.empty((len(ii), min(rows, n_samples)))
 
     def blocks():
         for lo in range(0, n_samples, rows):
             Fb = F[lo : lo + rows]
-            yield Fb, pair_products(Fb, P[: len(Fb)])
+            yield Fb, pair_products(np.ascontiguousarray(Fb.T), P[:, : len(Fb)]).T
 
     G = np.zeros((n, n))
     rhs = np.zeros((n, len(ii)))
@@ -153,7 +154,7 @@ def fit_structure_constants(F_samples) -> AlgebraFitReport:
         A[np.diag_indices(n)] += _RIDGE
         coef = np.linalg.solve(A, rhs / d[:, None]) / d[:, None]
 
-        defect = np.empty_like(P)
+        defect = np.empty_like(P).T
         for Fb, Pb in blocks():
             Db = np.matmul(Fb, coef, out=defect[: len(Fb)])
             Db -= Pb

@@ -132,21 +132,24 @@ def _read_numeric_rows(path, has_header: bool) -> np.ndarray:
 
     Every line after the optional header is a row or an error, so row i of
     the result is line ``i + 1 + has_header`` of the file. A field is any
-    text ``float()`` accepts, and it must be finite. When every line has the
-    first line's width, one numpy conversion (which accepts exactly what
-    ``float()`` does) parses the whole file. Any other file, or a failed
-    conversion, goes to the token-by-token scan, which raises the first
+    text ``float()`` accepts, and it must be finite. numpy's C reader
+    (``np.loadtxt``) parses the whole file first; it accepts a subset of
+    what ``float()`` does (no ``_`` separators, ASCII digits only), with
+    bit-equal values. Its matrix is kept when it has a row for every line
+    (it skips blank lines) and every value is finite. Any other file, or a
+    rejected one, goes to the token-by-token scan, which raises the first
     fault: a token ``float()`` rejects or a non-finite value, in file order;
     then an empty file; then a row whose width differs from the first row's.
     """
     first = 1 + int(has_header)
     lines = read_text(path, "data", DataError).splitlines()[first - 1 :]
-    commas = lines[0].count(",") if lines else 0
-    if lines and all(line.count(",") == commas for line in lines):
+    # a blank first line is a fault; skipping it also keeps loadtxt from warning on all-blank text
+    if lines and lines[0]:
         with suppress(ValueError):
-            M = np.array(",".join(lines).split(","), dtype=float)
-            if np.isfinite(M).all():
-                return M.reshape(len(lines), commas + 1)
+            M = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            if len(M) == len(lines) and np.isfinite(M).all():
+                return M
+    commas = lines[0].count(",") if lines else 0
     values: list[float] = []
     for lineno, line in enumerate(lines, start=first):
         for tok in line.split(","):

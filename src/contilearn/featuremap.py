@@ -12,7 +12,8 @@ products from exploding as layers stack. A parameter vector on the previous
 space is always representable on the expanded space, so each round can only
 enlarge the reachable model class. Stacking N layers yields features that
 are polynomials of degree at most 2**N in the raw inputs. Every function
-here takes a matrix whose rows are feature vectors, never a single vector.
+here takes a matrix whose rows are feature vectors, never a single vector,
+except ``pair_products``, which takes one row per feature.
 """
 
 from __future__ import annotations
@@ -39,20 +40,25 @@ def expand(F, scales) -> np.ndarray:
     F = np.asarray(F, dtype=float)
     scales = np.asarray(scales, dtype=float)
     m = F.shape[1]
-    out = np.empty((F.shape[0], scales.shape[0]))
-    out[:, :m] = F
-    pair_products(F, out[:, m:])
-    out /= scales
-    return out
+    # built feature-major, so each product is one contiguous multiply over the rows
+    out = np.empty((scales.shape[0], F.shape[0]))
+    out[:m] = F.T
+    pair_products(out[:m], out[m:])
+    out /= scales[:, None]
+    # C order: the next layer's projection (a BLAS product) rounds by memory layout
+    return np.ascontiguousarray(out.T)
 
 
-def pair_products(F, out) -> np.ndarray:
-    """Fill the columns of ``out`` with every product F_a * F_b, a <= b, in (a, b) order."""
-    col = 0
-    for a in range(F.shape[1]):
-        width = F.shape[1] - a
-        np.multiply(F[:, a : a + 1], F[:, a:], out=out[:, col : col + width])
-        col += width
+def pair_products(Ft, out) -> np.ndarray:
+    """Fill the rows of ``out`` with every product Ft_a * Ft_b, a <= b, in (a, b) order.
+
+    ``Ft`` holds one feature per row (m, n), and ``out`` one product per row (pairs, n).
+    """
+    row = 0
+    for a in range(Ft.shape[0]):
+        width = Ft.shape[0] - a
+        np.multiply(Ft[a], Ft[a:], out=out[row : row + width])
+        row += width
     return out
 
 

@@ -143,9 +143,9 @@ def fit_in_blocks(monkeypatch, F, rows):
     """The fit of F read in blocks of ``rows`` rows, and the length of every block it read."""
     seen = []
 
-    def spy(Fb, out):
-        seen.append(len(Fb))
-        return pair_products(Fb, out)
+    def spy(Ft, out):
+        seen.append(Ft.shape[1])  # one feature per row, so a block's rows are its columns
+        return pair_products(Ft, out)
 
     with monkeypatch.context() as patch:
         patch.setattr(featuremap, "BLOCK_ROWS", rows)

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -310,35 +311,107 @@ def test_parse_matches_the_token_scanner(tmp_path, case):
         ("1,2\n\n3,4\n", "row 2: cannot parse '' as a number"),
         ("1,2\n3\nx,2\n", "row 3: cannot parse 'x' as a number"),
         ("1,2\n3\n", "row 2: expected 2 fields, found 1"),
+        # digits float() reads and numpy's reader rejects: a fullwidth and an Arabic-Indic one
+        ("\uff11,2\n", [[1.0, 2.0]]),
+        ("\u0661,2\n", [[1.0, 2.0]]),
+        # numpy's reader skips blank lines, and warns when it finds nothing else
+        ("\n", "row 1: cannot parse '' as a number"),
+        ("\n\n", "row 1: cannot parse '' as a number"),
     ],
-    ids=["underscore", "spaces", "crlf", "nan", "overflow", "blank", "token-before-width", "width"],
+    ids=[
+        "underscore",
+        "spaces",
+        "crlf",
+        "nan",
+        "overflow",
+        "blank",
+        "token-before-width",
+        "width",
+        "fullwidth-digit",
+        "arabic-indic-digit",
+        "one-blank-line",
+        "two-blank-lines",
+    ],
 )
 def test_parse_hand_cases(tmp_path, text, outcome):
     path = tmp_path / "rows.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    if isinstance(outcome, str):
-        with pytest.raises(DataError, match=f"^{re.escape(outcome)}$"):
-            _read_numeric_rows(path, False)
-    else:
-        M = _read_numeric_rows(path, False)
-        assert M.dtype == np.float64 and np.array_equal(M, outcome)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(outcome, str):
+            with pytest.raises(DataError, match=f"^{re.escape(outcome)}$"):
+                _read_numeric_rows(path, False)
+        else:
+            M = _read_numeric_rows(path, False)
+            assert M.dtype == np.float64 and np.array_equal(M, outcome)
 
 
 def test_parse_without_the_numpy_conversion_gives_the_same_matrix(tmp_path, monkeypatch):
-    # a numpy whose string conversion rejected what float() accepts costs speed, not a result
-    array = np.array
-
-    def no_float_conversion(obj, *args, dtype=None, **kwargs):
-        if dtype is float:
-            raise ValueError("string conversion unavailable")
-        return array(obj, *args, dtype=dtype, **kwargs)
+    # a numpy whose reader rejected what float() accepts costs speed, not a result
+    def no_reader(*args, **kwargs):
+        raise ValueError("reader unavailable")
 
     path = tmp_path / "rows.csv"
-    path.write_text("1_000, 2.5\n-3,4e-3\n")
-    monkeypatch.setattr(np, "array", no_float_conversion)
+    path.write_text("1000, 2.5\n-3,4e-3\n")
+    monkeypatch.setattr(np, "loadtxt", no_reader)
     M = _read_numeric_rows(path, False)
     monkeypatch.undo()
     assert M.dtype == np.float64 and np.array_equal(M, [[1000.0, 2.5], [-3.0, 0.004]])
+
+
+def read_by_numpy(monkeypatch, path):
+    """``_read_numeric_rows`` of ``path``, and the arrays np.loadtxt returned meanwhile."""
+    loadtxt, returned = np.loadtxt, []
+
+    def spy(*args, **kwargs):
+        returned.append(loadtxt(*args, **kwargs))
+        return returned[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "loadtxt", spy)
+        return _read_numeric_rows(path, False), returned
+
+
+def test_an_ordinary_file_is_parsed_by_numpy(tmp_path, monkeypatch):
+    # a silent fall back to the token scan gives the same matrix, only slower
+    path = tmp_path / "rows.csv"
+    path.write_text("".join(f"{i},{-i / 3!r},{i % 2}\n" for i in range(50)))
+    M, returned = read_by_numpy(monkeypatch, path)
+    assert len(returned) == 1 and M is returned[0]
+    assert M.shape == (50, 3)
+
+
+def number_texts(rng, size):
+    """Lists of finite numbers' texts, one per format: ``repr``, ``%.17g``, ``%.6f``, ``%.25e``,
+    ``%.3g``, 60-digit mantissas, subnormals, and values up to the largest double."""
+    x = rng.normal(size=size) * 10.0 ** rng.integers(-30, 30, size=size)
+    edges = [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+    sub = rng.integers(1, 2**52, size=size).view(np.float64)  # subnormal bit patterns
+    huge = np.nextafter(1.7976931348623157e308, 0.0) * rng.uniform(0.5, 1.0, size=size)
+    digits = ["".join(map(str, rng.integers(0, 10, size=60))) for _ in range(size)]
+    signs, exponents = rng.choice(["", "-", "+"], size=size), rng.integers(-320, 300, size=size)
+    return [
+        [repr(float(v)) for v in x],
+        [f"{v:.17g}" for v in x],
+        [f"{v:.6f}" for v in x],
+        [f"{v:.25e}" for v in x],
+        [f"{v:.3g}" for v in x],
+        [f"{sign}{m[0]}.{m[1:]}e{e}" for sign, m, e in zip(signs, digits, exponents)],
+        [repr(float(v)) for v in sub] + [f"{v:.17g}" for v in -sub],
+        [repr(float(v)) for v in huge] + [repr(v) for v in edges] + [repr(-v) for v in edges],
+    ]
+
+
+def test_numpy_parses_each_number_format_to_the_bits_float_gives(tmp_path, monkeypatch):
+    rng = np.random.default_rng(20)
+    for texts in number_texts(rng, 3000):
+        texts = texts[: len(texts) // 3 * 3]
+        path = tmp_path / "rows.csv"
+        path.write_text("".join(",".join(texts[i : i + 3]) + "\n" for i in range(0, len(texts), 3)))
+        M, returned = read_by_numpy(monkeypatch, path)
+        assert M is returned[0]
+        expected = np.array([float(t) for t in texts]).reshape(-1, 3)
+        assert np.array_equal(M.view(np.int64), expected.view(np.int64)), texts[:3]
 
 
 @pytest.mark.parametrize("text, has_header", [("", False), ("x,y\n", True)])

@@ -161,6 +161,31 @@ def test_expand_is_bitwise_the_concatenated_formula(rows, order):
         assert np.array_equal(out.view(np.int64), expected.view(np.int64))
 
 
+def row_major_expand(F, scales):
+    # the former expansion: a (rows, width) buffer whose product columns are filled in turn
+    m = F.shape[1]
+    out = np.empty((F.shape[0], scales.shape[0]))
+    out[:, :m] = F
+    col = m
+    for a in range(m):
+        np.multiply(F[:, a : a + 1], F[:, a:], out=out[:, col : col + m - a])
+        col += m - a
+    out /= scales
+    return out
+
+
+@pytest.mark.parametrize("rows, m", [(60, 9), (3000, 8), (8192, 9)])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_expand_is_bitwise_the_row_major_expansion(rows, m, layout):
+    rng = np.random.default_rng(rows + m)
+    F = rng.normal(scale=3.0, size=(2 * rows, 2 * m))
+    F = F[::2, 1::2] if layout == "strided" else np.asarray(F[:rows, :m], order=layout)
+    scales = rng.uniform(0.1, 10.0, size=expansion_size(m))
+    out = expand(F, scales)
+    assert out.flags.c_contiguous
+    assert np.array_equal(out.view(np.int64), row_major_expand(F, scales).view(np.int64))
+
+
 def test_calibrated_scales_give_unit_rms():
     rng = np.random.default_rng(20)
     F = np.hstack([np.ones((30, 1)), rng.normal(size=(30, 2))])

@@ -141,9 +141,9 @@ def two_row_blocks(monkeypatch):
         seen.append(len(F))
         return predict_prob(w, F)
 
-    def counted_pair_products(F, out):
-        seen.append(len(F))
-        return pair_products(F, out)
+    def counted_pair_products(Ft, out):
+        seen.append(Ft.shape[1])  # one feature per row, so a block's rows are its columns
+        return pair_products(Ft, out)
 
     monkeypatch.setattr(featuremap, "BLOCK_ROWS", 2)
     monkeypatch.setattr(cli, "predict_prob", counted_predict_prob)
