@@ -8,4 +8,10 @@ the redefined features extend the space. Every round keeps the previous
 best model representable while the parameter dimension stays capped.
 """
 
+import os
+
+# One BLAS thread, set before anything imports numpy: a multi-threaded product rounds by how
+# it splits the work, so a model's bytes would depend on the host's CPU count.
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
 __version__ = "0.1.0"

@@ -100,7 +100,7 @@ class AlgebraFitReport:
     ill_conditioned: bool
 
 
-def fit_structure_constants(F_samples) -> AlgebraFitReport:
+def fit_structure_constants(F) -> AlgebraFitReport:
     """Fit C from sampled feature rows by ridge-damped normal equations.
 
     For each unordered pair (a, b) the product column F_a * F_b is projected
@@ -115,7 +115,6 @@ def fit_structure_constants(F_samples) -> AlgebraFitReport:
     equilibrated G. Fewer rows than features, or features whose products
     overflow, raise DataError.
     """
-    F = np.asarray(F_samples, dtype=float)
     n_samples, n = F.shape
     if n_samples < n:
         raise DataError(

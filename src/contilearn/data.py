@@ -63,7 +63,6 @@ def fit_standardization(X: np.ndarray) -> Standardization:
 
     Raises DataError when a column's mean or spread overflows a double.
     """
-    X = np.asarray(X, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = X.mean(axis=0)
         spread = X.std(axis=0)

@@ -119,7 +119,7 @@ class EngineResult:
 def accuracy(w, y, F) -> float:
     """Share of rows whose thresholded probability matches the label."""
     p = predict_prob(w, F)
-    return float(np.mean((p >= 0.5).astype(float) == np.asarray(y, dtype=float)))
+    return float(np.mean((p >= 0.5).astype(float) == y))
 
 
 def _stage_seed(seed: int, stage: int) -> int:

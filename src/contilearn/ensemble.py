@@ -40,7 +40,6 @@ def sample_plans(n_replicates: int, seed: int, t_max: int) -> np.ndarray:
 
 def weights_from_loglik(L) -> np.ndarray:
     """Softmax of log-likelihood values, shifted by the maximum so nothing overflows."""
-    L = np.asarray(L, dtype=float)
     shifted = np.exp(L - np.max(L))
     return shifted / np.sum(shifted)
 
@@ -77,9 +76,7 @@ def solve_replicates(
 
 def fit_distribution(w, weights) -> tuple[np.ndarray, np.ndarray]:
     """Weighted mean and symmetrized outer-product covariance of the rows of ``w``."""
-    W = np.asarray(w, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    mean = weights @ W
-    dev = W - mean
+    mean = weights @ w
+    dev = w - mean
     cov = (dev * weights[:, None]).T @ dev
     return mean, 0.5 * (cov + cov.T)

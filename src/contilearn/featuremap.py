@@ -37,8 +37,6 @@ def expansion_size(m: int) -> int:
 
 def expand(F, scales) -> np.ndarray:
     """Each row of F: its linear slots, then all symmetric products, each divided by its scale."""
-    F = np.asarray(F, dtype=float)
-    scales = np.asarray(scales, dtype=float)
     m = F.shape[1]
     # built feature-major, so each product is one contiguous multiply over the rows
     out = np.empty((scales.shape[0], F.shape[0]))
@@ -125,7 +123,6 @@ class Layer:
         A degenerate (zero) mean direction has no usable F_0; the constant
         feature 1 takes its place so the model keeps a bias slot.
         """
-        F = np.asarray(F, dtype=float)
         if self.degenerate_v0:
             f0 = np.ones(F.shape[0])
         else:
@@ -204,7 +201,7 @@ class RecursiveFeatureMap:
 
         With no layers this is just the basic feature matrix.
         """
-        Z = self.standardization.design_matrix(np.asarray(X, dtype=float))
+        Z = self.standardization.design_matrix(X)
         if not self.layers:
             return Z
         for layer in self.layers[:-1]:

@@ -41,7 +41,6 @@ def sigmoid(z):
     With e = exp(-|z|) <= 1 it is 1 / (1 + e) for z >= 0 and e / (1 + e)
     below, so neither branch can overflow.
     """
-    z = np.asarray(z, dtype=float)
     e = _exp_minus_abs(z)
     d = np.add(1.0, e, out=np.empty_like(e))
     np.divide(e, d, out=e)
@@ -51,7 +50,6 @@ def sigmoid(z):
 
 def softplus(z):
     """log(1 + exp(z)) without overflow."""
-    z = np.asarray(z, dtype=float)
     e = _exp_minus_abs(z)
     np.log1p(e, out=e)
     return np.add(np.maximum(z, 0.0), e, out=e)
@@ -64,19 +62,16 @@ def _exp_minus_abs(z):
     return np.exp(e, out=e)
 
 
-def _scores(w, y, F, counts):
-    """w, y and F as float arrays, the counts (ones if None) as passed, and the scores.
+def _scores(w, F, counts):
+    """The counts (ones if None) as passed, and the scores.
 
     The scores are z = w F^T: shape (T,), or (S, T) for stacked w. Counts are
     only ever multiplied in, so a boolean mask weights its rows by 0.0 and 1.0
     without first being copied into a float array.
     """
-    w = np.asarray(w, dtype=float)
-    y = np.asarray(y, dtype=float)
-    F = np.asarray(F, dtype=float)
-    z = np.asarray(w @ F.T)
+    z = w @ F.T
     counts = np.broadcast_to(1.0, z.shape) if counts is None else counts
-    return w, y, F, counts, z
+    return counts, z
 
 
 def _scalar(value, w):
@@ -90,8 +85,6 @@ def predict_prob(w, F):
     return the smallest positive normal double (or its complement), which
     keeps downstream logs finite.
     """
-    w = np.asarray(w, dtype=float)
-    F = np.asarray(F, dtype=float)
     return np.clip(sigmoid(F @ w), _TINY, _ALMOST_ONE)
 
 
@@ -100,7 +93,6 @@ def log_prior(w, prior: Prior):
 
     One value for a parameter vector, or one per row of stacked vectors.
     """
-    w = np.asarray(w, dtype=float)
     m = w.shape[-1]
     value = 0.5 * m * (np.log(prior.r) - _LOG_2PI) - 0.5 * prior.r * np.sum(w * w, axis=-1)
     return _scalar(value, w)
@@ -114,7 +106,7 @@ def log_likelihood(w, y, F, prior: Prior | None = None, counts=None):
     ``counts`` (shape (S, T), or (T,) for one vector) weights sample t by
     how often a bootstrap replicate drew it; None weights every sample 1.
     """
-    w, y, F, counts, z = _scores(w, y, F, counts)
+    counts, z = _scores(w, F, counts)
     sp = softplus(z)
     np.multiply(y, z, out=z)
     np.subtract(z, sp, out=z)
@@ -134,9 +126,8 @@ def log_likelihood_change(w, dw, y, F, prior: Prior | None = None, counts=None):
     its relative precision however small dz is. Shapes and ``counts`` follow
     ``log_likelihood``.
     """
-    w, y, F, counts, z = _scores(w, y, F, counts)
-    dw = np.asarray(dw, dtype=float)
-    dz = np.asarray(dw @ F.T)
+    counts, z = _scores(w, F, counts)
+    dz = dw @ F.T
     a = np.abs(dz, out=np.empty_like(dz))
     far = ~(a <= 1.0)
     zf, dzf = z[far], dz[far]
@@ -166,7 +157,7 @@ def gradient(w, y, F, prior: Prior | None = None, counts=None):
 
     ``counts`` weights samples as in ``log_likelihood``.
     """
-    w, y, F, counts, z = _scores(w, y, F, counts)
+    counts, z = _scores(w, F, counts)
     p = sigmoid(z)
     np.subtract(y, p, out=p)
     g = np.multiply(counts, p, out=p) @ F
@@ -183,7 +174,7 @@ def hessian(w, y, F, prior: Prior | None = None, counts=None):
     Only the data part is symmetrized: adding the prior's diagonal to itself
     would overflow for r above half the largest double.
     """
-    w, y, F, counts, z = _scores(w, y, F, counts)
+    counts, z = _scores(w, F, counts)
     p = sigmoid(z)
     s = counts * (p * (1.0 - p))
     H = np.matmul(F.T * s[..., None, :], F)

@@ -49,7 +49,7 @@ def _fmt_bool(v: bool) -> str:
 
 
 def _fmt_vector(v) -> str:
-    return ",".join(_fmt_float(x) for x in np.asarray(v, dtype=float))
+    return ",".join(_fmt_float(x) for x in v)
 
 
 def _parser(convert, expected: str):
@@ -298,5 +298,4 @@ def save_algebra_report(path, report: AlgebraFitReport) -> None:
 
 def save_predictions(path, probs) -> None:
     """One probability per line, 17 significant digits (exact for doubles)."""
-    probs = np.asarray(probs, dtype=float).tolist()
-    Path(path).write_text(("%.17g\n" * len(probs)) % tuple(probs), encoding="utf-8")
+    Path(path).write_text(("%.17g\n" * len(probs)) % tuple(probs.tolist()), encoding="utf-8")

@@ -159,9 +159,6 @@ def maximize_batch(
     ascend (g·d <= 0), is reported in ``error`` and does not stop the others.
     """
     config = config or SolverConfig()
-    y = np.asarray(y, dtype=float)
-    F = np.asarray(F, dtype=float)
-    counts = np.ascontiguousarray(counts, dtype=float)
     S, m = counts.shape[0], F.shape[1]
     W = np.zeros((S, m)) if w_init is None else np.array(np.broadcast_to(w_init, (S, m)), float)
 
@@ -173,7 +170,8 @@ def maximize_batch(
         error[s] = "objective is not finite at the starting point"
     grad_norm = np.full(S, np.nan)
     iterations = np.zeros(S, dtype=int)
-    # the unfinished problems: their original indices, iterates and counts
+    # the unfinished problems: their original indices, iterates and counts. The copy makes
+    # the iterates C-ordered (a 1-D start broadcasts to Fortran order): BLAS rounds by layout
     idx, Wa, C = _keep(finite_start, np.arange(S), W.copy(), counts)
 
     for step in range(config.max_iters + 1):
@@ -221,7 +219,6 @@ def maximize(y, F, prior: Prior, config: SolverConfig | None = None, w_init=None
     gradient is not finite, or a Newton system is singular or its direction
     does not ascend.
     """
-    F = np.asarray(F, dtype=float)
     batch = maximize_batch(y, F, np.ones((1, F.shape[0])), prior, config, w_init)
     if batch.error[0] is not None:
         raise NumericalError("solver", batch.error[0])

@@ -17,7 +17,6 @@ def eig_sym(A: np.ndarray):
     Each eigenvector's sign is fixed so that its largest-magnitude entry is
     positive, which makes persisted decompositions reproducible.
     """
-    A = np.asarray(A, dtype=float)
     try:
         evals, evecs = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:

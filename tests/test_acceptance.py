@@ -26,6 +26,7 @@ from contilearn.ensemble import fit_distribution, weights_from_loglik
 from contilearn.model import Prior, gradient, log_likelihood
 from contilearn.solver import maximize
 from contilearn.spectral import eig_sym, select_components
+from contilearn.synthetic import write_csv
 from tests.conftest import random_instance
 from tests.test_featuremap import interpolation_residual, random_map
 from tests.test_model import numeric_gradient
@@ -213,24 +214,35 @@ def test_criterion_8_algebra_suite():
 
 @criterion("9 determinism")
 def test_criterion_9_determinism(tmp_path, xor_csv):
-    # BLAS reads its thread count when it loads, so each count needs a fresh process
-    config = tmp_path / "xor.cfg"
-    config.write_text("n_iters = 1\nseed = 2024\nalgebra_check = true\n")
+    # xor's 100 rows, and 3000 rows of 6 inputs, whose products take BLAS's multi-threaded path
+    rng = np.random.default_rng(7000)
+    X = rng.normal(size=(3000, 6))
+    y = X[:, 0] * X[:, 1] + 0.5 * X[:, 2] ** 2 - 0.5 + 0.3 * rng.normal(size=3000) > 0
+    tall_csv = tmp_path / "tall.csv"
+    write_csv(tall_csv, X, y.astype(float))
+    cases = [
+        ("xor", xor_csv, "n_iters = 1\nseed = 2024\nalgebra_check = true\n"),
+        ("tall", tall_csv, "n_iters = 1\nn_replicates = 16\nalgebra_check = true\nseed = 17\n"),
+    ]
     path = [str(Path(contilearn.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
-        out = tmp_path / f"threads{threads}.model"
-        argv = ["train", "--data", str(xor_csv), "--config", str(config), "--out", str(out)]
-        proc = subprocess.run(
-            [sys.executable, "-m", "contilearn", *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append((out.read_bytes(), Path(f"{out}.report").read_bytes()))
-    assert outputs[0][0] == outputs[1][0]
-    assert outputs[0][1] == outputs[1][1]
+    for name, data, text in cases:
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(text)
+        outputs = []
+        # BLAS reads its thread count when it loads, so each count needs a fresh process
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+            env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
+            out = tmp_path / f"{name}{threads}.model"
+            argv = ["train", "--data", str(data), "--config", str(config), "--out", str(out)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "contilearn", *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out.read_bytes(), Path(f"{out}.report").read_bytes()))
+        assert outputs[0][0] == outputs[1][0], name
+        assert outputs[0][1] == outputs[1][1], name

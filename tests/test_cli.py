@@ -169,32 +169,67 @@ BOUNDARY_CHECKS = {
 }
 
 
-def _value_error_raisers(source: str) -> set[str]:
-    """Dotted name of the enclosing function of every ``raise ValueError`` in ``source``."""
-    found = set()
+# the functions that call np.asarray or np.ascontiguousarray, by module: the boundaries
+# that convert arrays once, a caller-facing CSV writer, and two layout copies: ``expand``
+# returns C order because the next layer's BLAS product rounds by memory layout, and the
+# algebra fit's blocks give ``pair_products`` contiguous feature rows. Every other
+# function takes the float64 arrays these build
+ARRAY_CONVERSIONS = {
+    "algebra": {"StructureConstants.__post_init__", "fit_structure_constants.blocks"},
+    "data": {
+        "Standardization.__post_init__",
+        "Standardization.transform",
+        "Dataset.__post_init__",
+    },
+    "featuremap": {"Layer.__post_init__", "expand"},
+    "synthetic": {"write_csv"},
+}
 
-    def visit(node, scope):
+
+def _package_sites(matches) -> dict[str, set[str]]:
+    """Per module, the dotted name of the enclosing function of every AST node ``matches``."""
+
+    def visit(node, scope, found):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, (*scope, child.name))
+                visit(child, (*scope, child.name), found)
                 continue
-            if isinstance(child, ast.Raise):
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if isinstance(exc, ast.Name) and exc.id == "ValueError":
-                    found.add(".".join(scope))
-            visit(child, scope)
+            if matches(child):
+                found.add(".".join(scope))
+            visit(child, scope, found)
+        return found
 
-    visit(ast.parse(source), ())
-    return found
+    package = Path(cli.__file__).parent
+    sites = {
+        path.stem: visit(ast.parse(path.read_text(encoding="utf-8")), (), set())
+        for path in sorted(package.glob("*.py"))
+    }
+    return {module: names for module, names in sites.items() if names}
+
+
+def _raises_value_error(node) -> bool:
+    if not isinstance(node, ast.Raise):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "ValueError"
+
+
+def _converts_array(node) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr in ("asarray", "ascontiguousarray")
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "np"
+    )
 
 
 def test_only_boundary_functions_raise_value_error():
-    package = Path(cli.__file__).parent
-    raisers = {
-        path.stem: _value_error_raisers(path.read_text(encoding="utf-8"))
-        for path in sorted(package.glob("*.py"))
-    }
-    assert {module: names for module, names in raisers.items() if names} == BOUNDARY_CHECKS
+    assert _package_sites(_raises_value_error) == BOUNDARY_CHECKS
+
+
+def test_only_boundary_functions_convert_arrays():
+    assert _package_sites(_converts_array) == ARRAY_CONVERSIONS
 
 
 def test_config_range_is_checked_when_built(tmp_path, xor_csv, xor_config, capsys):
@@ -902,7 +937,7 @@ def test_a_huge_row_past_the_first_block_is_named_by_its_file_row(
 
 
 def test_package_root_loads_no_submodule_and_no_numpy():
-    # the CLI is the interface; the root carries only __version__ and imports nothing
+    # the CLI is the interface; the root carries only __version__ and the BLAS thread pin
     code = (
         "import sys, contilearn\n"
         "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('contilearn.'))\n"
