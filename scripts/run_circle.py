@@ -11,11 +11,11 @@ def main() -> None:
     X, y = circle_dataset()
     dataset = Dataset(y, X)
 
-    result = run(dataset, EngineConfig(n_iters=1, seed=2024, algebra_check=True))
-    print(f"status: {result.status}")
-    for report in result.reports:
+    model, reports = run(dataset, EngineConfig(n_iters=1, seed=2024, algebra_check=True))
+    print(f"status: {model.status}")
+    for report in reports:
         print(format_report_line(report))
-    print(f"final parameter dimension: {result.w.shape[0]}")
+    print(f"final parameter dimension: {model.w.shape[0]}")
 
 
 if __name__ == "__main__":

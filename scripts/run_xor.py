@@ -20,13 +20,13 @@ def main() -> None:
     dataset = Dataset(y, X)
 
     for n_iters in (0, 1):
-        result = run(dataset, EngineConfig(n_iters=n_iters, seed=2024, algebra_check=True))
-        print(f"--- n_iters={n_iters} (status: {result.status})")
-        for report in result.reports:
+        model, reports = run(dataset, EngineConfig(n_iters=n_iters, seed=2024, algebra_check=True))
+        print(f"--- n_iters={n_iters} (status: {model.status})")
+        for report in reports:
             print(format_report_line(report))
 
     cells = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    probs = predict_prob(result.w, result.feature_map.transform(cells))
+    probs = predict_prob(model.w, model.feature_map.transform(cells))
     print("--- P(y=1) on the clean cells")
     for cell, p in zip(cells, probs):
         print(f"  x=({cell[0]:g}, {cell[1]:g})  p={p:.4f}")

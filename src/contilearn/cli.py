@@ -20,11 +20,10 @@ import numpy as np
 from . import featuremap
 from .algebra import associativity_residual, fit_structure_constants, reference_algebra
 from .data import load_csv, load_inputs
-from .engine import run
+from .engine import TrainedModel, run
 from .errors import ConfigError, DataError, ModelFormatError, NumericalError
 from .model import predict_prob
 from .modelio import (
-    TrainedModel,
     load_model,
     load_run_config,
     save_algebra_report,
@@ -68,16 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_train(args) -> int:
     config = load_run_config(args.config)
     dataset = load_csv(args.data, has_header=config.has_header)
-    result = run(dataset, config)
-    model = TrainedModel(
-        feature_map=result.feature_map,
-        w=result.w,
-        r_per_iteration=tuple(rep.r for rep in result.reports),
-        status=result.status,
-        config=config,
-    )
+    model, reports = run(dataset, config)
     save_model(args.out, model)
-    save_reports(args.out + ".report", result.reports)
+    save_reports(args.out + ".report", reports)
     return 0
 
 

@@ -11,7 +11,7 @@ full-data problem (warm started at the embedded previous mean, so its
 objective can only go up), weights the chosen r's replicate solutions by
 their full-data objective, fits their distribution, selects principal
 components and appends a calibrated expansion layer. A last full-data solve
-on the final space gives the returned parameter vector. A zero-variance
+on the final space gives the model's parameter vector. A zero-variance
 solution cloud (k = 0) stops the loop early with the model built so far.
 """
 
@@ -48,10 +48,16 @@ _SEED_STRIDE = 0x9E3779B97F4A7C15
 # 42 bytes per entry), so one at this bound would need about 180 GB
 MAX_COUNT_ENTRIES = 1 << 32
 
+STATUSES = ("completed", "degenerate", "algebra-converged")
+
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Engine hyper-parameters; an out-of-range value raises ConfigError on construction."""
+    """Run configuration; an out-of-range value raises ConfigError on construction.
+
+    Its fields are the config-file keys, in order. ``has_header`` is read where
+    the CLI calls ``load_csv`` and is echoed in the model; ``run`` does not use it.
+    """
 
     n_iters: int = 1
     n_replicates: int = 64
@@ -63,6 +69,7 @@ class EngineConfig:
     max_iters: int = SolverConfig.max_iters
     algebra_check: bool = False
     algebra_stop_tol: float | None = None
+    has_header: bool = False
 
     def __post_init__(self) -> None:
         if self.n_iters < 0:
@@ -109,11 +116,14 @@ class IterationReport:
 
 
 @dataclass(frozen=True)
-class EngineResult:
+class TrainedModel:
+    """What ``run`` returns and the model file holds: feature map, parameters, config echo."""
+
     feature_map: RecursiveFeatureMap
     w: np.ndarray
-    reports: tuple[IterationReport, ...]
+    r_per_iteration: tuple[float, ...]
     status: str
+    config: EngineConfig
 
 
 def accuracy(w, y, F) -> float:
@@ -174,10 +184,11 @@ def _choose_prior(y, F, counts, config: EngineConfig, w_init):
     return (r, *scored[r])
 
 
-def run(dataset: Dataset, config: EngineConfig) -> EngineResult:
-    """Execute the iteration cycles and a final full-data fit.
+def run(dataset: Dataset, config: EngineConfig) -> tuple[TrainedModel, tuple[IterationReport, ...]]:
+    """Execute the iteration cycles and a final full-data fit; returns (model, reports).
 
-    Status is "completed", "degenerate" (zero covariance stopped the loop),
+    The model is what ``modelio.save_model`` writes; there is one report per
+    stage. Status is "completed", "degenerate" (zero covariance stopped the loop),
     or "algebra-converged" (the closure residual fell below the configured
     tolerance and the remaining cycles were skipped). A bootstrap count
     matrix of more than ``MAX_COUNT_ENTRIES`` entries (n_replicates times
@@ -238,4 +249,5 @@ def run(dataset: Dataset, config: EngineConfig) -> EngineResult:
             last_stage = stage + 1
 
     feature_map = RecursiveFeatureMap(dataset.standardization, tuple(layers))
-    return EngineResult(feature_map, sol.w, tuple(reports), status)
+    r_per_iteration = tuple(report.r for report in reports)
+    return TrainedModel(feature_map, sol.w, r_per_iteration, status, config), tuple(reports)

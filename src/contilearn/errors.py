@@ -14,8 +14,7 @@ class ModelFormatError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed; ``module`` names the subsystem that failed."""
+    """A numerical routine failed; the message begins with the failing module's name."""
 
     def __init__(self, module: str, message: str):
         super().__init__(f"{module}: {message}")
-        self.module = module

@@ -3,41 +3,32 @@
 Everything on disk is line-oriented ``key = value`` text, read by
 ``_parse_kv_lines`` (which rejects a repeated key). ``_field_texts`` writes
 a dataclass's fields through ``_CODECS``, the (parse, format) pair of each
-field type: the model file's ``config.*`` echo of ``RunConfig`` and the stage
-and algebra reports (``IterationReport``, ``AlgebraFitReport``), so a field's
-name is its key in the file. ``CONFIG_KEYS`` maps every ``RunConfig`` field,
-in declaration order, to its parser; it parses config files and reads the
-echo back. File paths come from the command line only. Defaults and range
-checks live on the config classes, and the README's configuration table is
-checked against them. The model format is versioned; floats are written with
-``repr`` so a save/load/save round trip is byte-identical. Unknown keys are
-rejected outright since a silently ignored typo in a hyper-parameter is
-worse than an error.
+field type: the model file's ``config.*`` echo of ``EngineConfig`` and the
+stage and algebra reports (``IterationReport``, ``AlgebraFitReport``), so a
+field's name is its key in the file. ``CONFIG_KEYS`` maps every
+``EngineConfig`` field, in declaration order, to its parser; it parses config
+files and reads the echo back. File paths come from the command line only.
+Defaults and range checks live on the config classes, and the README's
+configuration table is checked against them. The model format is versioned;
+floats are written with ``repr`` so a save/load/save round trip is
+byte-identical. Unknown keys are rejected outright since a silently ignored
+typo in a hyper-parameter is worse than an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .algebra import AlgebraFitReport
 from .data import Standardization, read_text
-from .engine import EngineConfig, IterationReport
+from .engine import STATUSES, EngineConfig, IterationReport, TrainedModel
 from .errors import ConfigError, ModelFormatError
 from .featuremap import Layer, RecursiveFeatureMap
 
 MODEL_FORMAT = "contilearn-model-v1"
-
-_STATUSES = ("completed", "degenerate", "algebra-converged")
-
-
-@dataclass(frozen=True)
-class RunConfig(EngineConfig):
-    """Engine settings plus the training CSV's header flag."""
-
-    has_header: bool = False
 
 
 def _fmt_float(v: float) -> str:
@@ -90,7 +81,7 @@ def _parse_field(parse, text: str, key: str, error):
         raise error(f"{key}: {exc}") from None
 
 
-# (parse, format) for each field annotation of RunConfig, IterationReport and AlgebraFitReport
+# (parse, format) for each field annotation of EngineConfig, IterationReport and AlgebraFitReport
 _CODECS = {
     "int": (_parse_int, str),
     "float": (_parse_float, _fmt_float),
@@ -106,7 +97,7 @@ _CODECS = {
     ),
 }
 
-CONFIG_KEYS = {f.name: _CODECS[f.type][0] for f in fields(RunConfig)}
+CONFIG_KEYS = {f.name: _CODECS[f.type][0] for f in fields(EngineConfig)}
 
 
 def _field_texts(record, skip: int = 0) -> list[tuple[str, str]]:
@@ -133,29 +124,18 @@ def _parse_kv_lines(text: str, error, noun: str) -> dict[str, str]:
     return pairs
 
 
-def parse_run_config(text: str) -> RunConfig:
-    """Config-file text to a validated RunConfig; absent keys keep their defaults."""
+def parse_run_config(text: str) -> EngineConfig:
+    """Config-file text to a validated EngineConfig; absent keys keep their defaults."""
     values: dict = {}
     for key, value in _parse_kv_lines(text, ConfigError, "config key").items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = _parse_field(CONFIG_KEYS[key], value, key, ConfigError)
-    return RunConfig(**values)
+    return EngineConfig(**values)
 
 
-def load_run_config(path) -> RunConfig:
+def load_run_config(path) -> EngineConfig:
     return parse_run_config(read_text(path, "config", ConfigError))
-
-
-@dataclass(frozen=True)
-class TrainedModel:
-    """Everything needed to reproduce predictions: feature map, parameters, config echo."""
-
-    feature_map: RecursiveFeatureMap
-    w: np.ndarray
-    r_per_iteration: tuple[float, ...]
-    status: str
-    config: RunConfig
 
 
 def format_model(model: TrainedModel) -> str:
@@ -215,7 +195,7 @@ def parse_model(text: str) -> TrainedModel:
     if fmt != MODEL_FORMAT:
         raise ModelFormatError(f"unsupported model format {fmt!r} (expected {MODEL_FORMAT!r})")
     status = take("status")
-    if status not in _STATUSES:
+    if status not in STATUSES:
         raise ModelFormatError(f"unknown model status {status!r}")
     d = take("d", _parse_count)
     mean = take("mean", _parse_vector)
@@ -264,7 +244,7 @@ def parse_model(text: str) -> TrainedModel:
         unknown = [key for key in fields if key not in echo]
         if unknown:
             raise ModelFormatError(f"unknown model field {unknown[0]!r}")
-        config = RunConfig(**{k: take(key, CONFIG_KEYS[k]) for key, k in echo.items()})
+        config = EngineConfig(**{k: take(key, CONFIG_KEYS[k]) for key, k in echo.items()})
     except ModelFormatError:
         raise
     except ValueError as exc:

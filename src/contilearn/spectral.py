@@ -34,9 +34,11 @@ def select_components(cov, rel_threshold: float, k_max: int) -> np.ndarray:
 
     At most ``k_max`` components are kept, at least one when the spectrum is
     positive. A (numerically) zero covariance selects nothing: k = 0 rows.
+    ``cov`` is m x m with m >= 1 (every feature matrix has the bias column),
+    so there is a top eigenvalue.
     """
     evals, rows = eig_sym(cov)
-    top = float(evals[0]) if evals.size else 0.0
+    top = float(evals[0])
     if top <= 0.0:
         k = 0
     else:

@@ -53,9 +53,10 @@ def criterion(label):
 
 
 def all_reports(xor_run0, xor_run1, circle_run1, multi_iter_run):
-    for result, _ in (xor_run0, xor_run1, circle_run1):
-        yield from result.reports
-    yield from multi_iter_run.reports
+    for (_, reports), _ in (xor_run0, xor_run1, circle_run1):
+        yield from reports
+    _, reports = multi_iter_run
+    yield from reports
 
 
 def quadratic_oracle_accuracy(dataset, ridge=1e-3):
@@ -160,18 +161,18 @@ def test_criterion_5_containment(xor_run0, xor_run1, circle_run1, multi_iter_run
 def test_criterion_6_nonlinear_separability(
     xor_run0, xor_run1, circle_run1, xor_data, circle_data
 ):
-    result0, elapsed0 = xor_run0
-    result1, elapsed1 = xor_run1
-    circle_result, circle_elapsed = circle_run1
+    (_, reports0), elapsed0 = xor_run0
+    (_, reports1), elapsed1 = xor_run1
+    (_, circle_reports), circle_elapsed = circle_run1
 
-    acc0 = result0.reports[-1].accuracy
-    acc1 = result1.reports[-1].accuracy
+    acc0 = reports0[-1].accuracy
+    acc1 = reports1[-1].accuracy
     assert acc0 <= 0.6
     assert acc1 >= 0.95
-    assert circle_result.reports[-1].accuracy >= 0.9
+    assert circle_reports[-1].accuracy >= 0.9
 
     assert abs(acc1 - quadratic_oracle_accuracy(xor_data)) <= 0.03
-    assert abs(circle_result.reports[-1].accuracy - quadratic_oracle_accuracy(circle_data)) <= 0.03
+    assert abs(circle_reports[-1].accuracy - quadratic_oracle_accuracy(circle_data)) <= 0.03
 
     assert elapsed0 + elapsed1 < 30.0
     assert circle_elapsed < 30.0
@@ -184,7 +185,8 @@ def test_criterion_7_dimension_cap(xor_run0, xor_run1, circle_run1, multi_iter_r
         assert report.m <= cap
         if report.expanded is not None:
             assert report.expanded <= cap
-    assert multi_iter_run.w.shape[0] <= cap
+    model, _ = multi_iter_run
+    assert model.w.shape[0] <= cap
 
 
 @criterion("8 algebra-suite")

@@ -14,13 +14,11 @@ from contilearn import cli, engine, featuremap
 from contilearn.algebra import AlgebraFitReport, StructureConstants, fit_structure_constants
 from contilearn.cli import main
 from contilearn.data import load_csv, load_inputs
-from contilearn.engine import IterationReport
+from contilearn.engine import EngineConfig, IterationReport, run
 from contilearn.errors import ConfigError, ModelFormatError
 from contilearn.model import predict_prob
 from contilearn.modelio import (
     CONFIG_KEYS,
-    RunConfig,
-    TrainedModel,
     _field_texts,
     format_model,
     format_report_line,
@@ -30,8 +28,10 @@ from contilearn.modelio import (
     save_algebra_report,
     save_model,
     save_predictions,
+    save_reports,
 )
-from tests.conftest import DEEP_CONFIG
+
+REPO = Path(__file__).resolve().parents[1]
 
 XOR_CONFIG = """\
 # one expansion round on the parity fixture
@@ -73,7 +73,7 @@ def trained(tmp_path_factory, xor_csv):
 
 def test_parse_run_config_defaults():
     config = parse_run_config("")
-    assert config == RunConfig()
+    assert config == EngineConfig()
 
 
 def test_parse_run_config_values():
@@ -110,7 +110,7 @@ def test_out_of_range_value_rejected():
 
 
 def test_config_key_table_covers_every_field_in_echo_order(trained):
-    assert list(CONFIG_KEYS) == [f.name for f in dataclasses.fields(RunConfig)]
+    assert list(CONFIG_KEYS) == [f.name for f in dataclasses.fields(EngineConfig)]
     echoed = [
         line.split(" = ")[0][len("config.") :]
         for line in trained.read_text().splitlines()
@@ -120,7 +120,7 @@ def test_config_key_table_covers_every_field_in_echo_order(trained):
 
 
 def _readme() -> str:
-    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return (REPO / "README.md").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -145,7 +145,7 @@ def test_readme_config_table_matches_the_key_table():
         keys, default = [cell.strip() for cell in row.strip("|").split("|")[:2]]
         for key in keys.split(","):
             documented[key.strip().strip("`")] = default.strip("`")
-    assert documented == dict(_field_texts(RunConfig()))
+    assert documented == dict(_field_texts(EngineConfig()))
 
 
 def test_readme_states_the_count_bound():
@@ -232,9 +232,24 @@ def test_only_boundary_functions_convert_arrays():
     assert _package_sites(_converts_array) == ARRAY_CONVERSIONS
 
 
+def _builds_trained_model(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "TrainedModel"
+    )
+
+
+def test_only_training_and_the_model_reader_build_a_trained_model():
+    assert _package_sites(_builds_trained_model) == {
+        "engine": {"run"},
+        "modelio": {"parse_model"},
+    }
+
+
 def test_config_range_is_checked_when_built(tmp_path, xor_csv, xor_config, capsys):
     with pytest.raises(ConfigError, match="n_replicates"):
-        RunConfig(n_replicates=1)
+        EngineConfig(n_replicates=1)
     with pytest.raises(ConfigError, match="grad_tol"):
         parse_run_config("grad_tol = 0\n")
     for line, message in [
@@ -432,6 +447,37 @@ def test_model_round_trip_is_byte_identical(trained):
     text = trained.read_text()
     model = load_model(trained)
     assert format_model(model) == text
+
+
+@pytest.mark.parametrize("has_header", [False, True])
+def test_the_library_and_the_cli_write_the_same_model(tmp_path, xor_csv, has_header):
+    data, config_path = xor_csv, REPO / "configs" / "xor.cfg"
+    if has_header:
+        data = tmp_path / "xor.csv"
+        data.write_text("x1,x2,label\n" + xor_csv.read_text())
+        config_path = tmp_path / "xor.cfg"
+        config_path.write_text((REPO / "configs" / "xor.cfg").read_text() + "has_header = true\n")
+    config = load_run_config(config_path)
+    model, reports = run(load_csv(data, has_header=has_header), config)
+    out = tmp_path / "xor.model"
+    assert main(["train", "--data", str(data), "--config", str(config_path), "--out", str(out)]) == 0
+    text = format_model(model)
+    assert out.read_bytes() == text.encode()
+    loaded = load_model(out)
+    assert format_model(loaded) == text
+    assert loaded.config == config and config.has_header == has_header
+    expected_reports = tmp_path / "expected.report"
+    save_reports(expected_reports, reports)
+    assert Path(f"{out}.report").read_bytes() == expected_reports.read_bytes()
+
+
+def test_a_model_trained_on_a_plain_engine_config_saves_and_loads(tmp_path, xor_data):
+    model, _ = run(xor_data, EngineConfig(n_iters=0))
+    path = tmp_path / "plain.model"
+    save_model(path, model)
+    loaded = load_model(path)
+    assert loaded.config == EngineConfig(n_iters=0)
+    assert format_model(loaded) == path.read_text()
 
 
 def test_bumped_version_fails_cleanly(tmp_path, trained):
@@ -866,14 +912,7 @@ B = featuremap.BLOCK_ROWS
 @pytest.fixture(scope="module")
 def deep_model(tmp_path_factory, multi_iter_run):
     """The three-layer model of the deep acceptance run, as a model file."""
-    result = multi_iter_run
-    model = TrainedModel(
-        feature_map=result.feature_map,
-        w=result.w,
-        r_per_iteration=tuple(rep.r for rep in result.reports),
-        status=result.status,
-        config=RunConfig(**dataclasses.asdict(DEEP_CONFIG)),
-    )
+    model, _ = multi_iter_run
     path = tmp_path_factory.mktemp("deep") / "deep.model"
     save_model(path, model)
     return path

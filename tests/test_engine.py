@@ -38,63 +38,63 @@ def small_dataset(seed=40, n=30):
 
 def test_zero_iterations_is_plain_regularized_logistic():
     ds = small_dataset()
-    result = run(ds, EngineConfig(n_iters=0, seed=1))
-    assert result.status == "completed"
-    assert len(result.reports) == 1
-    assert result.feature_map.layers == ()
-    report = result.reports[0]
+    model, reports = run(ds, EngineConfig(n_iters=0, seed=1))
+    assert model.status == "completed"
+    assert len(reports) == 1
+    assert model.feature_map.layers == ()
+    report = reports[0]
     # the returned vector is the full-data maximizer for the chosen r
     direct = maximize(ds.y, ds.F, Prior(report.r), SolverConfig())
-    assert np.allclose(result.w, direct.w, atol=1e-8)
+    assert np.allclose(model.w, direct.w, atol=1e-8)
     assert report.m == 3 and report.k is None and report.expanded is None
 
 
 def test_reports_are_deterministic(xor_data):
     config = EngineConfig(n_iters=1, seed=99)
-    a = run(xor_data, config)
-    b = run(xor_data, config)
-    assert a.reports == b.reports
+    a, a_reports = run(xor_data, config)
+    b, b_reports = run(xor_data, config)
+    assert a_reports == b_reports
     assert np.array_equal(a.w, b.w)
-    assert [rep.r for rep in a.reports] == [rep.r for rep in b.reports]
+    assert [rep.r for rep in a_reports] == [rep.r for rep in b_reports]
 
 
 def test_xor_needs_the_expansion(xor_run0, xor_run1):
-    result0, _ = xor_run0
-    result1, _ = xor_run1
-    assert result0.reports[-1].accuracy <= 0.6
-    assert result1.reports[-1].accuracy >= 0.95
+    (_, reports0), _ = xor_run0
+    (_, reports1), _ = xor_run1
+    assert reports0[-1].accuracy <= 0.6
+    assert reports1[-1].accuracy >= 0.95
 
 
 def test_circle_is_solved_after_one_iteration(circle_run1):
-    result, _ = circle_run1
-    assert result.reports[-1].accuracy >= 0.9
+    (_, reports), _ = circle_run1
+    assert reports[-1].accuracy >= 0.9
 
 
 def test_containment_bound_on_every_stage(xor_run0, xor_run1, circle_run1):
-    for result, _ in (xor_run0, xor_run1, circle_run1):
-        for report in result.reports:
+    for (_, reports), _ in (xor_run0, xor_run1, circle_run1):
+        for report in reports:
             assert report.best_L >= report.embed_L - 1e-9
 
 
 def test_warm_start_embeds_previous_mean(
     xor_data, xor_run1, circle_data, circle_run1, multi_iter_run
 ):
-    result, _ = xor_run1
-    first, last = result.reports
+    (_, reports), _ = xor_run1
+    first, last = reports
     assert first.expanded == last.m
     assert first.k is not None and first.k >= 1
     assert last.iteration == 1
     # the paper's containment step: the weighted-mean model of stage n and its
     # embedding on stage n + 1 have the same data log-likelihood
     cases = [
-        (xor_data, xor_run1[0]),
-        (circle_data, circle_run1[0]),
-        (deep_dataset(), multi_iter_run),
+        (xor_data, xor_run1[0][0]),
+        (circle_data, circle_run1[0][0]),
+        (deep_dataset(), multi_iter_run[0]),
     ]
     transitions = 0
-    for dataset, result in cases:
+    for dataset, model in cases:
         F = dataset.F
-        for layer in result.feature_map.layers:
+        for layer in model.feature_map.layers:
             before = log_likelihood(layer.v0, dataset.y, F)
             F = layer.apply(F)
             after = log_likelihood(embed_mean_solution(layer), dataset.y, F)
@@ -105,18 +105,18 @@ def test_warm_start_embeds_previous_mean(
 
 def test_parameter_dimension_cap():
     ds = small_dataset(seed=41, n=40)
-    result = run(ds, EngineConfig(n_iters=3, seed=5, k_max=8))
+    model, reports = run(ds, EngineConfig(n_iters=3, seed=5, k_max=8))
     cap = 9 + 45
-    for report in result.reports:
+    for report in reports:
         assert report.m <= cap
         if report.expanded is not None:
             assert report.expanded <= cap
-    assert result.w.shape[0] <= cap
+    assert model.w.shape[0] <= cap
 
 
 def test_closure_residual_is_reported_when_requested(xor_run1):
-    result, _ = xor_run1
-    expansion_reports = [r for r in result.reports if r.expanded is not None]
+    (_, reports), _ = xor_run1
+    expansion_reports = [r for r in reports if r.expanded is not None]
     assert expansion_reports
     for report in expansion_reports:
         assert report.closure is not None
@@ -128,11 +128,11 @@ def test_algebra_stop_truncates_the_loop(algebra_check):
     # a stopping tolerance computes the residual whether or not it is reported
     ds = small_dataset(seed=42, n=40)
     config = EngineConfig(n_iters=4, seed=6, algebra_check=algebra_check, algebra_stop_tol=1e6)
-    result = run(ds, config)
+    model, reports = run(ds, config)
     # an absurdly large tolerance stops after the first expansion cycle
-    assert result.status == "algebra-converged"
-    assert len(result.reports) == 2
-    assert len(result.feature_map.layers) == 1
+    assert model.status == "algebra-converged"
+    assert len(reports) == 2
+    assert len(model.feature_map.layers) == 1
 
 
 def test_degenerate_covariance_stops_early():
@@ -141,19 +141,19 @@ def test_degenerate_covariance_stops_early():
     X = np.array([[0.0], [1.0]])
     y = np.array([0.0, 1.0])
     ds = Dataset(y, X)
-    result = run(ds, EngineConfig(n_iters=2, seed=27, n_replicates=2, r_grid=(1.0,)))
-    assert result.status == "degenerate"
-    assert result.reports[-1].k == 0
-    assert result.feature_map.layers == ()
-    assert result.w.shape[0] == result.feature_map.output_dim
-    assert len(result.reports) == 1
+    model, reports = run(ds, EngineConfig(n_iters=2, seed=27, n_replicates=2, r_grid=(1.0,)))
+    assert model.status == "degenerate"
+    assert reports[-1].k == 0
+    assert model.feature_map.layers == ()
+    assert model.w.shape[0] == model.feature_map.output_dim
+    assert len(reports) == 1
 
 
 def test_single_r_grid_is_chosen():
     ds = small_dataset(seed=43)
-    result = run(ds, EngineConfig(n_iters=0, seed=8, r_grid=(0.7,)))
-    assert result.reports[0].r == 0.7
-    assert [rep.r for rep in result.reports] == [0.7]
+    _, reports = run(ds, EngineConfig(n_iters=0, seed=8, r_grid=(0.7,)))
+    assert reports[0].r == 0.7
+    assert [rep.r for rep in reports] == [0.7]
 
 
 def test_huge_precision_forces_chance_level_oob():
@@ -192,12 +192,12 @@ def test_oob_score_weights_by_the_held_out_mask_itself(monkeypatch):
 
 def test_chosen_r_attains_the_exhaustive_maximum(circle_data):
     grid = (0.01, 1.0, 100.0)
-    result = run(circle_data, EngineConfig(n_iters=0, seed=10, r_grid=grid))
+    _, reports = run(circle_data, EngineConfig(n_iters=0, seed=10, r_grid=grid))
     y, F = circle_data.y, circle_data.F
     counts = sample_plans(64, _stage_seed(10, 0), circle_data.t_max)
     scores = [oob_score(y, F, counts, solve_replicates(y, F, counts, Prior(r))) for r in grid]
-    assert result.reports[0].r == grid[int(np.argmax(scores))]
-    assert abs(result.reports[0].oob - max(scores)) <= 1e-12
+    assert reports[0].r == grid[int(np.argmax(scores))]
+    assert abs(reports[0].oob - max(scores)) <= 1e-12
 
 
 def test_warm_started_r_grid_takes_fewer_newton_steps(monkeypatch):
@@ -231,8 +231,8 @@ def test_warm_started_r_grid_takes_fewer_newton_steps(monkeypatch):
 def test_r_grid_order_does_not_change_the_reports(circle_data):
     lines = []
     for grid in ((0.01, 1.0, 100.0), (100.0, 0.01, 1.0)):
-        result = run(circle_data, EngineConfig(n_iters=0, seed=10, r_grid=grid))
-        lines.append([format_report_line(report) for report in result.reports])
+        _, reports = run(circle_data, EngineConfig(n_iters=0, seed=10, r_grid=grid))
+        lines.append([format_report_line(report) for report in reports])
     assert lines[0] == lines[1]
 
 
@@ -275,9 +275,9 @@ def test_replicates_are_weighted_by_full_data_objective(monkeypatch):
 
     monkeypatch.setattr(engine, "fit_distribution", recording)
     ds = small_dataset(seed=45)
-    result = run(ds, EngineConfig(n_iters=1, seed=4, n_replicates=4))
+    _, reports = run(ds, EngineConfig(n_iters=1, seed=4, n_replicates=4))
     ((w, weights),) = calls
-    prior = Prior(result.reports[0].r)
+    prior = Prior(reports[0].r)
     assert w.shape == (4, 3)
     assert abs(float(weights.sum()) - 1.0) <= 1e-12
     L_full = [log_likelihood(row, ds.y, ds.F, prior) for row in w]
@@ -319,7 +319,7 @@ def test_a_prior_whose_replicates_all_fail_is_not_a_candidate(monkeypatch):
 def test_the_count_bound_admits_a_matrix_of_exactly_its_size(monkeypatch):
     ds = small_dataset(n=10)
     monkeypatch.setattr(engine, "MAX_COUNT_ENTRIES", 4 * 10)
-    assert run(ds, EngineConfig(n_iters=0, n_replicates=4)).status == "completed"
+    assert run(ds, EngineConfig(n_iters=0, n_replicates=4))[0].status == "completed"
     message = r"^n_replicates \* rows = 5 \* 10 exceeds the bound of 40 bootstrap count entries$"
     with pytest.raises(ConfigError, match=message):
         run(ds, EngineConfig(n_iters=0, n_replicates=5))
