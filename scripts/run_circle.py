@@ -1,17 +1,24 @@
 #!/usr/bin/env python3
-"""Disk-membership experiment: a quadratic boundary learned in one expansion round."""
+"""Disk-membership experiment: a quadratic boundary learned in one expansion round.
 
-from contilearn.data import Dataset
-from contilearn.engine import EngineConfig, run
-from contilearn.modelio import format_report_line
-from contilearn.synthetic import circle_dataset
+Trains on fixtures/circle.csv with configs/circle.cfg, the run that
+``contilearn train`` makes from the same two files.
+"""
+
+from pathlib import Path
+
+from contilearn.data import load_csv
+from contilearn.engine import run
+from contilearn.modelio import format_report_line, load_run_config
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def main() -> None:
-    X, y = circle_dataset()
-    dataset = Dataset(y, X)
+    dataset = load_csv(REPO / "fixtures" / "circle.csv")
+    config = load_run_config(REPO / "configs" / "circle.cfg")
 
-    model, reports = run(dataset, EngineConfig(n_iters=1, seed=2024, algebra_check=True))
+    model, reports = run(dataset, config)
     print(f"status: {model.status}")
     for report in reports:
         print(format_report_line(report))

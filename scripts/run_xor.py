@@ -2,25 +2,30 @@
 """End-to-end parity experiment: train with and without an expansion round.
 
 A linear model cannot beat chance on the parity cells; one expansion round
-makes the problem separable. The script prints the per-stage reports and the
-trained model's probabilities on the four clean cells.
+makes the problem separable. The script trains on fixtures/xor.csv with
+configs/xor.cfg at n_iters 0 and 1, and prints the per-stage reports and the
+second model's probabilities on the four clean cells.
 """
+
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from contilearn.data import Dataset
-from contilearn.engine import EngineConfig, run
+from contilearn.data import load_csv
+from contilearn.engine import run
 from contilearn.model import predict_prob
-from contilearn.modelio import format_report_line
-from contilearn.synthetic import xor_dataset
+from contilearn.modelio import format_report_line, load_run_config
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def main() -> None:
-    X, y = xor_dataset()
-    dataset = Dataset(y, X)
+    dataset = load_csv(REPO / "fixtures" / "xor.csv")
+    config = load_run_config(REPO / "configs" / "xor.cfg")
 
     for n_iters in (0, 1):
-        model, reports = run(dataset, EngineConfig(n_iters=n_iters, seed=2024, algebra_check=True))
+        model, reports = run(dataset, replace(config, n_iters=n_iters))
         print(f"--- n_iters={n_iters} (status: {model.status})")
         for report in reports:
             print(format_report_line(report))

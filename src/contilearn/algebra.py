@@ -2,10 +2,12 @@
 
 A feature set closes under multiplication when every pointwise product
 F_a(x) F_b(x) is a fixed linear combination sum_g C[a][b][g] F_g(x) of the
-same features. The rank-3 coefficient array C is fitted here by least
-squares over sampled feature rows, and the sampled defect of that fit is the
-closure residual reported per iteration by the engine. Associativity of the
-induced product is a pure statement about C and is checked directly.
+same features. These structure constants are a plain (n, n, n) float array
+c, with c[a, b, g] the g-component of the product of basis elements a and b.
+They are fitted here by least squares over sampled feature rows, and the
+sampled defect of that fit is the closure residual reported per iteration by
+the engine. Associativity of the induced product is a pure statement about c
+and is checked directly.
 
 Two exact reference algebras are built in: the complex numbers on basis
 (1, i) and the quaternions on basis (1, i, j, k).
@@ -25,40 +27,18 @@ _TINY = float(np.finfo(float).tiny)
 _RIDGE = 1e-12  # relative: the equilibrated Gram matrix has a unit diagonal
 _COND_LIMIT = 1e12
 
-
-@dataclass(frozen=True)
-class StructureConstants:
-    """Coefficients c[a, b, g]: the g-component of the product of basis elements a, b."""
-
-    c: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.c, dtype=float)
-        if c.ndim != 3 or len(set(c.shape)) != 1:
-            raise ValueError(f"structure constants must be a cubic array, got shape {c.shape}")
-        if c.shape[0] < 1:
-            raise ValueError("the algebra needs at least one basis element")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("structure constants must be finite")
-        object.__setattr__(self, "c", c)
-
-    @property
-    def n(self) -> int:
-        return self.c.shape[0]
-
-
 REFERENCE_ALGEBRAS = ("complex", "quaternion")
 
 
-def reference_algebra(name: str) -> StructureConstants:
-    """Exact multiplication tables for the built-in algebras, by name."""
+def reference_algebra(name: str) -> np.ndarray:
+    """Exact structure constants of a built-in algebra, by name: a fresh (n, n, n) array."""
     if name == "complex":
         c = np.zeros((2, 2, 2))
         c[0, 0, 0] = 1.0  # 1*1 = 1
         c[0, 1, 1] = 1.0  # 1*i = i
         c[1, 0, 1] = 1.0  # i*1 = i
         c[1, 1, 0] = -1.0  # i*i = -1
-        return StructureConstants(c)
+        return c
     if name == "quaternion":
         c = np.zeros((4, 4, 4))
         for a in range(4):
@@ -70,13 +50,12 @@ def reference_algebra(name: str) -> StructureConstants:
         for a, b, g in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
             c[a, b, g] = 1.0
             c[b, a, g] = -1.0
-        return StructureConstants(c)
+        return c
     raise ValueError(f"unknown algebra {name!r}; known: {', '.join(REFERENCE_ALGEBRAS)}")
 
 
-def associativity_residual(sc: StructureConstants) -> float:
-    """Largest absolute defect of the associativity identity over all index tuples."""
-    c = sc.c
+def associativity_residual(c: np.ndarray) -> float:
+    """Largest absolute defect of the associativity identity over all index tuples of c."""
     lhs = np.einsum("abm,mgn->abgn", c, c)
     rhs = np.einsum("amn,bgm->abgn", c, c)
     return float(np.max(np.abs(lhs - rhs)))
@@ -92,7 +71,7 @@ class AlgebraFitReport:
     iterations whose feature magnitudes differ.
     """
 
-    constants: StructureConstants
+    constants: np.ndarray
     closure_residual: float
     normalized_residual: float
     associativity_residual: float
@@ -168,12 +147,11 @@ def fit_structure_constants(F) -> AlgebraFitReport:
     c = np.zeros((n, n, n))
     c[ii, jj, :] = coef.T
     c[jj, ii, :] = coef.T
-    sc = StructureConstants(c)
     return AlgebraFitReport(
-        constants=sc,
+        constants=c,
         closure_residual=closure,
         normalized_residual=normalized,
-        associativity_residual=associativity_residual(sc),
+        associativity_residual=associativity_residual(c),
         product_rms=product_rms,
         ill_conditioned=ill,
     )

@@ -107,12 +107,12 @@ def cmd_algebra(args) -> int:
         if args.model is not None or args.data is not None:
             raise ConfigError("algebra --reference NAME takes no --model or --data")
         try:
-            sc = reference_algebra(args.reference)
+            c = reference_algebra(args.reference)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        residual = associativity_residual(sc)
+        residual = associativity_residual(c)
         line = (
-            f"algebra={args.reference} n={sc.n}"
+            f"algebra={args.reference} n={len(c)}"
             f" associativity_residual={residual!r} ok={'true' if residual == 0.0 else 'false'}"
         )
         print(line)

@@ -269,7 +269,7 @@ def save_reports(path, reports) -> None:
 
 def save_algebra_report(path, report: AlgebraFitReport) -> None:
     """``n``, then every diagnostic field in declaration order, then each row c{a}.{b}, a <= b."""
-    c = report.constants.c
+    c = report.constants
     lines = [f"n = {len(c)}"]
     lines += [f"{name} = {text}" for name, text in _field_texts(report, skip=1)]
     lines += [f"c{a}.{b} = {_fmt_vector(c[a, b])}" for a, b in zip(*np.triu_indices(len(c)))]

@@ -1,11 +1,15 @@
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from contilearn.data import Dataset, load_csv
 from contilearn.engine import EngineConfig, run
-from contilearn.synthetic import circle_dataset, write_csv, xor_dataset
+from contilearn.modelio import load_run_config
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def random_instance(rng, t_max=None, m=None):
@@ -29,19 +33,18 @@ DEEP_CONFIG = EngineConfig(n_iters=3, seed=13, k_max=8)
 
 
 @pytest.fixture(scope="session")
-def xor_csv(tmp_path_factory):
-    X, y = xor_dataset()
-    path = tmp_path_factory.mktemp("fixtures") / "xor.csv"
-    write_csv(path, X, y)
-    return path
+def xor_csv():
+    return REPO / "fixtures" / "xor.csv"
 
 
 @pytest.fixture(scope="session")
-def circle_csv(tmp_path_factory):
-    X, y = circle_dataset()
-    path = tmp_path_factory.mktemp("fixtures") / "circle.csv"
-    write_csv(path, X, y)
-    return path
+def circle_csv():
+    return REPO / "fixtures" / "circle.csv"
+
+
+@pytest.fixture(scope="session")
+def xor_config():
+    return REPO / "configs" / "xor.cfg"
 
 
 @pytest.fixture(scope="session")
@@ -61,18 +64,18 @@ def _timed_run(dataset, config):
 
 
 @pytest.fixture(scope="session")
-def xor_run0(xor_data):
-    return _timed_run(xor_data, EngineConfig(n_iters=0, seed=2024))
+def xor_run0(xor_data, xor_config):
+    return _timed_run(xor_data, replace(load_run_config(xor_config), n_iters=0))
 
 
 @pytest.fixture(scope="session")
-def xor_run1(xor_data):
-    return _timed_run(xor_data, EngineConfig(n_iters=1, seed=2024, algebra_check=True))
+def xor_run1(xor_data, xor_config):
+    return _timed_run(xor_data, load_run_config(xor_config))
 
 
 @pytest.fixture(scope="session")
 def circle_run1(circle_data):
-    return _timed_run(circle_data, EngineConfig(n_iters=1, seed=2024))
+    return _timed_run(circle_data, load_run_config(REPO / "configs" / "circle.cfg"))
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from contilearn import cli, engine, featuremap
-from contilearn.algebra import AlgebraFitReport, StructureConstants, fit_structure_constants
+from contilearn.algebra import AlgebraFitReport, fit_structure_constants
 from contilearn.cli import main
 from contilearn.data import load_csv, load_inputs
 from contilearn.engine import EngineConfig, IterationReport, run
@@ -33,36 +33,13 @@ from contilearn.modelio import (
 
 REPO = Path(__file__).resolve().parents[1]
 
-XOR_CONFIG = """\
-# one expansion round on the parity fixture
-n_iters = 1
-n_replicates = 64
-seed = 2024
-rel_threshold = 0.05
-k_max = 8
-r_grid = 0.01,0.1,1.0,10.0
-grad_tol = 1e-08
-max_iters = 100
-algebra_check = true
-"""
-
-
-@pytest.fixture()
-def xor_config(tmp_path):
-    path = tmp_path / "xor.cfg"
-    path.write_text(XOR_CONFIG)
-    return path
-
 
 @pytest.fixture(scope="module")
-def trained(tmp_path_factory, xor_csv):
+def trained(tmp_path_factory, xor_csv, xor_config):
     """One trained parity model shared by the read-only CLI tests."""
-    tmp = tmp_path_factory.mktemp("trained")
-    config = tmp / "xor.cfg"
-    config.write_text(XOR_CONFIG)
-    model_path = tmp / "model.txt"
+    model_path = tmp_path_factory.mktemp("trained") / "model.txt"
     code = main(
-        ["train", "--data", str(xor_csv), "--config", str(config), "--out", str(model_path)]
+        ["train", "--data", str(xor_csv), "--config", str(xor_config), "--out", str(model_path)]
     )
     assert code == 0
     return model_path
@@ -157,7 +134,7 @@ def test_readme_states_the_count_bound():
 # the functions where a value enters the library, by module: every other function
 # assumes what these establish and raises no ValueError of its own
 BOUNDARY_CHECKS = {
-    "algebra": {"StructureConstants.__post_init__", "reference_algebra"},
+    "algebra": {"reference_algebra"},
     "data": {
         "Standardization.__post_init__",
         "Standardization.transform",
@@ -170,19 +147,18 @@ BOUNDARY_CHECKS = {
 
 
 # the functions that call np.asarray or np.ascontiguousarray, by module: the boundaries
-# that convert arrays once, a caller-facing CSV writer, and two layout copies: ``expand``
-# returns C order because the next layer's BLAS product rounds by memory layout, and the
-# algebra fit's blocks give ``pair_products`` contiguous feature rows. Every other
-# function takes the float64 arrays these build
+# that convert arrays once, and two layout copies: ``expand`` returns C order because the
+# next layer's BLAS product rounds by memory layout, and the algebra fit's blocks give
+# ``pair_products`` contiguous feature rows. Every other function takes the float64
+# arrays these build
 ARRAY_CONVERSIONS = {
-    "algebra": {"StructureConstants.__post_init__", "fit_structure_constants.blocks"},
+    "algebra": {"fit_structure_constants.blocks"},
     "data": {
         "Standardization.__post_init__",
         "Standardization.transform",
         "Dataset.__post_init__",
     },
     "featuremap": {"Layer.__post_init__", "expand"},
-    "synthetic": {"write_csv"},
 }
 
 
@@ -449,14 +425,29 @@ def test_model_round_trip_is_byte_identical(trained):
     assert format_model(model) == text
 
 
+def test_a_model_on_zero_inputs_round_trips_and_predicts(tmp_path):
+    # a label-only CSV: no inputs, so the model's mean and scale vectors are empty
+    assert _train_exit(tmp_path, "0\n1\n0\n1\n", "") == 0
+    model, out = tmp_path / "m", tmp_path / "p"
+    assert {"d = 0", "mean = ", "scale = "} <= set(model.read_text().splitlines())
+    assert format_model(load_model(model)).encode() == model.read_bytes()
+    argv = ["predict", "--model", str(model), "--data", str(tmp_path / "rows.csv")]
+    assert main([*argv, "--out", str(out)]) == 0
+    probs = [float(line) for line in out.read_text().splitlines()]
+    assert len(probs) == 4
+    assert all(0.0 < p < 1.0 for p in probs)
+
+
 @pytest.mark.parametrize("has_header", [False, True])
-def test_the_library_and_the_cli_write_the_same_model(tmp_path, xor_csv, has_header):
-    data, config_path = xor_csv, REPO / "configs" / "xor.cfg"
+def test_the_library_and_the_cli_write_the_same_model(
+    tmp_path, xor_csv, xor_config, has_header
+):
+    data, config_path = xor_csv, xor_config
     if has_header:
         data = tmp_path / "xor.csv"
         data.write_text("x1,x2,label\n" + xor_csv.read_text())
         config_path = tmp_path / "xor.cfg"
-        config_path.write_text((REPO / "configs" / "xor.cfg").read_text() + "has_header = true\n")
+        config_path.write_text(xor_config.read_text() + "has_header = true\n")
     config = load_run_config(config_path)
     model, reports = run(load_csv(data, has_header=has_header), config)
     out = tmp_path / "xor.model"
@@ -884,7 +875,7 @@ def test_algebra_fit_on_trained_model(tmp_path, trained, xor_csv):
 def test_algebra_report_bytes(tmp_path, ill):
     c = np.arange(8, dtype=float).reshape(2, 2, 2) - 3.5
     c[1, 1, 0] = 1e-17
-    report = AlgebraFitReport(StructureConstants(c), 0.25, 1e-17, 0.0, 3.0, ill)
+    report = AlgebraFitReport(c, 0.25, 1e-17, 0.0, 3.0, ill)
     out = tmp_path / "algebra.txt"
     save_algebra_report(out, report)
     assert out.read_bytes() == (
@@ -1024,10 +1015,10 @@ def test_an_escalated_warning_is_a_data_error(tmp_path, xor_config):
     )
 
 
-def test_main_returns_2_when_the_caller_escalates_a_warning(tmp_path, capsys):
+def test_main_returns_2_when_the_caller_escalates_a_warning(tmp_path, xor_config, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)
-        code = _train_exit(tmp_path, SINGLE_CLASS_ROWS, XOR_CONFIG)
+        code = _train_exit(tmp_path, SINGLE_CLASS_ROWS, xor_config.read_text())
     assert code == 2
     assert capsys.readouterr().err == f"contilearn: {SINGLE_CLASS_MESSAGE}\n"
     assert not (tmp_path / "m").exists()

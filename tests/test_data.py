@@ -198,6 +198,19 @@ def test_dataset_rejects_bad_labels():
         Dataset(np.array([0.0, 0.5]), np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize(
+    "X, message",
+    [
+        (np.zeros((3, 1)), "labels and inputs must agree on the sample count"),
+        (np.array([[0.0], [np.nan]]), "inputs must be finite"),
+        (np.array([[np.inf], [0.0]]), "inputs must be finite"),
+    ],
+)
+def test_dataset_rejects_mismatched_or_non_finite_inputs(X, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Dataset(np.array([0.0, 1.0]), X)
+
+
 def test_dataset_fits_its_standardization_on_the_raw_rows():
     rng = np.random.default_rng(4)
     X = rng.normal(loc=3.0, scale=5.0, size=(15, 3))
