@@ -10,6 +10,8 @@ from contilearn.engine import EngineConfig, run
 from contilearn.modelio import load_run_config
 
 REPO = Path(__file__).resolve().parents[1]
+# the variables the package root sets to 1 before numpy loads
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def random_instance(rng, t_max=None, m=None):

@@ -21,13 +21,11 @@ from contilearn.ensemble import fit_distribution, weights_from_loglik
 from contilearn.model import Prior, gradient, log_likelihood
 from contilearn.solver import maximize
 from contilearn.spectral import eig_sym, select_components
-from tests.conftest import random_instance
+from tests.conftest import BLAS_THREAD_VARS, random_instance
 from tests.test_featuremap import interpolation_residual, random_map
 from tests.test_model import numeric_gradient
 
 pytestmark = pytest.mark.acceptance
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def criterion(label):
@@ -210,7 +208,9 @@ def test_criterion_8_algebra_suite():
 
 @criterion("9 determinism")
 def test_criterion_9_determinism(tmp_path, xor_csv):
-    # xor's 100 rows, and 3000 rows of 6 inputs, whose products take BLAS's multi-threaded path
+    # xor's 100 rows, and 3000 rows of 6 inputs, big enough for a multi-threaded BLAS to split
+    # its products. The package root sets every thread variable to 1, so both legs run one
+    # thread: equal bytes show that no thread setting reaches the BLAS
     rng = np.random.default_rng(7000)
     X = rng.normal(size=(3000, 6))
     y = X[:, 0] * X[:, 1] + 0.5 * X[:, 2] ** 2 - 0.5 + 0.3 * rng.normal(size=3000) > 0

@@ -30,6 +30,7 @@ from contilearn.modelio import (
     save_predictions,
     save_reports,
 )
+from tests.conftest import BLAS_THREAD_VARS
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -633,8 +634,8 @@ def test_predict_dimension_mismatch_exit_code(tmp_path, trained, capsys):
     assert main(["predict", "--model", str(trained), "--data", str(data), "--out", "x"]) == 2
 
 
-def _huge_input_exit(tmp_path, trained, command, rows, capsys):
-    data = tmp_path / "huge.csv"
+def _bad_input_exit(tmp_path, trained, command, rows, capsys):
+    data = tmp_path / "bad.csv"
     data.write_text(rows)
     out = tmp_path / "out.txt"
     with warnings.catch_warnings():
@@ -643,16 +644,25 @@ def _huge_input_exit(tmp_path, trained, command, rows, capsys):
     return code, capsys.readouterr().err.splitlines(), out.exists()
 
 
-def test_predict_on_a_huge_input_is_a_data_error(tmp_path, trained, capsys):
-    code, err, wrote = _huge_input_exit(tmp_path, trained, "predict", "0,1\n1e300,1e300\n", capsys)
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,1\n1e300,1e300\n", "row 2: input too large in magnitude for the model's features"),
+        # numpy's reader warns on a file with no rows; the warning is an error here
+        ("\n\n", "row 1: cannot parse '' as a number"),
+    ],
+    ids=["huge", "all-blank"],
+)
+def test_predict_on_a_bad_row_is_a_data_error(tmp_path, trained, capsys, rows, message):
+    code, err, wrote = _bad_input_exit(tmp_path, trained, "predict", rows, capsys)
     assert code == 2
-    assert err == ["contilearn: row 2: input too large in magnitude for the model's features"]
+    assert err == [f"contilearn: {message}"]
     assert not wrote
 
 
 def test_algebra_on_a_huge_input_is_a_data_error(tmp_path, trained, capsys):
     rows = "0,0\n1,0\n0,1\n1,1\n0.5,0.5\n0.2,0.9\n1e300,1e300\n"
-    code, err, wrote = _huge_input_exit(tmp_path, trained, "algebra", rows, capsys)
+    code, err, wrote = _bad_input_exit(tmp_path, trained, "algebra", rows, capsys)
     assert code == 2
     assert err == ["contilearn: row 7: input too large in magnitude for the model's features"]
     assert not wrote
@@ -955,7 +965,7 @@ def test_a_huge_row_past_the_first_block_is_named_by_its_file_row(
 ):
     rows = ["0.5,0.5\n"] * (B + 5)
     rows[B + 2] = "1e300,1e300\n"
-    code, err, wrote = _huge_input_exit(tmp_path, trained, command, "".join(rows), capsys)
+    code, err, wrote = _bad_input_exit(tmp_path, trained, command, "".join(rows), capsys)
     assert code == 2
     assert err == [
         f"contilearn: row {B + 3}: input too large in magnitude for the model's features"
@@ -967,15 +977,17 @@ def test_a_huge_row_past_the_first_block_is_named_by_its_file_row(
 
 
 def test_package_root_loads_no_submodule_and_no_numpy():
-    # the CLI is the interface; the root carries only __version__ and the BLAS thread pin
+    # the CLI is the interface; the root carries only __version__ and the BLAS thread pin,
+    # which overrides the caller's thread variables
     code = (
-        "import sys, contilearn\n"
+        "import os, sys, contilearn\n"
         "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('contilearn.'))\n"
-        "print(contilearn.__version__, loaded)"
+        f"print(contilearn.__version__, loaded, *map(os.environ.get, {BLAS_THREAD_VARS}))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "2"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0.1.0 []\n"
+    assert proc.stdout == "0.1.0 [] 1 1 1\n"
 
 
 SINGLE_CLASS_ROWS = "0,1\n1,1\n2,1\n"
