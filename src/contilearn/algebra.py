@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import featuremap
 from .errors import DataError, NumericalError
 from .featuremap import pair_products
 
@@ -79,43 +78,43 @@ class AlgebraFitReport:
     ill_conditioned: bool
 
 
-def fit_structure_constants(F) -> AlgebraFitReport:
+def fit_structure_constants(*blocks) -> AlgebraFitReport:
     """Fit C from sampled feature rows by ridge-damped normal equations.
 
-    For each unordered pair (a, b) the product column F_a * F_b is projected
-    onto the span of the feature columns. The constants are symmetric in
-    (a, b) by construction since pointwise products commute. The rows are
-    read in blocks of ``featuremap.BLOCK_ROWS``: one pass accumulates the
-    Gram matrix G, the right-hand side and the products' sum of squares, a
-    second the defect, so no (samples x pairs) array is built. G is
-    equilibrated by its diagonal before the relative damping ``_RIDGE`` is
-    added, which keeps the fit defined at any feature scale; the sample
+    ``blocks`` are the row blocks of one (samples, n) feature matrix, in
+    order; a single matrix is the one-block case. For each unordered pair
+    (a, b) the product column F_a * F_b is projected onto the span of the
+    feature columns. The constants are symmetric in (a, b) by construction
+    since pointwise products commute. The blocks are read twice: one pass
+    accumulates the Gram matrix G, the right-hand side and the products' sum
+    of squares, a second the defect, so no (samples x pairs) array is built.
+    G is equilibrated by its diagonal before the relative damping ``_RIDGE``
+    is added, which keeps the fit defined at any feature scale; the sample
     matrix is flagged ill-conditioned from the eigenvalues of that
     equilibrated G. Fewer rows than features, or features whose products
     overflow, raise DataError.
     """
-    n_samples, n = F.shape
+    n = blocks[0].shape[1]
+    n_samples = sum(len(Fb) for Fb in blocks)
     if n_samples < n:
         raise DataError(
             f"need at least {n} samples to fit the algebra of {n} features, got {n_samples}"
         )
 
     ii, jj = np.triu_indices(n)
-    rows = featuremap.BLOCK_ROWS
     # one block's products, a row per pair so pair_products fills whole rows; the sums and
     # matmuls read the transpose, a Fortran-order (rows, pairs) array, and round by that layout
-    P = np.empty((len(ii), min(rows, n_samples)))
+    P = np.empty((len(ii), max(len(Fb) for Fb in blocks)))
 
-    def blocks():
-        for lo in range(0, n_samples, rows):
-            Fb = F[lo : lo + rows]
+    def products():
+        for Fb in blocks:
             yield Fb, pair_products(np.ascontiguousarray(Fb.T), P[:, : len(Fb)]).T
 
     G = np.zeros((n, n))
     rhs = np.zeros((n, len(ii)))
     product_sq = closure_sq = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for Fb, Pb in blocks():
+        for Fb, Pb in products():
             G += Fb.T @ Fb
             rhs += Fb.T @ Pb
             Pb *= Pb
@@ -133,7 +132,7 @@ def fit_structure_constants(F) -> AlgebraFitReport:
         coef = np.linalg.solve(A, rhs / d[:, None]) / d[:, None]
 
         defect = np.empty_like(P).T
-        for Fb, Pb in blocks():
+        for Fb, Pb in products():
             Db = np.matmul(Fb, coef, out=defect[: len(Fb)])
             Db -= Pb
             Db *= Db

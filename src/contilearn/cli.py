@@ -17,7 +17,6 @@ import warnings
 
 import numpy as np
 
-from . import featuremap
 from .algebra import associativity_residual, fit_structure_constants, reference_algebra
 from .data import load_csv, load_inputs
 from .engine import TrainedModel, run
@@ -31,6 +30,9 @@ from .modelio import (
     save_predictions,
     save_reports,
 )
+
+# rows per block for scoring and the algebra fit, so no (rows × expanded width) matrix is built
+BLOCK_ROWS = 8192
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,16 +78,15 @@ def cmd_train(args) -> int:
 def _model_features(model: TrainedModel, path, features):
     """``features`` (a method of the model's feature map) of the input rows at ``path``.
 
-    Yields one matrix per block of ``featuremap.BLOCK_ROWS`` rows, in file
-    order. A row whose squared feature norm is not finite (a feature, or a
-    product of two, overflows) raises DataError naming its file row; no
-    warning is printed.
+    Yields one matrix per block of ``BLOCK_ROWS`` rows, in file order. A row
+    whose squared feature norm is not finite (a feature, or a product of
+    two, overflows) raises DataError naming its file row; no warning is
+    printed.
     """
     X = load_inputs(path, d=model.feature_map.d)
-    rows = featuremap.BLOCK_ROWS
-    for lo in range(0, X.shape[0], rows):
+    for lo in range(0, X.shape[0], BLOCK_ROWS):
         with np.errstate(over="ignore", invalid="ignore"):
-            F = features(X[lo : lo + rows])
+            F = features(X[lo : lo + BLOCK_ROWS])
             bad = ~np.isfinite(np.einsum("ij,ij->i", F, F))
         if bad.any():
             raise DataError(
@@ -124,7 +125,7 @@ def cmd_algebra(args) -> int:
         raise ConfigError("algebra needs either --reference NAME or --model, --data and --out")
     model = load_model(args.model)
     blocks = _model_features(model, args.data, model.feature_map.super_features)
-    save_algebra_report(args.out, fit_structure_constants(np.concatenate(list(blocks))))
+    save_algebra_report(args.out, fit_structure_constants(*blocks))
     return 0
 
 

@@ -26,8 +26,6 @@ import numpy as np
 from .data import Standardization
 
 _ORTHO_TOL = 1e-10
-# rows per pass for scoring and the algebra fit, so no (rows × expanded width) matrix is built
-BLOCK_ROWS = 8192
 
 
 def expansion_size(m: int) -> int:

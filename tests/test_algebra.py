@@ -4,10 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from contilearn import algebra, featuremap
+from contilearn import cli
 from contilearn.algebra import associativity_residual, fit_structure_constants, reference_algebra
 from contilearn.errors import DataError
-from contilearn.featuremap import pair_products
 
 COMPLEX = reference_algebra("complex")
 QUATERNION = reference_algebra("quaternion")
@@ -134,21 +133,13 @@ def test_fit_on_a_numerically_singular_gram_matrix_is_flagged():
     assert abs(report.normalized_residual - alone.normalized_residual) <= 1e-12
 
 
-def fit_in_blocks(monkeypatch, F, rows):
-    """The fit of F read in blocks of ``rows`` rows, and the length of every block it read."""
-    seen = []
-
-    def spy(Ft, out):
-        seen.append(Ft.shape[1])  # one feature per row, so a block's rows are its columns
-        return pair_products(Ft, out)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(featuremap, "BLOCK_ROWS", rows)
-        patch.setattr(algebra, "pair_products", spy)
-        return fit_structure_constants(F), seen
+def fit_in_blocks(F, rows):
+    """The fit of F handed over in blocks of ``rows`` rows, and the length of every block."""
+    blocks = [F[lo : lo + rows] for lo in range(0, len(F), rows)]
+    return fit_structure_constants(*blocks), [len(Fb) for Fb in blocks]
 
 
-B = featuremap.BLOCK_ROWS
+B = cli.BLOCK_ROWS
 
 
 @pytest.mark.parametrize(
@@ -157,16 +148,14 @@ B = featuremap.BLOCK_ROWS
     ids=["2B+1-rows", "7-rows-in-2-row-blocks"],
 )
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_a_fit_across_blocks_agrees_with_the_one_block_fit(
-    monkeypatch, order, samples, rows, blocks
-):
+def test_a_fit_across_blocks_agrees_with_the_one_block_fit(order, samples, rows, blocks):
     rng = np.random.default_rng(samples)
     for n in (1, 2, 4):
         F = np.asarray(rng.normal(scale=3.0, size=(samples, n)), order=order)
-        blocked, seen = fit_in_blocks(monkeypatch, F, rows)
-        assert seen == blocks * 2  # one pass for the normal equations, one for the defect
-        whole, seen = fit_in_blocks(monkeypatch, F, samples)
-        assert seen == [samples] * 2
+        blocked, seen = fit_in_blocks(F, rows)
+        assert seen == blocks
+        whole, seen = fit_in_blocks(F, samples)
+        assert seen == [samples]
         c = whole.constants
         assert np.max(np.abs(blocked.constants - c)) <= 1e-12 * np.max(np.abs(c))
         for name in ("closure_residual", "normalized_residual", "product_rms"):
@@ -205,9 +194,10 @@ def test_a_well_conditioned_fit_agrees_with_the_former_fit(rows, order):
 def test_a_fit_on_many_rows_builds_no_products_matrix():
     # the whole (10^5 x 45) products matrix alone would take 36 MB
     F = np.random.default_rng(9).normal(size=(100_000, 9))
+    blocks = [F[lo : lo + B] for lo in range(0, len(F), B)]
     tracemalloc.start()
     try:
-        fit_structure_constants(F)
+        fit_structure_constants(*blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contilearn import cli, engine, featuremap
+from contilearn import cli, engine
 from contilearn.algebra import AlgebraFitReport, fit_structure_constants
 from contilearn.cli import main
 from contilearn.data import load_csv, load_inputs
@@ -153,7 +153,7 @@ BOUNDARY_CHECKS = {
 # ``pair_products`` contiguous feature rows. Every other function takes the float64
 # arrays these build
 ARRAY_CONVERSIONS = {
-    "algebra": {"fit_structure_constants.blocks"},
+    "algebra": {"fit_structure_constants.products"},
     "data": {
         "Standardization.__post_init__",
         "Standardization.transform",
@@ -812,6 +812,44 @@ def test_a_count_matrix_above_the_bound_is_a_config_error(tmp_path, capsys, monk
     assert not (tmp_path / "m").exists()
 
 
+def test_a_failed_eigendecomposition_is_a_numerical_failure(
+    tmp_path, capsys, monkeypatch, xor_csv
+):
+    # LAPACK reports no convergence failure for any matrix found so far, NaN and inf
+    # included, so the failure is injected where spectral calls it
+    def eigh(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    config = "n_iters = 1\nn_replicates = 8\n"
+    assert _train_exit(tmp_path, xor_csv.read_text(), config) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "contilearn: spectral: eigendecomposition failed: Eigenvalues did not converge"
+    ]
+    assert not (tmp_path / "m").exists()
+
+
+def test_structure_constants_beyond_the_double_range_are_a_numerical_failure(tmp_path, capsys):
+    # on a zero-layer model with an identity standardization the features are (1, x, y);
+    # with y = x^2 * 1e-309 the closure constant of x * x on y is 1e309, which overflows,
+    # while every product and the Gram matrix stay finite
+    model = tmp_path / "m.model"
+    rows = "0.5,1.0,0\n0.5,1.0,1\n0.5,-1.0,0\n0.5,-1.0,1\n"
+    assert _train_exit(tmp_path, rows, "n_iters = 0\nn_replicates = 16\nseed = 3\n") == 0
+    text = (tmp_path / "m").read_text()
+    text = re.sub("(?m)^mean = .*$", "mean = 0.0,0.0", text)
+    model.write_text(re.sub("(?m)^scale = .*$", "scale = 1.0,1.0", text))
+    data = tmp_path / "big.csv"
+    data.write_text("".join(f"{a * 1e76!r},{a * a * 1e-157!r}\n" for a in (1, 2, 3, -1)))
+    out = tmp_path / "big.algebra"
+    argv = ["algebra", "--model", str(model), "--data", str(data), "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "contilearn: algebra: structure-constant fit overflowed"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "message, line",
     [
@@ -907,7 +945,7 @@ def test_algebra_requires_a_mode():
 
 # ---------------------------------------------------------------- blocked scoring
 
-B = featuremap.BLOCK_ROWS
+B = cli.BLOCK_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -957,6 +995,21 @@ def test_blocks_score_within_rounding_of_the_whole_file(tmp_path, deep_model, n)
     assert [len(F) for F in blocks] == [B] * (n // B) + [n % B]
     blocked = np.concatenate(blocks)
     assert np.all(np.abs(blocked - Z) <= 1e-13 * np.maximum(1.0, np.abs(Z)))
+
+
+def test_the_algebra_fit_receives_the_scoring_blocks(tmp_path, trained, monkeypatch):
+    received = []
+
+    def fit(*blocks):
+        received.append([len(F) for F in blocks])
+        return fit_structure_constants(*blocks)
+
+    monkeypatch.setattr(cli, "fit_structure_constants", fit)
+    rows = tmp_path / "rows.csv"
+    rows.write_text("".join(f"{t % 7 - 3},{t % 5 - 2}\n" for t in range(2 * B + 5)))
+    out = tmp_path / "rows.algebra"
+    assert main(["algebra", "--model", str(trained), "--data", str(rows), "--out", str(out)]) == 0
+    assert received == [[B, B, 5]]
 
 
 @pytest.mark.parametrize("command", ["predict", "algebra"])

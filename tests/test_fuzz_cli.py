@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from contilearn import algebra, cli, featuremap
+from contilearn import cli
 from contilearn.cli import main
 
 FUZZ = settings(
@@ -132,22 +132,22 @@ def two_row_blocks(monkeypatch):
     """Two-row blocks, so every fuzz file spans several; yields the rows of each block read.
 
     Blocks are counted where prediction reduces them (``cli.predict_prob``)
-    and where the algebra fit forms their products (``algebra.pair_products``).
+    and where the algebra fit receives them (``cli.fit_structure_constants``).
     """
     seen = []
-    predict_prob, pair_products = cli.predict_prob, algebra.pair_products
+    predict_prob, fit_structure_constants = cli.predict_prob, cli.fit_structure_constants
 
     def counted_predict_prob(w, F):
         seen.append(len(F))
         return predict_prob(w, F)
 
-    def counted_pair_products(Ft, out):
-        seen.append(Ft.shape[1])  # one feature per row, so a block's rows are its columns
-        return pair_products(Ft, out)
+    def counted_fit_structure_constants(*blocks):
+        seen.extend(len(F) for F in blocks)
+        return fit_structure_constants(*blocks)
 
-    monkeypatch.setattr(featuremap, "BLOCK_ROWS", 2)
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 2)
     monkeypatch.setattr(cli, "predict_prob", counted_predict_prob)
-    monkeypatch.setattr(algebra, "pair_products", counted_pair_products)
+    monkeypatch.setattr(cli, "fit_structure_constants", counted_fit_structure_constants)
     yield seen
     assert all(rows <= 2 for rows in seen), seen
 
@@ -159,8 +159,8 @@ def test_two_row_blocks_split_scoring_and_the_algebra_fit(workdir, two_row_block
         out = workdir / f"blocks.{command}"
         argv = [command, "--model", str(workdir / "base.model"), "--data", str(rows)]
         assert run_cli(argv + ["--out", str(out)]) == 0
-    # four blocks of the eight rows: once to predict, twice in the fit (normal equations, defect)
-    assert two_row_blocks == [2] * 12
+    # four blocks of the eight rows: once to predict, once handed to the algebra fit
+    assert two_row_blocks == [2] * 8
 
 
 @FUZZ
