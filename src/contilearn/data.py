@@ -1,9 +1,10 @@
-"""Loading, validation, and standardization of binary-labelled tabular data.
+"""Loading and validation of binary-labelled tabular data.
 
 CSV rows hold d numeric inputs followed by a 0/1 label in the last column.
 A ``Dataset`` fits the column-wise standardization of its raw rows (constant
-columns keep scale 1) and records the fitted mean/scale pair, so that
-prediction-time inputs are pushed through the exact same transform.
+columns keep scale 1) as a layerless ``RecursiveFeatureMap``; the trained
+model's map extends that one, so prediction-time inputs are pushed through
+the exact same standardization.
 """
 
 from __future__ import annotations
@@ -16,50 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .featuremap import RecursiveFeatureMap
 
 
-@dataclass(frozen=True)
-class Standardization:
-    """Per-column center and scale recorded at load time.
-
-    ``scale`` entries are strictly positive; columns that were constant in
-    the training data get scale 1 so the transform stays well defined.
-    """
-
-    mean: np.ndarray
-    scale: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        scale = np.asarray(self.scale, dtype=float)
-        if mean.ndim != 1 or scale.shape != mean.shape:
-            raise ValueError("mean and scale must be 1-d arrays of the same length")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale))):
-            raise ValueError("standardization parameters must be finite")
-        if not np.all(scale > 0):
-            raise ValueError("standardization scales must be strictly positive")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "scale", scale)
-
-    @property
-    def d(self) -> int:
-        return self.mean.shape[0]
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        """Apply the recorded affine transform to a matrix of raw rows."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.d:
-            raise ValueError(f"expected a matrix with {self.d} columns, got shape {X.shape}")
-        return (X - self.mean) / self.scale
-
-    def design_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Basic feature matrix of raw rows: a column of ones, then the standardized entries."""
-        Z = self.transform(X)
-        return np.hstack([np.ones((Z.shape[0], 1)), Z])
-
-
-def fit_standardization(X: np.ndarray) -> Standardization:
-    """Fit per-column mean and population standard deviation; zero spread maps to scale 1.
+def fit_standardization(X: np.ndarray) -> RecursiveFeatureMap:
+    """Layerless feature map of per-column mean and population spread; zero spread gets scale 1.
 
     Raises DataError when a column's mean or spread overflows a double.
     """
@@ -72,21 +34,21 @@ def fit_standardization(X: np.ndarray) -> Standardization:
             f"column {int(np.argmax(overflow)) + 1}: values too large in magnitude to standardize"
         )
     scale = np.where(spread > 0.0, spread, 1.0)
-    return Standardization(mean, scale)
+    return RecursiveFeatureMap(mean, scale)
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Immutable training corpus built from raw input rows ``X`` and exact 0/1 labels ``y``.
 
-    ``standardization`` is fitted on ``X`` as passed, and ``F``, its basic feature
-    matrix of ``X``, is the matrix the engine trains on. Fewer than two rows is a
+    ``feature_map`` is the layerless map fitted on ``X`` as passed, and ``F``, its basic
+    feature matrix of ``X``, is the matrix the engine trains on. Fewer than two rows is a
     DataError; a single label class is permitted but warns, as nothing can be learned.
     """
 
     y: np.ndarray
     X: InitVar[np.ndarray]
-    standardization: Standardization = field(init=False)
+    feature_map: RecursiveFeatureMap = field(init=False)
     F: np.ndarray = field(init=False)
 
     def __post_init__(self, X) -> None:
@@ -105,14 +67,10 @@ class Dataset:
             warnings.warn(
                 f"training data contains a single label class ({int(y[0])})", stacklevel=3
             )
-        standardization = fit_standardization(X)
+        feature_map = fit_standardization(X)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "standardization", standardization)
-        object.__setattr__(self, "F", standardization.design_matrix(X))
-
-    @property
-    def t_max(self) -> int:
-        return self.F.shape[0]
+        object.__setattr__(self, "feature_map", feature_map)
+        object.__setattr__(self, "F", feature_map.super_features(X))
 
 
 def read_text(path, kind: str, error) -> str:

@@ -31,12 +31,7 @@ from .ensemble import (
     weights_from_loglik,
 )
 from .errors import ConfigError, NumericalError
-from .featuremap import (
-    Layer,
-    RecursiveFeatureMap,
-    calibrate_layer,
-    embed_mean_solution,
-)
+from .featuremap import Layer, RecursiveFeatureMap, calibrate_layer, embed_mean_solution
 from .model import Prior, log_likelihood, predict_prob
 from .solver import SolverConfig, maximize
 from .spectral import select_components
@@ -194,7 +189,7 @@ def run(dataset: Dataset, config: EngineConfig) -> tuple[TrainedModel, tuple[Ite
     matrix of more than ``MAX_COUNT_ENTRIES`` entries (n_replicates times
     the training rows) is a ConfigError, raised before anything is sampled.
     """
-    S, T = config.n_replicates, dataset.t_max
+    S, T = config.n_replicates, len(dataset.y)
     if S * T > MAX_COUNT_ENTRIES:
         raise ConfigError(
             f"n_replicates * rows = {S} * {T} exceeds the bound of {MAX_COUNT_ENTRIES}"
@@ -209,7 +204,7 @@ def run(dataset: Dataset, config: EngineConfig) -> tuple[TrainedModel, tuple[Ite
     last_stage = config.n_iters
 
     for stage in range(config.n_iters + 1):
-        counts = sample_plans(config.n_replicates, _stage_seed(config.seed, stage), dataset.t_max)
+        counts = sample_plans(S, _stage_seed(config.seed, stage), T)
         r, oob, solset = _choose_prior(y, F, counts, config, w_init)
         prior = Prior(r)
         sol = maximize(y, F, prior, config.solver, w_init)
@@ -248,6 +243,6 @@ def run(dataset: Dataset, config: EngineConfig) -> tuple[TrainedModel, tuple[Ite
             status = "algebra-converged"
             last_stage = stage + 1
 
-    feature_map = RecursiveFeatureMap(dataset.standardization, tuple(layers))
+    feature_map = replace(dataset.feature_map, layers=tuple(layers))
     r_per_iteration = tuple(report.r for report in reports)
     return TrainedModel(feature_map, sol.w, r_per_iteration, status, config), tuple(reports)

@@ -14,6 +14,9 @@ enlarge the reachable model class. Stacking N layers yields features that
 are polynomials of degree at most 2**N in the raw inputs. Every function
 here takes a matrix whose rows are feature vectors, never a single vector,
 except ``pair_products``, which takes one row per feature.
+``RecursiveFeatureMap`` is the one record from raw input rows to features:
+a per-column standardization, then the layers. Its two methods,
+``transform`` and ``super_features``, take a matrix of raw rows.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .data import Standardization
 
 _ORTHO_TOL = 1e-10
 
@@ -166,14 +167,29 @@ def embed_mean_solution(layer: Layer) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RecursiveFeatureMap:
-    """Standardization plus an ordered stack of layers, applied left to right."""
+    """Per-column standardization of raw rows, then an ordered stack of layers, left to right.
 
-    standardization: Standardization
+    ``scale`` entries are strictly positive; columns that were constant in
+    the training data get scale 1 so the standardization stays well defined.
+    """
+
+    mean: np.ndarray
+    scale: np.ndarray
     layers: tuple[Layer, ...] = ()
 
     def __post_init__(self) -> None:
+        mean = np.asarray(self.mean, dtype=float)
+        scale = np.asarray(self.scale, dtype=float)
+        if mean.ndim != 1 or scale.shape != mean.shape:
+            raise ValueError("mean and scale must be 1-d arrays of the same length")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale))):
+            raise ValueError("standardization parameters must be finite")
+        if not np.all(scale > 0):
+            raise ValueError("standardization scales must be strictly positive")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "layers", tuple(self.layers))
-        width = self.standardization.d + 1
+        width = self.d + 1
         for i, layer in enumerate(self.layers):
             if layer.m_in != width:
                 raise ValueError(
@@ -183,7 +199,7 @@ class RecursiveFeatureMap:
 
     @property
     def d(self) -> int:
-        return self.standardization.d
+        return self.mean.shape[0]
 
     @property
     def output_dim(self) -> int:
@@ -197,9 +213,13 @@ class RecursiveFeatureMap:
     def super_features(self, X) -> np.ndarray:
         """Last layer's projected features (before products) for a matrix of raw input rows.
 
-        With no layers this is just the basic feature matrix.
+        With no layers this is the basic feature matrix: a column of ones, then
+        the standardized entries.
         """
-        Z = self.standardization.design_matrix(X)
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise ValueError(f"expected a matrix with {self.d} columns, got shape {X.shape}")
+        Z = np.hstack([np.ones((X.shape[0], 1)), (X - self.mean) / self.scale])
         if not self.layers:
             return Z
         for layer in self.layers[:-1]:

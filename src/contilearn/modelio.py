@@ -17,13 +17,13 @@ typo in a hyper-parameter is worse than an error.
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .algebra import AlgebraFitReport
-from .data import Standardization, read_text
+from .data import read_text
 from .engine import STATUSES, EngineConfig, IterationReport, TrainedModel
 from .errors import ConfigError, ModelFormatError
 from .featuremap import Layer, RecursiveFeatureMap
@@ -144,8 +144,8 @@ def format_model(model: TrainedModel) -> str:
         f"format = {MODEL_FORMAT}",
         f"status = {model.status}",
         f"d = {fm.d}",
-        f"mean = {_fmt_vector(fm.standardization.mean)}",
-        f"scale = {_fmt_vector(fm.standardization.scale)}",
+        f"mean = {_fmt_vector(fm.mean)}",
+        f"scale = {_fmt_vector(fm.scale)}",
         f"r_per_iteration = {_fmt_vector(model.r_per_iteration)}",
         f"n_layers = {len(fm.layers)}",
     ]
@@ -206,8 +206,8 @@ def parse_model(text: str) -> TrainedModel:
     n_layers = take("n_layers", _parse_count)
 
     try:
-        standardization = Standardization(mean, scale)
-        if standardization.d != d:
+        feature_map = RecursiveFeatureMap(mean, scale)
+        if feature_map.d != d:
             raise ModelFormatError("standardization width does not match d")
         layers = []
         for i in range(n_layers):
@@ -225,7 +225,7 @@ def parse_model(text: str) -> TrainedModel:
                 layers.append(Layer(v0, u, scales, degenerate))
             except ValueError as exc:
                 raise ModelFormatError(f"layer{i}: {exc}") from None
-        feature_map = RecursiveFeatureMap(standardization, tuple(layers))
+        feature_map = replace(feature_map, layers=tuple(layers))
         _probe_layers(feature_map)
         w = take("w", _parse_vector)
         if not np.all(np.isfinite(w)):

@@ -136,12 +136,12 @@ def test_readme_states_the_count_bound():
 # assumes what these establish and raises no ValueError of its own
 BOUNDARY_CHECKS = {
     "algebra": {"reference_algebra"},
-    "data": {
-        "Standardization.__post_init__",
-        "Standardization.transform",
-        "Dataset.__post_init__",
+    "data": {"Dataset.__post_init__"},
+    "featuremap": {
+        "Layer.__post_init__",
+        "RecursiveFeatureMap.__post_init__",
+        "RecursiveFeatureMap.super_features",
     },
-    "featuremap": {"Layer.__post_init__", "RecursiveFeatureMap.__post_init__"},
     "model": {"Prior.__post_init__"},
     "modelio": {"_parser.parse", "_nonnegative_int"},  # the codecs
 }
@@ -154,12 +154,13 @@ BOUNDARY_CHECKS = {
 # arrays these build
 ARRAY_CONVERSIONS = {
     "algebra": {"fit_structure_constants.products"},
-    "data": {
-        "Standardization.__post_init__",
-        "Standardization.transform",
-        "Dataset.__post_init__",
+    "data": {"Dataset.__post_init__"},
+    "featuremap": {
+        "Layer.__post_init__",
+        "expand",
+        "RecursiveFeatureMap.__post_init__",
+        "RecursiveFeatureMap.super_features",
     },
-    "featuremap": {"Layer.__post_init__", "expand"},
 }
 
 
@@ -600,6 +601,28 @@ def test_a_repeated_model_field_is_a_model_error(tmp_path, trained, xor_csv, cap
     w_line = re.search(r"^w = .*\n", text, flags=re.M).group(0)
     assert _model_error_lines(tmp_path, xor_csv, capsys, command, text + w_line) == [
         "contilearn: duplicate model field 'w'"
+    ]
+
+
+# a standardization fault, with layer0.v0 also one entry long: the standardization is
+# checked first, so its message is the one reported
+FAULT_ORDER_CASES = [
+    ("mean", "nan", "standardization parameters must be finite"),
+    ("d", "3", "standardization width does not match d"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, message", FAULT_ORDER_CASES, ids=[f"{k}-{v}" for k, v, _ in FAULT_ORDER_CASES]
+)
+def test_a_standardization_fault_is_reported_before_a_layer_fault(
+    tmp_path, trained, xor_csv, capsys, key, value, message
+):
+    text = re.sub(r"^(layer0\.v0 = .*)$", r"\1,0.5", trained.read_text(), flags=re.M)
+    text, n = re.subn(rf"^{re.escape(key)} = [^,\n]*", f"{key} = {value}", text, flags=re.M)
+    assert n == 1
+    assert _model_error_lines(tmp_path, xor_csv, capsys, "predict", text) == [
+        f"contilearn: {message}"
     ]
 
 

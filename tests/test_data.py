@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from contilearn.data import (
     Dataset,
-    Standardization,
     _read_numeric_rows,
     fit_standardization,
     load_csv,
@@ -16,7 +15,6 @@ from contilearn.data import (
     read_text,
 )
 from contilearn.errors import DataError
-from contilearn.featuremap import RecursiveFeatureMap
 from contilearn.model import _ALMOST_ONE, _TINY
 from contilearn.modelio import save_predictions
 
@@ -27,8 +25,8 @@ def test_load_xor_table(tmp_path):
     path = tmp_path / "xor.csv"
     path.write_text(XOR_ROWS)
     ds = load_csv(path)
-    assert ds.standardization.d == 2
-    assert ds.t_max == 4
+    assert ds.feature_map.d == 2
+    assert len(ds.y) == 4
     assert np.array_equal(ds.y, [0.0, 1.0, 1.0, 0.0])
 
 
@@ -37,7 +35,7 @@ def test_xor_standardization_gives_unit_cells(tmp_path):
     path = tmp_path / "xor.csv"
     path.write_text(XOR_ROWS)
     ds = load_csv(path)
-    f = ds.standardization.design_matrix(np.array([[1.0, 1.0]]))
+    f = ds.feature_map.super_features(np.array([[1.0, 1.0]]))
     assert np.array_equal(f, [[1.0, 1.0, 1.0]])
     assert f[0, 0] == 1.0
 
@@ -107,32 +105,7 @@ def test_constant_column_standardizes_to_zero(tmp_path):
     path.write_text("5.0,1.0,0\n5.0,2.0,1\n5.0,3.0,0\n")
     ds = load_csv(path)
     assert np.array_equal(ds.F[:, 1], [0.0, 0.0, 0.0])
-    assert ds.standardization.scale[0] == 1.0
-
-
-def test_basic_features_prepends_bias():
-    std = Standardization(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
-    f = std.design_matrix(np.array([[3.0, 10.0]]))
-    assert f[0, 0] == 1.0
-    assert np.array_equal(f[0, 1:], [(3.0 - 1.0) / 2.0, (10.0 - 2.0) / 4.0])
-
-
-def test_basic_features_zero_dimensional():
-    std = Standardization(np.zeros(0), np.ones(0))
-    assert np.array_equal(std.design_matrix(np.zeros((1, 0))), [[1.0]])
-
-
-def test_basic_features_dimension_mismatch():
-    std = Standardization(np.zeros(2), np.ones(2))
-    with pytest.raises(ValueError):
-        std.design_matrix(np.array([[1.0, 2.0, 3.0]]))
-    with pytest.raises(ValueError):
-        std.transform(np.array([1.0, 2.0]))  # a single row must be a one-row matrix
-
-
-def test_scales_must_be_positive():
-    with pytest.raises(ValueError):
-        Standardization(np.zeros(1), np.zeros(1))
+    assert ds.feature_map.scale[0] == 1.0
 
 
 @settings(max_examples=50)
@@ -141,7 +114,7 @@ def test_standardized_data_has_zero_mean_unit_spread(seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(loc=3.0, scale=5.0, size=(20, 3))
     std = fit_standardization(X)
-    Z = std.transform(X)
+    Z = std.super_features(X)[:, 1:]
     assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(Z.std(axis=0), 1.0, atol=1e-12)
 
@@ -149,8 +122,8 @@ def test_standardized_data_has_zero_mean_unit_spread(seed):
 def test_refit_on_standardized_data_is_identity():
     rng = np.random.default_rng(0)
     X = np.hstack([rng.normal(size=(30, 2)), np.full((30, 1), 7.5)])
-    Z = fit_standardization(X).transform(X)
-    again = fit_standardization(Z).transform(Z)
+    Z = fit_standardization(X).super_features(X)[:, 1:]
+    again = fit_standardization(Z).super_features(Z)[:, 1:]
     assert np.allclose(again, Z, atol=1e-12)
 
 
@@ -158,8 +131,8 @@ def test_recorded_transform_is_reproducible():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(10, 4))
     std = fit_standardization(X)
-    first = std.transform(X)
-    second = std.transform(X)
+    first = std.super_features(X)[:, 1:]
+    second = std.super_features(X)[:, 1:]
     assert np.array_equal(first, second)
 
 
@@ -175,7 +148,7 @@ def test_load_then_predict_transform_bitwise_equal(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     ds = load_csv(path)
     raw = load_inputs(path, d=3)
-    assert np.array_equal(ds.F, RecursiveFeatureMap(ds.standardization).transform(raw))
+    assert np.array_equal(ds.F, ds.feature_map.transform(raw))
 
 
 def test_load_inputs_drops_trailing_label(tmp_path):
@@ -217,9 +190,9 @@ def test_dataset_fits_its_standardization_on_the_raw_rows():
     y = (X[:, 0] > 3.0).astype(float)
     ds = Dataset(y, X)
     expected = fit_standardization(X)
-    assert np.array_equal(ds.standardization.mean, expected.mean)
-    assert np.array_equal(ds.standardization.scale, expected.scale)
-    assert np.array_equal(ds.F, expected.design_matrix(X))
+    assert np.array_equal(ds.feature_map.mean, expected.mean)
+    assert np.array_equal(ds.feature_map.scale, expected.scale)
+    assert np.array_equal(ds.F, expected.super_features(X))
 
 
 def test_dataset_of_one_row_is_a_data_error():

@@ -160,7 +160,7 @@ def test_huge_precision_forces_chance_level_oob():
     # r -> infinity pins w near zero; every held-out point scores ln(1/2)
     ds = small_dataset(seed=44, n=40)
     F = ds.F
-    counts = sample_plans(8, 9, ds.t_max)
+    counts = sample_plans(8, 9, len(ds.y))
     score = oob_score(ds.y, F, counts, solve_replicates(ds.y, F, counts, Prior(1e9)))
     assert abs(score - math.log(0.5)) <= 1e-5
 
@@ -194,7 +194,7 @@ def test_chosen_r_attains_the_exhaustive_maximum(circle_data):
     grid = (0.01, 1.0, 100.0)
     _, reports = run(circle_data, EngineConfig(n_iters=0, seed=10, r_grid=grid))
     y, F = circle_data.y, circle_data.F
-    counts = sample_plans(64, _stage_seed(10, 0), circle_data.t_max)
+    counts = sample_plans(64, _stage_seed(10, 0), len(circle_data.y))
     scores = [oob_score(y, F, counts, solve_replicates(y, F, counts, Prior(r))) for r in grid]
     assert reports[0].r == grid[int(np.argmax(scores))]
     assert abs(reports[0].oob - max(scores)) <= 1e-12

@@ -1,10 +1,10 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from contilearn.data import Standardization
 from contilearn.featuremap import (
     Layer,
     RecursiveFeatureMap,
@@ -22,8 +22,8 @@ def orthonormal_rows(rng, k, m):
 
 def random_map(rng, d, n_layers, n_train=40):
     """A feature map with random projections and training-calibrated scales."""
-    std = Standardization(rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
-    F = std.design_matrix(rng.normal(size=(n_train, d)))
+    std = RecursiveFeatureMap(rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
+    F = std.super_features(rng.normal(size=(n_train, d)))
     layers = []
     for _ in range(n_layers):
         m_in = F.shape[1]
@@ -31,7 +31,7 @@ def random_map(rng, d, n_layers, n_train=40):
         layer = calibrate_layer(rng.normal(size=m_in), orthonormal_rows(rng, k, m_in), F)
         F = layer.apply(F)
         layers.append(layer)
-    return RecursiveFeatureMap(std, tuple(layers))
+    return replace(std, layers=tuple(layers))
 
 
 def monomial_exponents(d, deg):
@@ -204,10 +204,9 @@ def test_identically_zero_feature_keeps_scale_one():
 
 
 def test_zero_layer_map_is_basic_features():
-    std = Standardization(np.array([1.0]), np.array([2.0]))
-    fmap = RecursiveFeatureMap(std, ())
+    fmap = RecursiveFeatureMap(np.array([1.0]), np.array([2.0]))
     x = np.array([[5.0]])
-    assert np.array_equal(fmap.transform(x), std.design_matrix(x))
+    assert np.array_equal(fmap.transform(x), fmap.super_features(x))
     assert np.array_equal(fmap.transform(x), [[1.0, 2.0]])
 
 
@@ -215,11 +214,10 @@ def test_one_layer_matches_symbolic_expansion():
     # oracle: multiply the polynomials out with numpy's polynomial arithmetic
     rng = np.random.default_rng(21)
     fmap = random_map(rng, d=1, n_layers=1)
-    std = fmap.standardization
     layer = fmap.layers[0]
 
     one = P.Polynomial([1.0])
-    xs = P.Polynomial([-std.mean[0] / std.scale[0], 1.0 / std.scale[0]])
+    xs = P.Polynomial([-fmap.mean[0] / fmap.scale[0], 1.0 / fmap.scale[0]])
     basis = [one, xs]
     f0_poly = sum(layer.v0[i] * basis[i] for i in range(2)) / np.linalg.norm(layer.v0)
     supers = [f0_poly] + [sum(layer.u[a, i] * basis[i] for i in range(2)) for a in range(layer.k)]
@@ -243,14 +241,14 @@ def test_outputs_are_bounded_degree_polynomials(d, n_layers):
 
 def test_embedded_mean_reproduces_scores():
     rng = np.random.default_rng(22)
-    std = Standardization(rng.normal(size=2), rng.uniform(0.5, 2.0, size=2))
-    F_train = std.design_matrix(rng.normal(size=(50, 2)))
+    std = RecursiveFeatureMap(rng.normal(size=2), rng.uniform(0.5, 2.0, size=2))
+    F_train = std.super_features(rng.normal(size=(50, 2)))
     v0 = rng.normal(size=3)
     layer = calibrate_layer(v0, orthonormal_rows(rng, 2, 3), F_train)
     w_embed = embed_mean_solution(layer)
 
     X = rng.normal(size=(100, 2))
-    F = std.design_matrix(X)
+    F = std.super_features(X)
     scores = layer.apply(F) @ w_embed
     assert np.max(np.abs(scores - F @ v0)) <= 1e-10
 
@@ -276,10 +274,10 @@ def test_scale_rescaling_is_absorbed_by_the_embedded_coefficient():
 
 
 def test_layer_chain_validation():
-    std = Standardization(np.zeros(1), np.ones(1))
+    std = RecursiveFeatureMap(np.zeros(1), np.ones(1))
     bad = Layer(np.ones(5), np.zeros((0, 5)), np.ones(expansion_size(1)))
     with pytest.raises(ValueError, match="width"):
-        RecursiveFeatureMap(std, (bad,))
+        replace(std, layers=(bad,))
 
 
 def test_layer_requires_orthonormal_rows():
@@ -287,18 +285,36 @@ def test_layer_requires_orthonormal_rows():
         Layer(np.ones(2), np.array([[1.0, 1.0]]), np.ones(expansion_size(2)))
 
 
-def test_transform_checks_input_width():
-    std = Standardization(np.zeros(2), np.ones(2))
-    fmap = RecursiveFeatureMap(std, ())
+def test_basic_features_prepends_bias():
+    std = RecursiveFeatureMap(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
+    f = std.super_features(np.array([[3.0, 10.0]]))
+    assert f[0, 0] == 1.0
+    assert np.array_equal(f[0, 1:], [(3.0 - 1.0) / 2.0, (10.0 - 2.0) / 4.0])
+
+
+def test_basic_features_zero_dimensional():
+    std = RecursiveFeatureMap(np.zeros(0), np.ones(0))
+    assert np.array_equal(std.super_features(np.zeros((1, 0))), [[1.0]])
+
+
+def test_scales_must_be_positive():
     with pytest.raises(ValueError):
-        fmap.transform(np.zeros((1, 3)))
+        RecursiveFeatureMap(np.zeros(1), np.zeros(1))
+
+
+def test_transform_checks_input_width():
+    # a row of the wrong width, and a single row that is not a one-row matrix
+    fmap = RecursiveFeatureMap(np.zeros(2), np.ones(2))
+    for X in (np.array([[1.0, 2.0, 3.0]]), np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="^expected a matrix with 2 columns, got shape"):
+            fmap.transform(X)
 
 
 def test_transform_applies_every_layer_in_turn():
     rng = np.random.default_rng(25)
     fmap = random_map(rng, d=2, n_layers=2)
     X = rng.normal(size=(7, 2))
-    Z = fmap.standardization.design_matrix(X)
+    Z = replace(fmap, layers=()).super_features(X)
     for layer in fmap.layers:
         Z = layer.apply(Z)
     assert np.array_equal(fmap.transform(X), Z)
@@ -306,7 +322,7 @@ def test_transform_applies_every_layer_in_turn():
 
 def test_super_features_with_and_without_layers():
     rng = np.random.default_rng(24)
-    fmap0 = RecursiveFeatureMap(Standardization(np.zeros(2), np.ones(2)), ())
+    fmap0 = RecursiveFeatureMap(np.zeros(2), np.ones(2))
     X = rng.normal(size=(5, 2))
     assert np.array_equal(fmap0.super_features(X), fmap0.transform(X))
 
