@@ -32,7 +32,7 @@ from .ensemble import (
 )
 from .errors import ConfigError, NumericalError
 from .featuremap import Layer, RecursiveFeatureMap, calibrate_layer, embed_mean_solution
-from .model import Prior, log_likelihood, predict_prob
+from .model import log_likelihood, predict_prob
 from .solver import SolverConfig, maximize
 from .spectral import select_components
 
@@ -166,7 +166,7 @@ def _choose_prior(y, F, counts, config: EngineConfig, w_init):
     start = w_init
     for r in sorted(set(config.r_grid), reverse=True):
         try:
-            solset = solve_replicates(y, F, counts, Prior(r), config.solver, start)
+            solset = solve_replicates(y, F, counts, r, config.solver, start)
         except NumericalError as exc:
             error = exc
             continue
@@ -206,9 +206,8 @@ def run(dataset: Dataset, config: EngineConfig) -> tuple[TrainedModel, tuple[Ite
     for stage in range(config.n_iters + 1):
         counts = sample_plans(S, _stage_seed(config.seed, stage), T)
         r, oob, solset = _choose_prior(y, F, counts, config, w_init)
-        prior = Prior(r)
-        sol = maximize(y, F, prior, config.solver, w_init)
-        embed_L = log_likelihood(w_init, y, F, prior)
+        sol = maximize(y, F, r, config.solver, w_init)
+        embed_L = log_likelihood(w_init, y, F, r)
         report = IterationReport(
             stage, F.shape[1], None, None, sol.L_value, embed_L, r, oob, None, accuracy(sol.w, y, F)
         )
@@ -219,7 +218,7 @@ def run(dataset: Dataset, config: EngineConfig) -> tuple[TrainedModel, tuple[Ite
 
         # weights use the full-data objective: subsample objectives are not
         # comparable across replicates
-        weights = weights_from_loglik(log_likelihood(solset.w, y, F, prior))
+        weights = weights_from_loglik(log_likelihood(solset.w, y, F, r))
         mean, cov = fit_distribution(solset.w, weights)
         u = select_components(cov, config.rel_threshold, config.k_max)
         if len(u) == 0:

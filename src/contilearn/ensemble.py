@@ -6,7 +6,7 @@ with replacement. Row s comes from its own generator, seeded with
 ``seed ^ s``, so no row depends on another or on any execution order. The
 objective of replicate s is sum_t C[s, t] l_t, which equals the objective on
 its multiset, and its out-of-bag rows are those with count 0. All replicates
-of one prior are solved together as one batched Newton problem
+under one prior precision r are solved together as one batched Newton problem
 (``solver.maximize_batch``). ``weights_from_loglik`` is the softmax of
 objective values, computed in the log domain, and ``fit_distribution``
 returns the weighted mean and covariance of the solution cloud as the arrays
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .model import Prior
 # maximize stays in this namespace: bench/tracing.py patches it here by name
 from .solver import SolverConfig, maximize, maximize_batch  # noqa: F401
 
@@ -57,7 +56,7 @@ def solve_replicates(
     y,
     F,
     counts,
-    prior: Prior,
+    r: float,
     config: SolverConfig | None = None,
     w_init=None,
 ) -> SolutionSet:
@@ -65,7 +64,7 @@ def solve_replicates(
 
     Fewer than two survivors is a NumericalError.
     """
-    batch = maximize_batch(y, F, counts, prior, config, w_init)
+    batch = maximize_batch(y, F, counts, r, config, w_init)
     index = np.flatnonzero([error is None for error in batch.error])
     if len(index) < 2:
         raise NumericalError(

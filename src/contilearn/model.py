@@ -2,9 +2,10 @@
 
 The score is the dot product of a parameter vector with a feature vector
 whose slot 0 is a constant bias feature. The prior is an isotropic Gaussian
-with precision r, written with its normalization constant so that objective
-values remain comparable across different r. Nothing here overflows:
-softplus and sigmoid only ever exponentiate -|z|.
+with precision r, a positive finite float that ``EngineConfig`` validates,
+written with its normalization constant so that objective values remain
+comparable across different r; r = None leaves only the data term. Nothing
+here overflows: softplus and sigmoid only ever exponentiate -|z|.
 
 The objective, its change along a step, the gradient and the Hessian take
 one parameter vector or S stacked ones, and optional per-sample counts: a
@@ -15,24 +16,11 @@ was drawn, so S replicates share one feature matrix. No counts means count
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _TINY = float(np.finfo(float).tiny)
 _ALMOST_ONE = float(np.nextafter(1.0, 0.0))
-
-
-@dataclass(frozen=True)
-class Prior:
-    """Isotropic Gaussian prior over parameters with precision r > 0."""
-
-    r: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.r) and self.r > 0):
-            raise ValueError(f"prior precision must be a positive finite real, got {self.r}")
 
 
 def sigmoid(z):
@@ -88,20 +76,20 @@ def predict_prob(w, F):
     return np.clip(sigmoid(F @ w), _TINY, _ALMOST_ONE)
 
 
-def log_prior(w, prior: Prior):
+def log_prior(w, r: float):
     """Log-density of the isotropic Gaussian prior, normalization included.
 
     One value for a parameter vector, or one per row of stacked vectors.
     """
     m = w.shape[-1]
-    value = 0.5 * m * (np.log(prior.r) - _LOG_2PI) - 0.5 * prior.r * np.sum(w * w, axis=-1)
+    value = 0.5 * m * (np.log(r) - _LOG_2PI) - 0.5 * r * np.sum(w * w, axis=-1)
     return _scalar(value, w)
 
 
-def log_likelihood(w, y, F, prior: Prior | None = None, counts=None):
+def log_likelihood(w, y, F, r: float | None = None, counts=None):
     """Training objective: label log-probabilities plus (optionally) the log prior.
 
-    With ``prior=None`` only the data term is returned. ``w`` is one parameter
+    With ``r=None`` only the data term is returned. ``w`` is one parameter
     vector (the result is a float) or S stacked ones (one value per row).
     ``counts`` (shape (S, T), or (T,) for one vector) weights sample t by
     how often a bootstrap replicate drew it; None weights every sample 1.
@@ -111,12 +99,12 @@ def log_likelihood(w, y, F, prior: Prior | None = None, counts=None):
     np.multiply(y, z, out=z)
     np.subtract(z, sp, out=z)
     value = np.sum(np.multiply(counts, z, out=z), axis=-1)
-    if prior is not None:
-        value = value + log_prior(w, prior)
+    if r is not None:
+        value = value + log_prior(w, r)
     return _scalar(value, w)
 
 
-def log_likelihood_change(w, dw, y, F, prior: Prior | None = None, counts=None):
+def log_likelihood_change(w, dw, y, F, r: float | None = None, counts=None):
     """L(w + dw) - L(w), computed directly rather than as a difference of objectives.
 
     The difference of two objective values loses every digit once the change
@@ -147,12 +135,12 @@ def log_likelihood_change(w, dw, y, F, prior: Prior | None = None, counts=None):
     np.multiply(y, dz, out=dz)
     np.subtract(dz, near, out=dz)
     value = np.sum(np.multiply(counts, dz, out=dz), axis=-1)
-    if prior is not None:
-        value = value - prior.r * np.sum(w * dw + 0.5 * dw * dw, axis=-1)
+    if r is not None:
+        value = value - r * np.sum(w * dw + 0.5 * dw * dw, axis=-1)
     return _scalar(value, w)
 
 
-def gradient(w, y, F, prior: Prior | None = None, counts=None):
+def gradient(w, y, F, r: float | None = None, counts=None):
     """First derivative: shape (m,), or (S, m) for stacked ``w``.
 
     ``counts`` weights samples as in ``log_likelihood``.
@@ -161,12 +149,12 @@ def gradient(w, y, F, prior: Prior | None = None, counts=None):
     p = sigmoid(z)
     np.subtract(y, p, out=p)
     g = np.multiply(counts, p, out=p) @ F
-    if prior is not None:
-        g = g - prior.r * w
+    if r is not None:
+        g = g - r * w
     return g
 
 
-def hessian(w, y, F, prior: Prior | None = None, counts=None):
+def hessian(w, y, F, r: float | None = None, counts=None):
     """Second derivative matrix; symmetric, and negative definite whenever r > 0.
 
     Shape (m, m), or (S, m, m) for stacked ``w``. The stacked product
@@ -179,6 +167,6 @@ def hessian(w, y, F, prior: Prior | None = None, counts=None):
     s = counts * (p * (1.0 - p))
     H = np.matmul(F.T * s[..., None, :], F)
     H = -0.5 * (H + np.swapaxes(H, -1, -2))
-    if prior is not None:
-        H = H - prior.r * np.eye(w.shape[-1])
+    if r is not None:
+        H = H - r * np.eye(w.shape[-1])
     return H

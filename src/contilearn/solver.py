@@ -1,7 +1,7 @@
 """Damped Newton ascent for the regularized logistic objective, S problems at a time.
 
-With prior precision r > 0 each objective is strictly concave and its
-negated Hessian is positive definite, so the maximizer is unique. The
+With a float prior precision r > 0 each objective is strictly concave and
+its negated Hessian is positive definite, so the maximizer is unique. The
 problems of one batch share the labels and the feature matrix and differ in
 their per-sample counts (a bootstrap replicate weights row t by how often it
 was drawn) and starting points. Every Newton step computes the gradients of
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import Prior, gradient, hessian, log_likelihood, log_likelihood_change
+from .model import gradient, hessian, log_likelihood, log_likelihood_change
 
 _BACKTRACK = 0.5
 _ARMIJO = 1e-4
@@ -96,7 +96,7 @@ class BatchSolution:
     error: tuple[str | None, ...]
 
 
-def _newton_directions(W, y, F, prior, counts, G):
+def _newton_directions(W, y, F, r, counts, G):
     """Solve -H_s d_s = g_s for every row; a singular system's row of the result is NaN.
 
     Each chunk of the stack is one batched solve. Only when that call finds
@@ -107,7 +107,7 @@ def _newton_directions(W, y, F, prior, counts, G):
     D = np.empty_like(G)
     for lo in range(0, S, chunk):
         part = slice(lo, lo + chunk)
-        A = -hessian(W[part], y, F, prior, counts[part])
+        A = -hessian(W[part], y, F, r, counts[part])
         b = G[part, :, None]
         try:
             D[part] = np.linalg.solve(A, b)[..., 0]
@@ -120,7 +120,7 @@ def _newton_directions(W, y, F, prior, counts, G):
     return D
 
 
-def _line_search(W, D, slope, y, F, prior, counts):
+def _line_search(W, D, slope, y, F, r, counts):
     """Backtrack each row's step length until its objective change passes Armijo.
 
     Returns the accepted changes (zero where none), the step lengths and
@@ -131,7 +131,7 @@ def _line_search(W, D, slope, y, F, prior, counts):
     accepted = np.zeros(len(W), dtype=bool)
     pending = np.arange(len(W))
     while pending.size:
-        dL = log_likelihood_change(W, t[pending, None] * D, y, F, prior, counts)
+        dL = log_likelihood_change(W, t[pending, None] * D, y, F, r, counts)
         good = np.isfinite(dL) & (dL >= _ARMIJO * t[pending] * slope)
         accepted[pending[good]] = True
         change[pending[good]] = dL[good]
@@ -149,7 +149,7 @@ def _keep(mask, *arrays):
 
 
 def maximize_batch(
-    y, F, counts, prior: Prior, config: SolverConfig | None = None, w_init=None
+    y, F, counts, r: float, config: SolverConfig | None = None, w_init=None
 ) -> BatchSolution:
     """Maximize S count-weighted objectives over one feature matrix.
 
@@ -164,7 +164,7 @@ def maximize_batch(
     W = np.zeros((S, m)) if w_init is None else np.array(np.broadcast_to(w_init, (S, m)), float)
 
     with np.errstate(over="ignore"):
-        L = log_likelihood(W, y, F, prior, counts)
+        L = log_likelihood(W, y, F, r, counts)
     error: list[str | None] = [None] * S
     finite_start = np.isfinite(L)
     for s in np.flatnonzero(~finite_start):
@@ -177,7 +177,7 @@ def maximize_batch(
 
     for step in range(config.max_iters + 1):
         with np.errstate(over="ignore"):
-            G = gradient(Wa, y, F, prior, C)
+            G = gradient(Wa, y, F, r, C)
             grad_norm[idx] = np.linalg.norm(G, axis=1)
         finite = np.isfinite(G).all(axis=1)
         for s in idx[~finite]:
@@ -186,14 +186,14 @@ def maximize_batch(
         if step == config.max_iters or not moving.any():
             break
         idx, Wa, C, G = _keep(moving, idx, Wa, C, G)
-        D = _newton_directions(Wa, y, F, prior, C, G)
+        D = _newton_directions(Wa, y, F, r, C, G)
         with np.errstate(over="ignore", invalid="ignore"):
             slope = np.sum(G * D, axis=1)
         ok = np.isfinite(D).all(axis=1) & (slope > 0)
         for s in idx[~ok]:
             error[s] = "Newton system is singular or its direction does not ascend"
         idx, Wa, C, D, slope = _keep(ok, idx, Wa, C, D, slope)
-        change, t, accepted = _line_search(Wa, D, slope, y, F, prior, C)
+        change, t, accepted = _line_search(Wa, D, slope, y, F, r, C)
         # an exhausted line search has reached numerical precision: keep the best iterate
         idx, Wa, C, D, t, change = _keep(accepted, idx, Wa, C, D, t, change)
         Wa += t[:, None] * D
@@ -211,7 +211,7 @@ def maximize_batch(
     )
 
 
-def maximize(y, F, prior: Prior, config: SolverConfig | None = None, w_init=None) -> Solution:
+def maximize(y, F, r: float, config: SolverConfig | None = None, w_init=None) -> Solution:
     """Maximize the regularized objective from ``w_init`` (zero vector by default).
 
     Returns a converged solution when the gradient norm falls below
@@ -220,7 +220,7 @@ def maximize(y, F, prior: Prior, config: SolverConfig | None = None, w_init=None
     gradient is not finite, or a Newton system is singular or its direction
     does not ascend.
     """
-    batch = maximize_batch(y, F, np.ones((1, F.shape[0])), prior, config, w_init)
+    batch = maximize_batch(y, F, np.ones((1, F.shape[0])), r, config, w_init)
     if batch.error[0] is not None:
         raise NumericalError("solver", batch.error[0])
     return Solution(

@@ -18,7 +18,7 @@ import scipy.optimize
 import contilearn
 from contilearn.algebra import associativity_residual, fit_structure_constants, reference_algebra
 from contilearn.ensemble import fit_distribution, weights_from_loglik
-from contilearn.model import Prior, gradient, log_likelihood
+from contilearn.model import gradient, log_likelihood
 from contilearn.solver import maximize
 from contilearn.spectral import eig_sym, select_components
 from tests.conftest import BLAS_THREAD_VARS, random_instance
@@ -84,7 +84,7 @@ def test_criterion_1_solver_correctness():
     rng = np.random.default_rng(60)
     for _ in range(20):
         y, F = random_instance(rng)
-        prior = Prior(float(rng.uniform(0.5, 2.0)))
+        prior = float(rng.uniform(0.5, 2.0))
         w_probe = rng.normal(scale=0.5, size=F.shape[1])
         g = gradient(w_probe, y, F, prior)
         fd = numeric_gradient(lambda v: log_likelihood(v, y, F, prior), w_probe)

@@ -142,7 +142,6 @@ BOUNDARY_CHECKS = {
         "RecursiveFeatureMap.__post_init__",
         "RecursiveFeatureMap.super_features",
     },
-    "model": {"Prior.__post_init__"},
     "modelio": {"_parser.parse", "_nonnegative_int"},  # the codecs
 }
 

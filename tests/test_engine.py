@@ -23,8 +23,8 @@ from contilearn.ensemble import (
 )
 from contilearn.errors import ConfigError, NumericalError
 from contilearn.featuremap import embed_mean_solution
-from contilearn.model import Prior, hessian, log_likelihood
-from contilearn.modelio import format_report_line
+from contilearn.model import hessian, log_likelihood
+from contilearn.modelio import format_report_line, parse_run_config
 from contilearn.solver import SolverConfig, maximize
 from tests.conftest import DEEP_CONFIG, deep_dataset, random_instance
 
@@ -44,7 +44,7 @@ def test_zero_iterations_is_plain_regularized_logistic():
     assert model.feature_map.layers == ()
     report = reports[0]
     # the returned vector is the full-data maximizer for the chosen r
-    direct = maximize(ds.y, ds.F, Prior(report.r), SolverConfig())
+    direct = maximize(ds.y, ds.F, report.r, SolverConfig())
     assert np.allclose(model.w, direct.w, atol=1e-8)
     assert report.m == 3 and report.k is None and report.expanded is None
 
@@ -161,7 +161,7 @@ def test_huge_precision_forces_chance_level_oob():
     ds = small_dataset(seed=44, n=40)
     F = ds.F
     counts = sample_plans(8, 9, len(ds.y))
-    score = oob_score(ds.y, F, counts, solve_replicates(ds.y, F, counts, Prior(1e9)))
+    score = oob_score(ds.y, F, counts, solve_replicates(ds.y, F, counts, 1e9))
     assert abs(score - math.log(0.5)) <= 1e-5
 
 
@@ -195,7 +195,7 @@ def test_chosen_r_attains_the_exhaustive_maximum(circle_data):
     _, reports = run(circle_data, EngineConfig(n_iters=0, seed=10, r_grid=grid))
     y, F = circle_data.y, circle_data.F
     counts = sample_plans(64, _stage_seed(10, 0), len(circle_data.y))
-    scores = [oob_score(y, F, counts, solve_replicates(y, F, counts, Prior(r))) for r in grid]
+    scores = [oob_score(y, F, counts, solve_replicates(y, F, counts, r)) for r in grid]
     assert reports[0].r == grid[int(np.argmax(scores))]
     assert abs(reports[0].oob - max(scores)) <= 1e-12
 
@@ -216,7 +216,7 @@ def test_warm_started_r_grid_takes_fewer_newton_steps(monkeypatch):
     for i, (args, start, batch) in enumerate(calls):
         if i % 4 == 0:
             # each stage solves its largest r first, from the stage's one start
-            assert args[3].r == 10.0 and start.ndim == 1
+            assert args[3] == 10.0 and start.ndim == 1
             cold_start = start
             continue
         assert start.ndim == 2
@@ -244,7 +244,7 @@ def test_replicate_failed_at_the_largest_r_restarts_from_w_init(monkeypatch):
 
     def broken_hessian(w, y, F, prior=None, counts=None):
         H = hessian(w, y, F, prior, counts)
-        if prior.r == 10.0:
+        if prior == 10.0:
             H[(counts == doomed).all(axis=1)] *= -1.0
         return H
 
@@ -277,7 +277,7 @@ def test_replicates_are_weighted_by_full_data_objective(monkeypatch):
     ds = small_dataset(seed=45)
     _, reports = run(ds, EngineConfig(n_iters=1, seed=4, n_replicates=4))
     ((w, weights),) = calls
-    prior = Prior(reports[0].r)
+    prior = reports[0].r
     assert w.shape == (4, 3)
     assert abs(float(weights.sum()) - 1.0) <= 1e-12
     L_full = [log_likelihood(row, ds.y, ds.F, prior) for row in w]
@@ -293,7 +293,7 @@ def test_a_prior_whose_replicates_all_fail_is_not_a_candidate(monkeypatch):
 
     def broken_hessian(w, y, F, prior=None, counts=None):
         H = hessian(w, y, F, prior, counts)
-        return -H if prior.r in broken else H
+        return -H if prior in broken else H
 
     starts = []
 
@@ -349,3 +349,19 @@ def test_engine_config_validation():
         EngineConfig(k_max=0)
     with pytest.raises(ConfigError, match="seed must be an unsigned 64-bit integer"):
         EngineConfig(seed=1 << 64)
+
+
+R_GRID_MESSAGE = "r_grid must be a nonempty list of positive reals"
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+def test_r_grid_takes_only_positive_finite_precisions(r):
+    # EngineConfig is the one check of r: the solver and the model take it as it is
+    with pytest.raises(ConfigError, match=R_GRID_MESSAGE):
+        EngineConfig(r_grid=(1.0, r))
+
+
+def test_an_r_grid_entry_beyond_the_largest_double_is_rejected():
+    # "1e400" parses to inf, so the config file reaches the same check
+    with pytest.raises(ConfigError, match=R_GRID_MESSAGE):
+        parse_run_config("r_grid = 1.0,1e400\n")

@@ -14,7 +14,7 @@ from contilearn.ensemble import (
     weights_from_loglik,
 )
 from contilearn.errors import NumericalError
-from contilearn.model import Prior, hessian
+from contilearn.model import hessian
 from contilearn.solver import SolverConfig, maximize
 from tests.conftest import DEEP_CONFIG, deep_dataset, random_instance
 
@@ -78,7 +78,7 @@ def test_replicates_match_solving_each_subsample_alone():
     rng = np.random.default_rng(16)
     y, F = random_instance(rng, t_max=30, m=4)
     counts = sample_plans(5, 7, 30)
-    prior = Prior(0.3)
+    prior = 0.3
     solset = solve_replicates(y, F, counts, prior)
     batch = solver.maximize_batch(y, F, counts, prior)
     assert solset.n_failed == 0
@@ -102,9 +102,9 @@ def test_failed_replicate_is_dropped_and_counted(monkeypatch):
         H[(counts == doomed).all(axis=1)] *= -1.0
         return H
 
-    intact = solver.maximize_batch(y, F, counts, Prior(1.0))
+    intact = solver.maximize_batch(y, F, counts, 1.0)
     monkeypatch.setattr(solver, "hessian", broken_hessian)
-    solset = solve_replicates(y, F, counts, Prior(1.0))
+    solset = solve_replicates(y, F, counts, 1.0)
     assert solset.n_failed == 1
     assert solset.index.tolist() == [0, 2, 3]
     assert np.all(intact.converged)
@@ -135,8 +135,8 @@ def test_solve_replicates_repeat_exactly():
     rng = np.random.default_rng(11)
     y, F = random_instance(rng, t_max=25, m=4)
     counts = sample_plans(6, 5, 25)
-    first = solve_replicates(y, F, counts, Prior(1.0))
-    second = solve_replicates(y, F, counts, Prior(1.0))
+    first = solve_replicates(y, F, counts, 1.0)
+    second = solve_replicates(y, F, counts, 1.0)
     assert np.array_equal(first.w, second.w)
     assert np.array_equal(first.index, second.index)
 
@@ -211,4 +211,4 @@ def test_too_few_successes_raises():
     with pytest.raises(NumericalError, match="ensemble"):
         # a non-finite design makes every replicate solve fail
         bad = np.array([[np.inf], [np.inf]])
-        solve_replicates(y, bad, sample_plans(3, 6, 2), Prior(1.0))
+        solve_replicates(y, bad, sample_plans(3, 6, 2), 1.0)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contilearn.model import (
-    Prior,
     gradient,
     hessian,
     log_likelihood,
@@ -91,7 +90,7 @@ def former_softplus(z):
 def former_log_likelihood(w, y, F, r, counts):
     z = w @ F.T
     value = np.sum(counts * (y * z - former_softplus(z)), axis=-1)
-    return value if r is None else value + log_prior(w, Prior(r))
+    return value if r is None else value + log_prior(w, r)
 
 
 def former_log_likelihood_change(w, dw, y, F, r, counts):
@@ -138,16 +137,13 @@ def oracle_instance():
 
 
 def assert_bitwise_the_former_expressions(w, dw, y, F, r, counts):
-    prior = None if r is None else Prior(r)
     weights = np.ones(len(y)) if counts is None else counts
     assert same_bits(
-        log_likelihood_change(w, dw, y, F, prior, counts),
+        log_likelihood_change(w, dw, y, F, r, counts),
         former_log_likelihood_change(w, dw, y, F, r, weights),
     )
-    assert same_bits(gradient(w, y, F, prior, counts), former_gradient(w, y, F, r, weights))
-    assert same_bits(
-        log_likelihood(w, y, F, prior, counts), former_log_likelihood(w, y, F, r, weights)
-    )
+    assert same_bits(gradient(w, y, F, r, counts), former_gradient(w, y, F, r, weights))
+    assert same_bits(log_likelihood(w, y, F, r, counts), former_log_likelihood(w, y, F, r, weights))
 
 
 @pytest.mark.parametrize("r", [None, 0.1, 7.0])
@@ -173,30 +169,23 @@ def test_label_probabilities_sum_to_one():
 
 
 def test_log_prior_normalization_cancels_at_zero():
-    assert log_prior(np.zeros(2), Prior(2.0 * math.pi)) == 0.0
+    assert log_prior(np.zeros(2), 2.0 * math.pi) == 0.0
 
 
 def test_log_prior_closed_form():
     # (m/2) ln(r / 2 pi) - (r/2) |w|^2 at w = (1, 0), r = 1
-    value = log_prior(np.array([1.0, 0.0]), Prior(1.0))
+    value = log_prior(np.array([1.0, 0.0]), 1.0)
     assert math.isclose(value, -math.log(2.0 * math.pi) - 0.5, rel_tol=1e-15)
 
 
-def test_prior_requires_positive_precision():
-    with pytest.raises(ValueError):
-        Prior(0.0)
-    with pytest.raises(ValueError):
-        Prior(-1.0)
-
-
 def test_log_likelihood_single_sample_no_prior():
-    value = log_likelihood(np.zeros(1), np.array([1.0]), np.ones((1, 1)), prior=None)
+    value = log_likelihood(np.zeros(1), np.array([1.0]), np.ones((1, 1)), r=None)
     assert math.isclose(value, math.log(0.5), rel_tol=1e-15)
 
 
 def test_log_likelihood_empty_data_is_prior_only():
     w = np.array([0.3, -0.7])
-    prior = Prior(2.5)
+    prior = 2.5
     value = log_likelihood(w, np.zeros(0), np.zeros((0, 2)), prior)
     assert value == log_prior(w, prior)
 
@@ -205,15 +194,15 @@ def test_log_likelihood_additive_under_duplication():
     rng = np.random.default_rng(3)
     y, F = random_instance(rng, t_max=7, m=3)
     w = rng.normal(size=3)
-    single = log_likelihood(w, y, F, prior=None)
-    doubled = log_likelihood(w, np.concatenate([y, y]), np.vstack([F, F]), prior=None)
+    single = log_likelihood(w, y, F, r=None)
+    doubled = log_likelihood(w, np.concatenate([y, y]), np.vstack([F, F]), r=None)
     assert math.isclose(doubled, 2.0 * single, rel_tol=1e-12)
 
 
 def test_gradient_zero_on_balanced_symmetric_data():
     F = np.array([[1.0, 2.0], [1.0, 2.0]])
     y = np.array([0.0, 1.0])
-    g = gradient(np.zeros(2), y, F, Prior(1.0))
+    g = gradient(np.zeros(2), y, F, 1.0)
     assert np.array_equal(g, np.zeros(2))
 
 
@@ -221,7 +210,7 @@ def test_gradient_zero_on_balanced_symmetric_data():
 def test_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     y, F = random_instance(rng, t_max=15, m=4)
-    prior = Prior(float(rng.uniform(0.3, 3.0)))
+    prior = float(rng.uniform(0.3, 3.0))
     w = rng.normal(scale=0.5, size=4)
     g = gradient(w, y, F, prior)
     fd = numeric_gradient(lambda v: log_likelihood(v, y, F, prior), w)
@@ -232,7 +221,7 @@ def test_gradient_matches_finite_differences(seed):
 def test_hessian_matches_gradient_differences(seed):
     rng = np.random.default_rng(100 + seed)
     y, F = random_instance(rng, t_max=12, m=3)
-    prior = Prior(1.5)
+    prior = 1.5
     w = rng.normal(scale=0.5, size=3)
     H = hessian(w, y, F, prior)
     fd = numeric_jacobian(lambda v: gradient(v, y, F, prior), w)
@@ -242,17 +231,17 @@ def test_hessian_matches_gradient_differences(seed):
 def test_hessian_symmetric_negative_definite():
     rng = np.random.default_rng(4)
     y, F = random_instance(rng, t_max=20, m=5)
-    prior = Prior(2.0)
+    prior = 2.0
     H = hessian(rng.normal(size=5), y, F, prior)
     assert np.array_equal(H, H.T)
-    assert np.all(np.linalg.eigvalsh(H) <= -prior.r + 1e-12)
+    assert np.all(np.linalg.eigvalsh(H) <= -prior + 1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_objective_is_concave_along_segments(seed):
     rng = np.random.default_rng(200 + seed)
     y, F = random_instance(rng, t_max=10, m=3)
-    prior = Prior(1.0)
+    prior = 1.0
     w1 = rng.normal(size=3)
     w2 = rng.normal(size=3)
     lam = float(rng.uniform(0.1, 0.9))
@@ -267,7 +256,7 @@ def test_stacked_counts_equal_duplicated_rows():
     y, F = random_instance(rng, t_max=9, m=3)
     W = rng.normal(size=(4, 3))
     counts = rng.integers(0, 3, size=(4, 9))
-    prior = Prior(0.7)
+    prior = 0.7
     L = log_likelihood(W, y, F, prior, counts)
     G = gradient(W, y, F, prior, counts)
     H = hessian(W, y, F, prior, counts)
@@ -282,7 +271,7 @@ def test_stacked_counts_equal_duplicated_rows():
 def test_objective_change_matches_the_difference(scale):
     rng = np.random.default_rng(510)
     y, F = random_instance(rng, t_max=20, m=4)
-    prior = Prior(1.2)
+    prior = 1.2
     w = rng.normal(size=4)
     dw = scale * rng.normal(size=4)
     direct = log_likelihood(w + dw, y, F, prior) - log_likelihood(w, y, F, prior)
@@ -294,7 +283,7 @@ def test_objective_change_keeps_precision_below_one_ulp():
     # oracle: second-order Taylor expansion, exact to O(|dw|^3) ~ 1e-39
     rng = np.random.default_rng(520)
     y, F = random_instance(rng, t_max=20, m=4)
-    prior = Prior(1.0)
+    prior = 1.0
     w = 5.0 * rng.normal(size=4)  # saturated scores on both sides
     dw = 1e-13 * rng.normal(size=4)
     taylor = gradient(w, y, F, prior) @ dw + 0.5 * dw @ hessian(w, y, F, prior) @ dw
@@ -304,9 +293,9 @@ def test_objective_change_keeps_precision_below_one_ulp():
 def test_objective_change_of_a_huge_step_is_finite():
     F = np.array([[1.0, 2.0], [1.0, -3.0]])
     y = np.array([1.0, 0.0])
-    change = log_likelihood_change(np.zeros(2), np.array([0.0, 1e4]), y, F, Prior(1.0))
+    change = log_likelihood_change(np.zeros(2), np.array([0.0, 1e4]), y, F, 1.0)
     assert np.isfinite(change)
-    direct = log_likelihood(np.array([0.0, 1e4]), y, F, Prior(1.0)) - log_likelihood(
-        np.zeros(2), y, F, Prior(1.0)
+    direct = log_likelihood(np.array([0.0, 1e4]), y, F, 1.0) - log_likelihood(
+        np.zeros(2), y, F, 1.0
     )
     assert math.isclose(change, direct, rel_tol=1e-12)

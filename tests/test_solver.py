@@ -6,7 +6,7 @@ import pytest
 from contilearn import solver
 from contilearn.ensemble import sample_plans
 from contilearn.errors import NumericalError
-from contilearn.model import Prior, gradient, hessian, log_likelihood, sigmoid
+from contilearn.model import gradient, hessian, log_likelihood, sigmoid
 from contilearn.solver import Solution, SolverConfig, maximize, maximize_batch
 from tests.conftest import random_instance
 
@@ -28,7 +28,7 @@ def test_symmetric_dataset_maximizer_is_zero():
     # identical features, one label each way: the data pull cancels, the prior pins 0
     F = np.array([[1.0, -0.5], [1.0, -0.5]])
     y = np.array([0.0, 1.0])
-    sol = maximize(y, F, Prior(1.0))
+    sol = maximize(y, F, 1.0)
     assert sol.converged
     assert np.array_equal(sol.w, np.zeros(2))
     assert sol.iterations == 0
@@ -38,7 +38,7 @@ def test_one_dimensional_separable_against_bisection():
     # stationarity in one variable: -w + 2 / (1 + e^w) = 0, root found independently
     F = np.array([[-1.0], [1.0]])
     y = np.array([0.0, 1.0])
-    sol = maximize(y, F, Prior(1.0))
+    sol = maximize(y, F, 1.0)
     root = bisect(lambda w: -w + 2.0 * sigmoid(-w), 0.0, 2.0)
     assert sol.converged
     assert abs(sol.w[0] - root) <= 1e-6
@@ -47,7 +47,7 @@ def test_one_dimensional_separable_against_bisection():
 def test_restart_from_optimum_is_a_fixed_point():
     rng = np.random.default_rng(5)
     y, F = random_instance(rng, t_max=20, m=4)
-    prior = Prior(1.0)
+    prior = 1.0
     first = maximize(y, F, prior)
     second = maximize(y, F, prior, w_init=first.w)
     assert second.converged
@@ -59,7 +59,7 @@ def test_objective_trace_is_monotone():
     # the objective after n steps is the value of a solve cut off at max_iters = n
     rng = np.random.default_rng(6)
     y, F = random_instance(rng, t_max=40, m=6)
-    prior = Prior(0.5)
+    prior = 0.5
     full = maximize(y, F, prior)
     trace = [
         maximize(y, F, prior, SolverConfig(max_iters=n)).L_value
@@ -74,7 +74,7 @@ def test_objective_trace_is_monotone():
 def test_solution_improves_on_start():
     rng = np.random.default_rng(7)
     y, F = random_instance(rng, t_max=25, m=5)
-    prior = Prior(1.0)
+    prior = 1.0
     w0 = rng.normal(size=5)
     sol = maximize(y, F, prior, w_init=w0)
     assert sol.L_value >= log_likelihood(w0, y, F, prior)
@@ -84,7 +84,7 @@ def test_solution_improves_on_start():
 def test_unique_maximizer_from_random_starts(seed):
     rng = np.random.default_rng(300 + seed)
     y, F = random_instance(rng, t_max=30, m=4)
-    prior = Prior(1.0)
+    prior = 1.0
     solutions = [maximize(y, F, prior, w_init=rng.normal(size=4)).w for _ in range(5)]
     for w in solutions[1:]:
         assert np.max(np.abs(w - solutions[0])) <= 1e-6
@@ -93,7 +93,7 @@ def test_unique_maximizer_from_random_starts(seed):
 def test_doubling_max_iters_keeps_converged_result():
     rng = np.random.default_rng(8)
     y, F = random_instance(rng, t_max=30, m=4)
-    prior = Prior(1.0)
+    prior = 1.0
     a = maximize(y, F, prior, SolverConfig(max_iters=100))
     b = maximize(y, F, prior, SolverConfig(max_iters=200))
     assert a.converged and b.converged
@@ -102,7 +102,7 @@ def test_doubling_max_iters_keeps_converged_result():
 
 def test_non_finite_start_raises():
     with pytest.raises(NumericalError, match="solver"):
-        maximize(np.array([0.0, 1.0]), np.ones((2, 1)), Prior(1.0), w_init=np.array([np.nan]))
+        maximize(np.array([0.0, 1.0]), np.ones((2, 1)), 1.0, w_init=np.array([np.nan]))
 
 
 def test_overflow_under_a_huge_prior_reads_as_infinite():
@@ -110,7 +110,7 @@ def test_overflow_under_a_huge_prior_reads_as_infinite():
     rng = np.random.default_rng(0)
     y, F = random_instance(rng, t_max=10, m=3)
     starts = np.array([[1.0, 0.0, 0.0], [1.85, 0.0, 0.0], [1.9, 0.0, 0.0]])
-    batch = maximize_batch(y, F, np.ones((3, 10)), Prior(1e308), w_init=starts)
+    batch = maximize_batch(y, F, np.ones((3, 10)), 1e308, w_init=starts)
     assert batch.converged.tolist() == [True, False, False]
     assert batch.error == (
         None,
@@ -122,7 +122,7 @@ def test_overflow_under_a_huge_prior_reads_as_infinite():
 def test_unconverged_run_is_flagged():
     rng = np.random.default_rng(9)
     y, F = random_instance(rng, t_max=40, m=5)
-    sol = maximize(y, F, Prior(0.1), SolverConfig(max_iters=1, grad_tol=1e-14))
+    sol = maximize(y, F, 0.1, SolverConfig(max_iters=1, grad_tol=1e-14))
     assert isinstance(sol, Solution)
     assert not sol.converged
     assert sol.iterations == 1
@@ -140,7 +140,7 @@ def test_count_weighted_batch_matches_subsample_solves(seed):
     # oracle: replicate s solved alone on its multiset of rows y[idx], F[idx]
     rng = np.random.default_rng(400 + seed)
     y, F = random_instance(rng, t_max=30, m=5)
-    prior = Prior(0.5)
+    prior = 0.5
     plans = [rng.integers(0, 30, size=30) for _ in range(6)]
     counts = np.stack([np.bincount(idx, minlength=30) for idx in plans])
     batch = maximize_batch(y, F, counts, prior)
@@ -158,7 +158,7 @@ def test_convergence_below_one_ulp_of_the_objective():
     rng = np.random.default_rng(430)
     y, F = random_instance(rng, t_max=40, m=4)
     counts = np.full((1, 40), 1e6)
-    batch = maximize_batch(y, F, counts, Prior(1.0), SolverConfig(grad_tol=1e-6))
+    batch = maximize_batch(y, F, counts, 1.0, SolverConfig(grad_tol=1e-6))
     assert batch.converged[0]
     assert batch.iterations[0] < SolverConfig().max_iters
 
@@ -191,7 +191,7 @@ def test_a_singular_system_leaves_the_other_directions_bit_equal(monkeypatch, ch
     monkeypatch.setattr(solver, "_CHUNK_FLOATS", chunk_floats)
     y, F, counts = _four_replicates(440)
     W = np.random.default_rng(1).normal(scale=0.3, size=(4, 3))
-    prior = Prior(1.0)
+    prior = 1.0
     G = gradient(W, y, F, prior, counts)
     intact = solver._newton_directions(W, y, F, prior, counts, G)
     _replace_hessian(monkeypatch, counts[2], np.zeros_like)
@@ -206,9 +206,9 @@ def test_a_failed_newton_system_fails_its_problem_alone(monkeypatch, replace):
     # The others' iterates agree to rounding only: once a problem leaves the batch,
     # BLAS may round each row of the smaller stacked products differently.
     y, F, counts = _four_replicates(440)
-    intact = maximize_batch(y, F, counts, Prior(1.0))
+    intact = maximize_batch(y, F, counts, 1.0)
     _replace_hessian(monkeypatch, counts[2], replace)
-    batch = maximize_batch(y, F, counts, Prior(1.0))
+    batch = maximize_batch(y, F, counts, 1.0)
     assert intact.error == (None,) * 4
     assert batch.error == (None, None, NO_ASCENT, None)
     assert not batch.converged[2]
@@ -222,7 +222,7 @@ def test_an_indefinite_system_whose_direction_ascends_is_accepted(monkeypatch):
     # orthogonal to it: indefinite, and its direction is the gradient itself
     rng = np.random.default_rng(441)
     y, F = random_instance(rng, t_max=30, m=2)
-    prior = Prior(1.0)
+    prior = 1.0
     w0 = np.array([0.4, -0.3])
     intact = maximize(y, F, prior, w_init=w0)
     calls = []
@@ -248,7 +248,7 @@ def test_a_singular_newton_system_raises_from_maximize(monkeypatch):
     rng = np.random.default_rng(442)
     y, F = random_instance(rng, t_max=10, m=2)
     with pytest.raises(NumericalError, match=f"^solver: {NO_ASCENT}$"):
-        maximize(y, F, Prior(1.0))
+        maximize(y, F, 1.0)
 
 
 def test_a_batch_solve_peaks_at_a_few_count_matrices():
@@ -265,7 +265,7 @@ def test_a_batch_solve_peaks_at_a_few_count_matrices():
     w_init = rng.normal(size=(S, 1)) * rng.normal(size=(S, m))
     tracemalloc.start()
     try:
-        batch = maximize_batch(y, F, counts, Prior(1.0), w_init=w_init)
+        batch = maximize_batch(y, F, counts, 1.0, w_init=w_init)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
