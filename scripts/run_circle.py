@@ -18,10 +18,10 @@ def main() -> None:
     dataset = load_csv(REPO / "fixtures" / "circle.csv")
     config = load_run_config(REPO / "configs" / "circle.cfg")
 
-    model, reports = run(dataset, config)
+    model, stages = run(dataset, config)
     print(f"status: {model.status}")
-    for report in reports:
-        print(format_report_line(report))
+    for stage in stages:
+        print(format_report_line(stage.report))
     print(f"final parameter dimension: {model.w.shape[0]}")
 
 

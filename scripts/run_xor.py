@@ -25,10 +25,10 @@ def main() -> None:
     config = load_run_config(REPO / "configs" / "xor.cfg")
 
     for n_iters in (0, 1):
-        model, reports = run(dataset, replace(config, n_iters=n_iters))
+        model, stages = run(dataset, replace(config, n_iters=n_iters))
         print(f"--- n_iters={n_iters} (status: {model.status})")
-        for report in reports:
-            print(format_report_line(report))
+        for stage in stages:
+            print(format_report_line(stage.report))
 
     cells = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     probs = predict_prob(model.w, model.feature_map.transform(cells))

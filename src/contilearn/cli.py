@@ -69,9 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_train(args) -> int:
     config = load_run_config(args.config)
     dataset = load_csv(args.data, has_header=config.has_header)
-    model, reports = run(dataset, config)
+    model, stages = run(dataset, config)
     save_model(args.out, model)
-    save_reports(args.out + ".report", reports)
+    save_reports(args.out + ".report", [stage.report for stage in stages])
     return 0
 
 

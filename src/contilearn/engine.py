@@ -4,24 +4,28 @@ Each cycle works on the current feature space. It picks the prior precision
 r by out-of-bag score over a fresh bootstrap: the distinct grid values are
 solved from the largest r down, the largest starting every replicate at the
 cycle's start and each smaller r starting each replicate at its solution for
-the last solved r (a regularization path); a value with fewer than two
-solved replicates is skipped. Scores are compared in grid order, so the
-choice does not depend on how the grid is written. The cycle then solves the
-full-data problem (warm started at the embedded previous mean, so its
-objective can only go up), weights the chosen r's replicate solutions by
-their full-data objective, fits their distribution, selects principal
-components and appends a calibrated expansion layer. A last full-data solve
-on the final space gives the model's parameter vector. A zero-variance
-solution cloud (k = 0) stops the loop early with the model built so far.
+the last scored r (a regularization path); a value with fewer than two
+solved replicates is skipped, by that count. Scores are compared in grid
+order, so the choice does not depend on how the grid is written. The cycle
+then solves the full-data problem (warm started at the embedded previous
+mean, so its objective can only go up), weights the chosen r's replicate
+solutions by their full-data objective, fits their distribution, selects
+principal components and appends a calibrated expansion layer. A last
+full-data solve on the final space gives the model's parameter vector. A
+zero-variance solution cloud (k = 0) stops the loop early with the model
+built so far. A ``Stage`` record keeps each stage's report, every r tried
+(score and replicate batch), the full-data ``Solution`` and closure fit.
 """
 
 from __future__ import annotations
 
+import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import fit_structure_constants
+from .algebra import AlgebraFitReport, fit_structure_constants
 from .data import Dataset
 from .ensemble import (
     SolutionSet,
@@ -33,14 +37,14 @@ from .ensemble import (
 from .errors import ConfigError, NumericalError
 from .featuremap import Layer, RecursiveFeatureMap, calibrate_layer, embed_mean_solution
 from .model import log_likelihood, predict_prob
-from .solver import SolverConfig, maximize
+from .solver import Solution, SolverConfig, maximize
 from .spectral import select_components
 
 _SEED_MASK = (1 << 64) - 1
 _SEED_STRIDE = 0x9E3779B97F4A7C15
-# most entries an (n_replicates, rows) bootstrap count matrix may have. A train
-# holds about 5 float64 matrices of that shape at once (peak RSS grows by about
-# 42 bytes per entry), so one at this bound would need about 180 GB
+# most entries an (n_replicates, rows) bootstrap count matrix may have. Peak RSS grows
+# by about 46 bytes per entry (1 to 4 for the counts themselves, the rest float64
+# temporaries of the line search), so a train at this bound would need about 200 GB
 MAX_COUNT_ENTRIES = 1 << 32
 
 STATUSES = ("completed", "degenerate", "algebra-converged")
@@ -111,6 +115,25 @@ class IterationReport:
 
 
 @dataclass(frozen=True)
+class Candidate:
+    """One r tried at a stage: its OOB score (None when skipped) and its replicate solves."""
+
+    r: float
+    oob: float | None
+    solutions: SolutionSet
+
+
+@dataclass(frozen=True)
+class Stage:
+    """What one stage computed; ``algebra`` is None when no closure was fitted."""
+
+    report: IterationReport
+    candidates: tuple[Candidate, ...]
+    full: Solution
+    algebra: AlgebraFitReport | None
+
+
+@dataclass(frozen=True)
 class TrainedModel:
     """What ``run`` returns and the model file holds: feature map, parameters, config echo."""
 
@@ -141,11 +164,8 @@ def oob_score(y, F, counts, solset: SolutionSet) -> float:
     n_held = held.sum(axis=1)
     if not n_held.any():
         failed = f"{solset.n_failed} of {len(counts)} replicate solves failed and "
-        raise NumericalError(
-            "engine",
-            f"{failed if solset.n_failed else ''}every surviving replicate resampled"
-            " the full training set; no out-of-bag rows",
-        )
+        every = "every surviving replicate resampled the full training set; no out-of-bag rows"
+        raise NumericalError("engine", (failed if solset.n_failed else "") + every)
     totals = log_likelihood(solset.w, y, F, counts=held)
     return float(np.mean(totals[n_held > 0] / n_held[n_held > 0]))
 
@@ -155,39 +175,62 @@ def _choose_prior(y, F, counts, config: EngineConfig, w_init):
 
     The distinct r values are solved from the largest down. The largest
     starts every replicate at ``w_init``; each smaller r starts replicate s
-    at its solution for the last solved r, or at ``w_init`` if that solve
-    failed. A value whose replicates do not solve (NumericalError) is
-    skipped; the last such error is raised only if every value fails. Scores
-    are compared in grid order, so the choice does not depend on how the
-    grid is ordered. Returns the chosen r, its score, and its replicate
-    solutions so the winning solves are reused for the distribution fit.
+    at its solution for the last scored r, or at ``w_init`` if that solve
+    failed. A value with fewer than two survivors gets no score; if no value
+    has one, the last value's survivor count is a NumericalError. Returns
+    the chosen candidate (its solves feed the distribution fit) and all.
     """
-    scored = {}
+    candidates = []
     start = w_init
     for r in sorted(set(config.r_grid), reverse=True):
-        try:
-            solset = solve_replicates(y, F, counts, r, config.solver, start)
-        except NumericalError as exc:
-            error = exc
-            continue
-        scored[r] = (oob_score(y, F, counts, solset), solset)
-        start = np.tile(w_init, (len(counts), 1))
-        start[solset.index] = solset.w
+        solset = solve_replicates(y, F, counts, r, config.solver, start)
+        oob = oob_score(y, F, counts, solset) if len(solset.index) >= 2 else None
+        candidates.append(Candidate(r, oob, solset))
+        if oob is not None:
+            start = np.tile(w_init, (len(counts), 1))
+            start[solset.index] = solset.w
+    scored = {c.r: c for c in candidates if c.oob is not None}
     if not scored:
-        raise error
-    r = max((v for v in config.r_grid if v in scored), key=lambda v: scored[v][0])
-    return (r, *scored[r])
+        n = len(solset.index)
+        raise NumericalError("ensemble", f"only {n} of {len(counts)} replicate solves succeeded")
+    chosen = max((scored[r] for r in config.r_grid if r in scored), key=lambda c: c.oob)
+    return chosen, tuple(candidates)
 
 
-def run(dataset: Dataset, config: EngineConfig) -> tuple[TrainedModel, tuple[IterationReport, ...]]:
-    """Execute the iteration cycles and a final full-data fit; returns (model, reports).
+def _unconverged(iterations, max_iters, error=None) -> str:
+    if error is not None:
+        return f"failed ({error})"
+    capped = iterations >= max_iters
+    return "reached max_iters" if capped else "exhausted the line search at numerical precision"
 
-    The model is what ``modelio.save_model`` writes; there is one report per
-    stage. Status is "completed", "degenerate" (zero covariance stopped the loop),
-    or "algebra-converged" (the closure residual fell below the configured
-    tolerance and the remaining cycles were skipped). A bootstrap count
-    matrix of more than ``MAX_COUNT_ENTRIES`` entries (n_replicates times
-    the training rows) is a ConfigError, raised before anything is sampled.
+
+def _warn_unconverged(stages, max_iters) -> None:
+    """One UserWarning naming each stage with a failed or unconverged solve, if any."""
+    faults = []
+    for stage in stages:
+        batches = [c.solutions.batch for c in stage.candidates]
+        n = sum(len(b.error) for b in batches)
+        bad = [(b.iterations[s], b.error[s]) for b in batches for s in np.flatnonzero(~b.converged)]
+        reasons = Counter(_unconverged(i, max_iters, e) for i, e in bad)
+        items = [f"{k} of {n} replicate solves {why}" for why, k in reasons.items()]
+        if not stage.full.converged:
+            items.append(f"the full-data solve {_unconverged(stage.full.iterations, max_iters)}")
+        if items:
+            faults.append(f"stage {stage.report.iteration}: {', '.join(items)}")
+    if faults:
+        warnings.warn(f"not every solve converged: {'; '.join(faults)}", stacklevel=3)
+
+
+def run(dataset: Dataset, config: EngineConfig) -> tuple[TrainedModel, tuple[Stage, ...]]:
+    """Execute the iteration cycles and a final full-data fit; returns (model, stages).
+
+    The model is what ``modelio.save_model`` writes; each stage's ``Stage``
+    record holds its report line. Status is "completed", "degenerate" (zero
+    covariance stopped the loop), or "algebra-converged" (the closure
+    residual fell below the configured tolerance and the remaining cycles
+    were skipped). A bootstrap count matrix of more than ``MAX_COUNT_ENTRIES``
+    entries (n_replicates times the training rows) is a ConfigError, raised
+    before anything is sampled. A failed or unconverged solve warns once.
     """
     S, T = config.n_replicates, len(dataset.y)
     if S * T > MAX_COUNT_ENTRIES:
@@ -199,13 +242,14 @@ def run(dataset: Dataset, config: EngineConfig) -> tuple[TrainedModel, tuple[Ite
     F = dataset.F
     w_init = np.zeros(F.shape[1])
     layers: list[Layer] = []
-    reports: list[IterationReport] = []
+    stages: list[Stage] = []
     status = "completed"
-    last_stage = config.n_iters
+    last_stage, tol = config.n_iters, config.algebra_stop_tol
 
     for stage in range(config.n_iters + 1):
         counts = sample_plans(S, _stage_seed(config.seed, stage), T)
-        r, oob, solset = _choose_prior(y, F, counts, config, w_init)
+        chosen, candidates = _choose_prior(y, F, counts, config, w_init)
+        r, oob, solset = chosen.r, chosen.oob, chosen.solutions
         sol = maximize(y, F, r, config.solver, w_init)
         embed_L = log_likelihood(w_init, y, F, r)
         report = IterationReport(
@@ -213,7 +257,7 @@ def run(dataset: Dataset, config: EngineConfig) -> tuple[TrainedModel, tuple[Ite
         )
 
         if stage == last_stage:
-            reports.append(report)
+            stages.append(Stage(report, candidates, sol, None))
             break
 
         # weights use the full-data objective: subsample objectives are not
@@ -223,25 +267,24 @@ def run(dataset: Dataset, config: EngineConfig) -> tuple[TrainedModel, tuple[Ite
         u = select_components(cov, config.rel_threshold, config.k_max)
         if len(u) == 0:
             status = "degenerate"
-            reports.append(replace(report, k=0))
+            stages.append(Stage(replace(report, k=0), candidates, sol, None))
             break
 
         layer = calibrate_layer(mean, u, F)
-        closure = None
-        if config.algebra_check or config.algebra_stop_tol is not None:
-            closure = fit_structure_constants(layer.super_features(F)).normalized_residual
+        fit = closure = None
+        if config.algebra_check or tol is not None:
+            fit = fit_structure_constants(layer.super_features(F))
+            closure = fit.normalized_residual
         F = layer.apply(F)
         w_init = embed_mean_solution(layer)
         layers.append(layer)
-        reports.append(replace(report, expanded=F.shape[1], k=layer.k, closure=closure))
-        if (
-            config.algebra_stop_tol is not None
-            and closure <= config.algebra_stop_tol
-            and stage + 1 < last_stage
-        ):
+        report = replace(report, expanded=F.shape[1], k=layer.k, closure=closure)
+        stages.append(Stage(report, candidates, sol, fit))
+        if tol is not None and closure <= tol and stage + 1 < last_stage:
             status = "algebra-converged"
             last_stage = stage + 1
 
+    _warn_unconverged(stages, config.max_iters)
     feature_map = replace(dataset.feature_map, layers=tuple(layers))
-    r_per_iteration = tuple(report.r for report in reports)
-    return TrainedModel(feature_map, sol.w, r_per_iteration, status, config), tuple(reports)
+    r_per_iteration = tuple(stage.report.r for stage in stages)
+    return TrainedModel(feature_map, sol.w, r_per_iteration, status, config), tuple(stages)

@@ -1,16 +1,18 @@
 """Bootstrap replicate solves and the likelihood-weighted solution distribution.
 
 A bootstrap replicate is one row of a count matrix C of shape (S, T): C[s, t]
-is how often replicate s drew training row t when it resampled the T rows
-with replacement. Row s comes from its own generator, seeded with
-``seed ^ s``, so no row depends on another or on any execution order. The
-objective of replicate s is sum_t C[s, t] l_t, which equals the objective on
-its multiset, and its out-of-bag rows are those with count 0. All replicates
-under one prior precision r are solved together as one batched Newton problem
-(``solver.maximize_batch``). ``weights_from_loglik`` is the softmax of
-objective values, computed in the log domain, and ``fit_distribution``
-returns the weighted mean and covariance of the solution cloud as the arrays
-``(mean, cov)`` that the spectral step reads.
+is how often replicate s drew training row t when it resampled the T rows with
+replacement. Row s comes from its own generator, seeded with ``seed ^ s``, so
+no row depends on another or on any execution order. The objective of replicate
+s is sum_t C[s, t] l_t, which equals the objective on its multiset, and its
+out-of-bag rows are those with count 0. Counts are stored as the smallest
+unsigned type that holds T, exact in float64. All replicates under one prior
+precision r are solved together as one batched Newton problem
+(``solver.maximize_batch``); ``solve_replicates`` never raises: it returns the
+batch and its survivors, and the engine skips an r by their count.
+``weights_from_loglik`` is the softmax of objective values, computed in the log
+domain, and ``fit_distribution`` returns the weighted mean and covariance of
+the solution cloud as the arrays ``(mean, cov)`` that the spectral step reads.
 """
 
 from __future__ import annotations
@@ -19,22 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
 # maximize stays in this namespace: bench/tracing.py patches it here by name
-from .solver import SolverConfig, maximize, maximize_batch  # noqa: F401
+from .solver import BatchSolution, SolverConfig, maximize, maximize_batch  # noqa: F401
 
 
 def sample_plans(n_replicates: int, seed: int, t_max: int) -> np.ndarray:
     """Bootstrap count matrix: entry (s, t) is how often replicate s drew row t.
 
     Replicate s draws t_max row indices with replacement from a generator
-    seeded with ``seed ^ s``; every row of the result sums to t_max.
+    seeded with ``seed ^ s``; every row of the result sums to t_max. The dtype
+    is ``np.min_scalar_type(t_max)``, the smallest unsigned type that holds a count.
     """
     draws = (
         np.random.default_rng(seed ^ s).integers(0, t_max, size=t_max, dtype=np.int64)
         for s in range(n_replicates)
     )
-    return np.stack([np.bincount(idx, minlength=t_max) for idx in draws]).astype(float)
+    stacked = np.stack([np.bincount(idx, minlength=t_max) for idx in draws])
+    return stacked.astype(np.min_scalar_type(t_max))
 
 
 def weights_from_loglik(L) -> np.ndarray:
@@ -45,32 +48,26 @@ def weights_from_loglik(L) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Surviving replicate solutions: row i of ``w`` solves count row ``index[i]``."""
+    """One r's replicate solves (``batch``); row i of ``w`` solves count row ``index[i]``."""
 
-    w: np.ndarray
+    batch: BatchSolution
     index: np.ndarray
-    n_failed: int = 0
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.batch.w[self.index]
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.batch.error) - len(self.index)
 
 
 def solve_replicates(
-    y,
-    F,
-    counts,
-    r: float,
-    config: SolverConfig | None = None,
-    w_init=None,
+    y, F, counts, r: float, config: SolverConfig | None = None, w_init=None
 ) -> SolutionSet:
-    """Solve every count row as one replicate; replicates whose solve fails are dropped.
-
-    Fewer than two survivors is a NumericalError.
-    """
+    """Solve every count row as one replicate; a replicate whose solve fails is not a survivor."""
     batch = maximize_batch(y, F, counts, r, config, w_init)
-    index = np.flatnonzero([error is None for error in batch.error])
-    if len(index) < 2:
-        raise NumericalError(
-            "ensemble", f"only {len(index)} of {len(counts)} replicate solves succeeded"
-        )
-    return SolutionSet(batch.w[index], index, n_failed=len(counts) - len(index))
+    return SolutionSet(batch, np.flatnonzero([error is None for error in batch.error]))
 
 
 def fit_distribution(w, weights) -> tuple[np.ndarray, np.ndarray]:

@@ -45,10 +45,8 @@ def criterion(label):
 
 
 def all_reports(xor_run0, xor_run1, circle_run1, multi_iter_run):
-    for (_, reports), _ in (xor_run0, xor_run1, circle_run1):
-        yield from reports
-    _, reports = multi_iter_run
-    yield from reports
+    for (_, stages), _ in (xor_run0, xor_run1, circle_run1, (multi_iter_run, None)):
+        yield from (stage.report for stage in stages)
 
 
 def quadratic_oracle_accuracy(dataset, ridge=1e-3):
@@ -153,18 +151,19 @@ def test_criterion_5_containment(xor_run0, xor_run1, circle_run1, multi_iter_run
 def test_criterion_6_nonlinear_separability(
     xor_run0, xor_run1, circle_run1, xor_data, circle_data
 ):
-    (_, reports0), elapsed0 = xor_run0
-    (_, reports1), elapsed1 = xor_run1
-    (_, circle_reports), circle_elapsed = circle_run1
+    (_, stages0), elapsed0 = xor_run0
+    (_, stages1), elapsed1 = xor_run1
+    (_, circle_stages), circle_elapsed = circle_run1
 
-    acc0 = reports0[-1].accuracy
-    acc1 = reports1[-1].accuracy
+    acc0 = stages0[-1].report.accuracy
+    acc1 = stages1[-1].report.accuracy
+    circle_acc = circle_stages[-1].report.accuracy
     assert acc0 <= 0.6
     assert acc1 >= 0.95
-    assert circle_reports[-1].accuracy >= 0.9
+    assert circle_acc >= 0.9
 
     assert abs(acc1 - quadratic_oracle_accuracy(xor_data)) <= 0.03
-    assert abs(circle_reports[-1].accuracy - quadratic_oracle_accuracy(circle_data)) <= 0.03
+    assert abs(circle_acc - quadratic_oracle_accuracy(circle_data)) <= 0.03
 
     assert elapsed0 + elapsed1 < 30.0
     assert circle_elapsed < 30.0

@@ -352,8 +352,15 @@ def test_a_prior_whose_replicates_all_fail_is_skipped(tmp_path, circle_csv, caps
     config = tmp_path / "skip.cfg"
     config.write_text("n_iters = 2\nn_replicates = 8\nseed = 3\nr_grid = 1.0,1e308\n")
     out = tmp_path / "m"
-    code = main(["train", "--data", str(circle_csv), "--config", str(config), "--out", str(out)])
+    argv = ["train", "--data", str(circle_csv), "--config", str(config), "--out", str(out)]
+    with pytest.warns(UserWarning) as caught:
+        code = main(argv)
     assert (code, capsys.readouterr().err) == (0, "")
+    # the skipped prior's failed solves are the train's one warning
+    assert [str(w.message) for w in caught] == [
+        "not every solve converged: stage 2: 8 of 16 replicate solves failed"
+        " (objective is not finite at the starting point)"
+    ]
     lines = Path(f"{out}.report").read_text().splitlines()
     assert [float(_report_fields(line)["r"]) for line in lines] == [1.0, 1.0, 1.0]
 
@@ -450,7 +457,7 @@ def test_the_library_and_the_cli_write_the_same_model(
         config_path = tmp_path / "xor.cfg"
         config_path.write_text(xor_config.read_text() + "has_header = true\n")
     config = load_run_config(config_path)
-    model, reports = run(load_csv(data, has_header=has_header), config)
+    model, stages = run(load_csv(data, has_header=has_header), config)
     out = tmp_path / "xor.model"
     assert main(["train", "--data", str(data), "--config", str(config_path), "--out", str(out)]) == 0
     text = format_model(model)
@@ -459,7 +466,7 @@ def test_the_library_and_the_cli_write_the_same_model(
     assert format_model(loaded) == text
     assert loaded.config == config and config.has_header == has_header
     expected_reports = tmp_path / "expected.report"
-    save_reports(expected_reports, reports)
+    save_reports(expected_reports, [stage.report for stage in stages])
     assert Path(f"{out}.report").read_bytes() == expected_reports.read_bytes()
 
 
@@ -1100,6 +1107,32 @@ def test_an_escalated_warning_is_a_data_error(tmp_path, xor_config):
         f"contilearn: {SINGLE_CLASS_MESSAGE}\n",
         [],
     )
+
+
+def test_a_train_that_did_not_converge_warns_once(tmp_path, xor_csv, xor_config):
+    # max_iters = 1 stops every solve after one Newton step; the warning changes no byte
+    config = tmp_path / "short.cfg"
+    config.write_text(xor_config.read_text().replace("max_iters = 100", "max_iters = 1"))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    outputs = []
+    for flags in ([], ["-W", "ignore"]):
+        out = tmp_path / f"m{len(outputs)}"
+        argv = ["train", "--data", str(xor_csv), "--config", str(config), "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "contilearn", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0
+        outputs.append((proc.stderr, out.read_bytes(), Path(f"{out}.report").read_bytes()))
+    (warned, *model), (silent, *silent_model) = outputs
+    capped = "256 of 256 replicate solves reached max_iters"
+    capped += ", the full-data solve reached max_iters"
+    message = f"not every solve converged: stage 0: {capped}; stage 1: {capped}"
+    assert warned == f"contilearn: warning: {message}\n"
+    assert silent == ""
+    assert model == silent_model
 
 
 def test_main_returns_2_when_the_caller_escalates_a_warning(tmp_path, xor_config, capsys):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +25,9 @@ from contilearn.ensemble import (
 from contilearn.errors import ConfigError, NumericalError
 from contilearn.featuremap import embed_mean_solution
 from contilearn.model import hessian, log_likelihood
-from contilearn.modelio import format_report_line, parse_run_config
-from contilearn.solver import SolverConfig, maximize
-from tests.conftest import DEEP_CONFIG, deep_dataset, random_instance
+from contilearn.modelio import format_report_line, load_run_config, parse_run_config
+from contilearn.solver import BatchSolution, SolverConfig, maximize
+from tests.conftest import REPO, DEEP_CONFIG, deep_dataset, random_instance
 
 
 def small_dataset(seed=40, n=30):
@@ -38,11 +39,11 @@ def small_dataset(seed=40, n=30):
 
 def test_zero_iterations_is_plain_regularized_logistic():
     ds = small_dataset()
-    model, reports = run(ds, EngineConfig(n_iters=0, seed=1))
+    model, stages = run(ds, EngineConfig(n_iters=0, seed=1))
     assert model.status == "completed"
-    assert len(reports) == 1
+    assert len(stages) == 1
     assert model.feature_map.layers == ()
-    report = reports[0]
+    report = stages[0].report
     # the returned vector is the full-data maximizer for the chosen r
     direct = maximize(ds.y, ds.F, report.r, SolverConfig())
     assert np.allclose(model.w, direct.w, atol=1e-8)
@@ -51,36 +52,36 @@ def test_zero_iterations_is_plain_regularized_logistic():
 
 def test_reports_are_deterministic(xor_data):
     config = EngineConfig(n_iters=1, seed=99)
-    a, a_reports = run(xor_data, config)
-    b, b_reports = run(xor_data, config)
-    assert a_reports == b_reports
+    a, a_stages = run(xor_data, config)
+    b, b_stages = run(xor_data, config)
+    assert [stage.report for stage in a_stages] == [stage.report for stage in b_stages]
     assert np.array_equal(a.w, b.w)
-    assert [rep.r for rep in a_reports] == [rep.r for rep in b_reports]
+    assert a.r_per_iteration == b.r_per_iteration
 
 
 def test_xor_needs_the_expansion(xor_run0, xor_run1):
-    (_, reports0), _ = xor_run0
-    (_, reports1), _ = xor_run1
-    assert reports0[-1].accuracy <= 0.6
-    assert reports1[-1].accuracy >= 0.95
+    (_, stages0), _ = xor_run0
+    (_, stages1), _ = xor_run1
+    assert stages0[-1].report.accuracy <= 0.6
+    assert stages1[-1].report.accuracy >= 0.95
 
 
 def test_circle_is_solved_after_one_iteration(circle_run1):
-    (_, reports), _ = circle_run1
-    assert reports[-1].accuracy >= 0.9
+    (_, stages), _ = circle_run1
+    assert stages[-1].report.accuracy >= 0.9
 
 
 def test_containment_bound_on_every_stage(xor_run0, xor_run1, circle_run1):
-    for (_, reports), _ in (xor_run0, xor_run1, circle_run1):
-        for report in reports:
-            assert report.best_L >= report.embed_L - 1e-9
+    for (_, stages), _ in (xor_run0, xor_run1, circle_run1):
+        for stage in stages:
+            assert stage.report.best_L >= stage.report.embed_L - 1e-9
 
 
 def test_warm_start_embeds_previous_mean(
     xor_data, xor_run1, circle_data, circle_run1, multi_iter_run
 ):
-    (_, reports), _ = xor_run1
-    first, last = reports
+    (_, stages), _ = xor_run1
+    first, last = (stage.report for stage in stages)
     assert first.expanded == last.m
     assert first.k is not None and first.k >= 1
     assert last.iteration == 1
@@ -105,9 +106,9 @@ def test_warm_start_embeds_previous_mean(
 
 def test_parameter_dimension_cap():
     ds = small_dataset(seed=41, n=40)
-    model, reports = run(ds, EngineConfig(n_iters=3, seed=5, k_max=8))
+    model, stages = run(ds, EngineConfig(n_iters=3, seed=5, k_max=8))
     cap = 9 + 45
-    for report in reports:
+    for report in (stage.report for stage in stages):
         assert report.m <= cap
         if report.expanded is not None:
             assert report.expanded <= cap
@@ -115,8 +116,8 @@ def test_parameter_dimension_cap():
 
 
 def test_closure_residual_is_reported_when_requested(xor_run1):
-    (_, reports), _ = xor_run1
-    expansion_reports = [r for r in reports if r.expanded is not None]
+    (_, stages), _ = xor_run1
+    expansion_reports = [s.report for s in stages if s.report.expanded is not None]
     assert expansion_reports
     for report in expansion_reports:
         assert report.closure is not None
@@ -128,10 +129,10 @@ def test_algebra_stop_truncates_the_loop(algebra_check):
     # a stopping tolerance computes the residual whether or not it is reported
     ds = small_dataset(seed=42, n=40)
     config = EngineConfig(n_iters=4, seed=6, algebra_check=algebra_check, algebra_stop_tol=1e6)
-    model, reports = run(ds, config)
+    model, stages = run(ds, config)
     # an absurdly large tolerance stops after the first expansion cycle
     assert model.status == "algebra-converged"
-    assert len(reports) == 2
+    assert len(stages) == 2
     assert len(model.feature_map.layers) == 1
 
 
@@ -141,19 +142,19 @@ def test_degenerate_covariance_stops_early():
     X = np.array([[0.0], [1.0]])
     y = np.array([0.0, 1.0])
     ds = Dataset(y, X)
-    model, reports = run(ds, EngineConfig(n_iters=2, seed=27, n_replicates=2, r_grid=(1.0,)))
+    model, stages = run(ds, EngineConfig(n_iters=2, seed=27, n_replicates=2, r_grid=(1.0,)))
     assert model.status == "degenerate"
-    assert reports[-1].k == 0
+    assert stages[-1].report.k == 0
     assert model.feature_map.layers == ()
     assert model.w.shape[0] == model.feature_map.output_dim
-    assert len(reports) == 1
+    assert len(stages) == 1
 
 
 def test_single_r_grid_is_chosen():
     ds = small_dataset(seed=43)
-    _, reports = run(ds, EngineConfig(n_iters=0, seed=8, r_grid=(0.7,)))
-    assert reports[0].r == 0.7
-    assert [rep.r for rep in reports] == [0.7]
+    model, stages = run(ds, EngineConfig(n_iters=0, seed=8, r_grid=(0.7,)))
+    assert stages[0].report.r == 0.7
+    assert model.r_per_iteration == (0.7,)
 
 
 def test_huge_precision_forces_chance_level_oob():
@@ -174,7 +175,8 @@ def test_oob_score_weights_by_the_held_out_mask_itself(monkeypatch):
     F = np.hstack([np.ones((T, 1)), rng.normal(size=(T, m - 1))])
     y = (rng.random(T) < 0.5).astype(float)
     counts = sample_plans(S, 4, T)
-    solset = SolutionSet(rng.normal(size=(S, m)), np.arange(S))
+    batch = BatchSolution(rng.normal(size=(S, m)), *np.zeros((3, S)), np.ones(S, bool), (None,) * S)
+    solset = SolutionSet(batch, np.arange(S))
     tracemalloc.start()
     try:
         score = oob_score(y, F, counts, solset)
@@ -192,12 +194,12 @@ def test_oob_score_weights_by_the_held_out_mask_itself(monkeypatch):
 
 def test_chosen_r_attains_the_exhaustive_maximum(circle_data):
     grid = (0.01, 1.0, 100.0)
-    _, reports = run(circle_data, EngineConfig(n_iters=0, seed=10, r_grid=grid))
+    _, (stage,) = run(circle_data, EngineConfig(n_iters=0, seed=10, r_grid=grid))
     y, F = circle_data.y, circle_data.F
     counts = sample_plans(64, _stage_seed(10, 0), len(circle_data.y))
     scores = [oob_score(y, F, counts, solve_replicates(y, F, counts, r)) for r in grid]
-    assert reports[0].r == grid[int(np.argmax(scores))]
-    assert abs(reports[0].oob - max(scores)) <= 1e-12
+    assert stage.report.r == grid[int(np.argmax(scores))]
+    assert abs(stage.report.oob - max(scores)) <= 1e-12
 
 
 def test_warm_started_r_grid_takes_fewer_newton_steps(monkeypatch):
@@ -231,8 +233,8 @@ def test_warm_started_r_grid_takes_fewer_newton_steps(monkeypatch):
 def test_r_grid_order_does_not_change_the_reports(circle_data):
     lines = []
     for grid in ((0.01, 1.0, 100.0), (100.0, 0.01, 1.0)):
-        _, reports = run(circle_data, EngineConfig(n_iters=0, seed=10, r_grid=grid))
-        lines.append([format_report_line(report) for report in reports])
+        _, stages = run(circle_data, EngineConfig(n_iters=0, seed=10, r_grid=grid))
+        lines.append([format_report_line(stage.report) for stage in stages])
     assert lines[0] == lines[1]
 
 
@@ -275,9 +277,9 @@ def test_replicates_are_weighted_by_full_data_objective(monkeypatch):
 
     monkeypatch.setattr(engine, "fit_distribution", recording)
     ds = small_dataset(seed=45)
-    _, reports = run(ds, EngineConfig(n_iters=1, seed=4, n_replicates=4))
+    _, stages = run(ds, EngineConfig(n_iters=1, seed=4, n_replicates=4))
     ((w, weights),) = calls
-    prior = reports[0].r
+    prior = stages[0].report.r
     assert w.shape == (4, 3)
     assert abs(float(weights.sum()) - 1.0) <= 1e-12
     L_full = [log_likelihood(row, ds.y, ds.F, prior) for row in w]
@@ -304,8 +306,14 @@ def test_a_prior_whose_replicates_all_fail_is_not_a_candidate(monkeypatch):
     monkeypatch.setattr(solver, "hessian", broken_hessian)
     monkeypatch.setattr(ensemble, "maximize_batch", recording)
     config = EngineConfig(r_grid=(10.0, 1.0), n_replicates=4)
-    r, _, solset = _choose_prior(y, F, counts, config, w_init)
-    assert r == 1.0 and solset.n_failed == 0
+    chosen, candidates = _choose_prior(y, F, counts, config, w_init)
+    assert chosen.r == 1.0 and chosen.solutions.n_failed == 0
+    # the skipped prior is recorded, with no score and its four failed solves
+    assert [(c.r, c.oob, c.solutions.n_failed) for c in candidates] == [
+        (10.0, None, 4),
+        (1.0, chosen.oob, 0),
+    ]
+    assert chosen.oob is not None
     # the failed prior leaves the next one the start it had itself
     assert [np.array_equal(start, w_init) for start in starts] == [True, True]
     broken.add(1.0)
@@ -314,6 +322,70 @@ def test_a_prior_whose_replicates_all_fail_is_not_a_candidate(monkeypatch):
     for grid in ((1.0,), (10.0,)):
         with pytest.raises(NumericalError, match="^ensemble: only 0 of 4 replicate solves"):
             _choose_prior(y, F, counts, EngineConfig(r_grid=grid, n_replicates=4), w_init)
+
+
+def test_the_stage_records_count_every_solve(multi_iter_run):
+    # the 60-row, three-round problem of the acceptance gate: 4 stages of 4 priors
+    # by 64 replicates, each read back from the records alone
+    _, stages = multi_iter_run
+    assert len(stages) == 4
+    sets = [c.solutions for stage in stages for c in stage.candidates]
+    assert sum(len(s.batch.error) for s in sets) == 1024
+    assert sum(int(s.batch.iterations[s.index].sum()) for s in sets) == 5104
+    assert sum(int(s.batch.converged[s.index].sum()) for s in sets) == 1024
+    assert sum(s.n_failed for s in sets) == 0
+    assert [stage.full.converged for stage in stages] == [True] * 4
+    assert sum(stage.full.iterations for stage in stages) == 19
+    for stage in stages:
+        chosen = [c for c in stage.candidates if c.r == stage.report.r]
+        assert [c.oob for c in chosen] == [stage.report.oob]
+        assert stage.report.best_L == stage.full.L_value and stage.algebra is None
+
+
+def test_a_stage_record_keeps_its_closure_fit(xor_run1):
+    (_, (first, last)), _ = xor_run1
+    assert first.algebra.normalized_residual == first.report.closure
+    assert first.algebra.constants.shape == (first.report.k + 1,) * 3
+    assert last.algebra is None and last.report.closure is None
+
+
+def test_the_standard_trains_converge_without_a_warning(xor_data, xor_config, circle_data):
+    cases = [
+        (xor_data, load_run_config(xor_config)),
+        (circle_data, load_run_config(REPO / "configs" / "circle.cfg")),
+        (deep_dataset(), DEEP_CONFIG),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        for dataset, config in cases:
+            run(dataset, config)
+
+
+def test_a_line_search_exhausted_at_numerical_precision_is_named(xor_data):
+    # no gradient norm reaches 1e-300, so every solve ends when its step stops ascending
+    with pytest.warns(UserWarning) as caught:
+        run(xor_data, EngineConfig(n_iters=0, n_replicates=8, grad_tol=1e-300))
+    why = "exhausted the line search at numerical precision"
+    assert [str(w.message) for w in caught] == [
+        f"not every solve converged: stage 0: 32 of 32 replicate solves {why},"
+        f" the full-data solve {why}"
+    ]
+
+
+def test_a_train_holds_its_counts_as_small_unsigned_integers():
+    # 64 replicates of 16 384 rows: 2^20 uint16 count entries. The tracemalloc peak,
+    # in the line search, was 46.7 bytes per entry, against 52.7 with float64 counts
+    S, T = 64, 16_384
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(T, 2))
+    ds = Dataset((X[:, 0] + 0.5 * rng.normal(size=T) > 0).astype(float), X)
+    tracemalloc.start()
+    try:
+        run(ds, EngineConfig(n_iters=0, n_replicates=S, r_grid=(1.0,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 46.7 * S * T
 
 
 def test_the_count_bound_admits_a_matrix_of_exactly_its_size(monkeypatch):
