@@ -74,12 +74,16 @@ class Dataset:
 
 
 def read_text(path, kind: str, error) -> str:
-    """UTF-8 text of a ``kind`` file; a missing or undecodable file raises ``error``."""
+    """UTF-8 text of a ``kind`` file without one leading byte-order mark.
+
+    A missing or undecodable file raises ``error``; the byte offset it names counts
+    from the file's first byte, a byte-order mark included.
+    """
     p = Path(path)
     if not p.is_file():
         raise error(f"no such {kind} file: {path}")
     try:
-        return p.read_text(encoding="utf-8")
+        return p.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"{kind} file {path} is not UTF-8 text (byte offset {exc.start})") from None
 

@@ -27,17 +27,11 @@ import numpy as np
 
 from .algebra import AlgebraFitReport, fit_structure_constants
 from .data import Dataset
-from .ensemble import (
-    SolutionSet,
-    fit_distribution,
-    sample_plans,
-    solve_replicates,
-    weights_from_loglik,
-)
+from .ensemble import fit_distribution, sample_plans, solve_replicates, weights_from_loglik
 from .errors import ConfigError, NumericalError
 from .featuremap import Layer, RecursiveFeatureMap, calibrate_layer, embed_mean_solution
 from .model import log_likelihood, predict_prob
-from .solver import Solution, SolverConfig, maximize
+from .solver import BatchSolution, Solution, SolverConfig, maximize
 from .spectral import select_components
 
 _SEED_MASK = (1 << 64) - 1
@@ -120,7 +114,7 @@ class Candidate:
 
     r: float
     oob: float | None
-    solutions: SolutionSet
+    solutions: BatchSolution
 
 
 @dataclass(frozen=True)
@@ -154,19 +148,20 @@ def _stage_seed(seed: int, stage: int) -> int:
     return (seed + (stage + 1) * _SEED_STRIDE) & _SEED_MASK
 
 
-def oob_score(y, F, counts, solset: SolutionSet) -> float:
-    """Mean over replicates of the mean per-sample log-probability on held-out rows.
+def oob_score(y, F, counts, batch: BatchSolution) -> float:
+    """Mean over solved replicates of the mean per-sample log-probability on held-out rows.
 
     A replicate's held-out rows are those its row of ``counts`` drew zero times.
-    When no surviving replicate has one, the error counts the failed solves.
+    When no solved replicate has one, the error counts the failed solves.
     """
-    held = counts[solset.index] == 0
+    solved = batch.solved
+    held = counts[solved] == 0
     n_held = held.sum(axis=1)
     if not n_held.any():
-        failed = f"{solset.n_failed} of {len(counts)} replicate solves failed and "
+        failed = f"{batch.n_failed} of {len(counts)} replicate solves failed and "
         every = "every surviving replicate resampled the full training set; no out-of-bag rows"
-        raise NumericalError("engine", (failed if solset.n_failed else "") + every)
-    totals = log_likelihood(solset.w, y, F, counts=held)
+        raise NumericalError("engine", (failed if batch.n_failed else "") + every)
+    totals = log_likelihood(batch.w[solved], y, F, counts=held)
     return float(np.mean(totals[n_held > 0] / n_held[n_held > 0]))
 
 
@@ -183,15 +178,16 @@ def _choose_prior(y, F, counts, config: EngineConfig, w_init):
     candidates = []
     start = w_init
     for r in sorted(set(config.r_grid), reverse=True):
-        solset = solve_replicates(y, F, counts, r, config.solver, start)
-        oob = oob_score(y, F, counts, solset) if len(solset.index) >= 2 else None
-        candidates.append(Candidate(r, oob, solset))
+        batch = solve_replicates(y, F, counts, r, config.solver, start)
+        solved = batch.solved
+        oob = oob_score(y, F, counts, batch) if len(solved) >= 2 else None
+        candidates.append(Candidate(r, oob, batch))
         if oob is not None:
             start = np.tile(w_init, (len(counts), 1))
-            start[solset.index] = solset.w
+            start[solved] = batch.w[solved]
     scored = {c.r: c for c in candidates if c.oob is not None}
     if not scored:
-        n = len(solset.index)
+        n = len(solved)
         raise NumericalError("ensemble", f"only {n} of {len(counts)} replicate solves succeeded")
     chosen = max((scored[r] for r in config.r_grid if r in scored), key=lambda c: c.oob)
     return chosen, tuple(candidates)
@@ -208,7 +204,7 @@ def _warn_unconverged(stages, max_iters) -> None:
     """One UserWarning naming each stage with a failed or unconverged solve, if any."""
     faults = []
     for stage in stages:
-        batches = [c.solutions.batch for c in stage.candidates]
+        batches = [c.solutions for c in stage.candidates]
         n = sum(len(b.error) for b in batches)
         bad = [(b.iterations[s], b.error[s]) for b in batches for s in np.flatnonzero(~b.converged)]
         reasons = Counter(_unconverged(i, max_iters, e) for i, e in bad)
@@ -249,7 +245,7 @@ def run(dataset: Dataset, config: EngineConfig) -> tuple[TrainedModel, tuple[Sta
     for stage in range(config.n_iters + 1):
         counts = sample_plans(S, _stage_seed(config.seed, stage), T)
         chosen, candidates = _choose_prior(y, F, counts, config, w_init)
-        r, oob, solset = chosen.r, chosen.oob, chosen.solutions
+        r, oob, batch = chosen.r, chosen.oob, chosen.solutions
         sol = maximize(y, F, r, config.solver, w_init)
         embed_L = log_likelihood(w_init, y, F, r)
         report = IterationReport(
@@ -262,8 +258,9 @@ def run(dataset: Dataset, config: EngineConfig) -> tuple[TrainedModel, tuple[Sta
 
         # weights use the full-data objective: subsample objectives are not
         # comparable across replicates
-        weights = weights_from_loglik(log_likelihood(solset.w, y, F, r))
-        mean, cov = fit_distribution(solset.w, weights)
+        w = batch.w[batch.solved]
+        weights = weights_from_loglik(log_likelihood(w, y, F, r))
+        mean, cov = fit_distribution(w, weights)
         u = select_components(cov, config.rel_threshold, config.k_max)
         if len(u) == 0:
             status = "degenerate"

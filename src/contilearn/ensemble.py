@@ -8,16 +8,17 @@ s is sum_t C[s, t] l_t, which equals the objective on its multiset, and its
 out-of-bag rows are those with count 0. Counts are stored as the smallest
 unsigned type that holds T, exact in float64. All replicates under one prior
 precision r are solved together as one batched Newton problem
-(``solver.maximize_batch``); ``solve_replicates`` never raises: it returns the
-batch and its survivors, and the engine skips an r by their count.
+(``solver.maximize_batch``); ``solve_replicates`` never raises: it returns that
+``BatchSolution``, whose ``solved`` rows are the survivors, and the engine
+skips an r by their count. It stays a function of its own, rather than a
+direct call of ``maximize_batch``, as the entry point the benchmark tracer
+patches, until ROADMAP item 12 retires the tracer.
 ``weights_from_loglik`` is the softmax of objective values, computed in the log
 domain, and ``fit_distribution`` returns the weighted mean and covariance of
 the solution cloud as the arrays ``(mean, cov)`` that the spectral step reads.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,12 +33,11 @@ def sample_plans(n_replicates: int, seed: int, t_max: int) -> np.ndarray:
     seeded with ``seed ^ s``; every row of the result sums to t_max. The dtype
     is ``np.min_scalar_type(t_max)``, the smallest unsigned type that holds a count.
     """
-    draws = (
-        np.random.default_rng(seed ^ s).integers(0, t_max, size=t_max, dtype=np.int64)
-        for s in range(n_replicates)
-    )
-    stacked = np.stack([np.bincount(idx, minlength=t_max) for idx in draws])
-    return stacked.astype(np.min_scalar_type(t_max))
+    counts = np.empty((n_replicates, t_max), np.min_scalar_type(t_max))
+    for s in range(n_replicates):
+        idx = np.random.default_rng(seed ^ s).integers(0, t_max, size=t_max, dtype=np.int64)
+        counts[s] = np.bincount(idx, minlength=t_max)
+    return counts
 
 
 def weights_from_loglik(L) -> np.ndarray:
@@ -46,28 +46,11 @@ def weights_from_loglik(L) -> np.ndarray:
     return shifted / np.sum(shifted)
 
 
-@dataclass(frozen=True)
-class SolutionSet:
-    """One r's replicate solves (``batch``); row i of ``w`` solves count row ``index[i]``."""
-
-    batch: BatchSolution
-    index: np.ndarray
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.batch.w[self.index]
-
-    @property
-    def n_failed(self) -> int:
-        return len(self.batch.error) - len(self.index)
-
-
 def solve_replicates(
     y, F, counts, r: float, config: SolverConfig | None = None, w_init=None
-) -> SolutionSet:
-    """Solve every count row as one replicate; a replicate whose solve fails is not a survivor."""
-    batch = maximize_batch(y, F, counts, r, config, w_init)
-    return SolutionSet(batch, np.flatnonzero([error is None for error in batch.error]))
+) -> BatchSolution:
+    """Solve every count row as one replicate; a replicate whose solve fails is not ``solved``."""
+    return maximize_batch(y, F, counts, r, config, w_init)
 
 
 def fit_distribution(w, weights) -> tuple[np.ndarray, np.ndarray]:

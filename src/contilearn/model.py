@@ -166,7 +166,9 @@ def hessian(w, y, F, r: float | None = None, counts=None):
     p = sigmoid(z)
     s = counts * (p * (1.0 - p))
     H = np.matmul(F.T * s[..., None, :], F)
-    H = -0.5 * (H + np.swapaxes(H, -1, -2))
+    H += np.swapaxes(H, -1, -2)
+    H *= -0.5
     if r is not None:
-        H = H - r * np.eye(w.shape[-1])
+        d = np.arange(w.shape[-1])
+        H[..., d, d] -= r
     return H

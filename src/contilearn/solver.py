@@ -95,6 +95,15 @@ class BatchSolution:
     converged: np.ndarray
     error: tuple[str | None, ...]
 
+    @property
+    def solved(self) -> np.ndarray:
+        """Indices of the problems whose solve did not fail, in order."""
+        return np.flatnonzero([error is None for error in self.error])
+
+    @property
+    def n_failed(self) -> int:
+        return sum(error is not None for error in self.error)
+
 
 def _newton_directions(W, y, F, r, counts, G):
     """Solve -H_s d_s = g_s for every row; a singular system's row of the result is NaN.
@@ -107,7 +116,8 @@ def _newton_directions(W, y, F, r, counts, G):
     D = np.empty_like(G)
     for lo in range(0, S, chunk):
         part = slice(lo, lo + chunk)
-        A = -hessian(W[part], y, F, r, counts[part])
+        A = hessian(W[part], y, F, r, counts[part])
+        np.negative(A, out=A)
         b = G[part, :, None]
         try:
             D[part] = np.linalg.solve(A, b)[..., 0]

@@ -33,6 +33,7 @@ from contilearn.modelio import (
 from tests.conftest import BLAS_THREAD_VARS
 
 REPO = Path(__file__).resolve().parents[1]
+BOM = "\ufeff".encode()
 
 
 @pytest.fixture(scope="module")
@@ -713,19 +714,34 @@ def test_file_that_is_not_utf8_ends_in_its_exit_code(
 ):
     files = {"data": xor_csv, "config": xor_config, "model": trained}
     broken = tmp_path / f"broken.{bad}"
-    broken.write_bytes(files[bad].read_bytes() + b"\xff\n")
+    good = files[bad].read_bytes()
     files[bad] = broken
     out = tmp_path / "out"
     if command == "train":
         argv = ["--data", files["data"], "--config", files["config"], "--out", out]
     else:
         argv = ["--model", files["model"], "--data", files["data"], "--out", out]
-    assert main([command, *map(str, argv)]) == code
-    assert capsys.readouterr().err.splitlines() == [
-        f"contilearn: {bad} file {broken} is not UTF-8 text"
-        f" (byte offset {broken.stat().st_size - 2})"
-    ]
-    assert not out.exists()
+    # the offset counts from the file's first byte, a byte-order mark included
+    for head in (b"", BOM):
+        broken.write_bytes(head + good + b"\xff\n")
+        assert main([command, *map(str, argv)]) == code
+        assert capsys.readouterr().err.splitlines() == [
+            f"contilearn: {bad} file {broken} is not UTF-8 text"
+            f" (byte offset {broken.stat().st_size - 2})"
+        ]
+        assert not out.exists()
+
+
+def test_a_byte_order_mark_opens_every_input_file(tmp_path, trained, xor_csv, xor_config):
+    data, config, model = tmp_path / "xor.csv", tmp_path / "xor.cfg", tmp_path / "bom.model"
+    data.write_bytes(BOM + xor_csv.read_bytes())
+    config.write_bytes(BOM + xor_config.read_bytes())
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(data), "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_bytes() == trained.read_bytes()
+    assert Path(f"{out}.report").read_bytes() == Path(f"{trained}.report").read_bytes()
+    model.write_bytes(BOM + trained.read_bytes())
+    assert format_model(load_model(model)).encode() == trained.read_bytes()
 
 
 def test_zero_layer_zero_vector_model_predicts_half(tmp_path):

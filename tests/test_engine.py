@@ -16,7 +16,6 @@ from contilearn.engine import (
     run,
 )
 from contilearn.ensemble import (
-    SolutionSet,
     fit_distribution,
     sample_plans,
     solve_replicates,
@@ -176,10 +175,9 @@ def test_oob_score_weights_by_the_held_out_mask_itself(monkeypatch):
     y = (rng.random(T) < 0.5).astype(float)
     counts = sample_plans(S, 4, T)
     batch = BatchSolution(rng.normal(size=(S, m)), *np.zeros((3, S)), np.ones(S, bool), (None,) * S)
-    solset = SolutionSet(batch, np.arange(S))
     tracemalloc.start()
     try:
-        score = oob_score(y, F, counts, solset)
+        score = oob_score(y, F, counts, batch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -189,7 +187,7 @@ def test_oob_score_weights_by_the_held_out_mask_itself(monkeypatch):
         return log_likelihood(w, y, F, counts=counts.astype(float))
 
     monkeypatch.setattr(engine, "log_likelihood", with_float_mask)
-    assert repr(score) == repr(oob_score(y, F, counts, solset))
+    assert repr(score) == repr(oob_score(y, F, counts, batch))
 
 
 def test_chosen_r_attains_the_exhaustive_maximum(circle_data):
@@ -329,11 +327,11 @@ def test_the_stage_records_count_every_solve(multi_iter_run):
     # by 64 replicates, each read back from the records alone
     _, stages = multi_iter_run
     assert len(stages) == 4
-    sets = [c.solutions for stage in stages for c in stage.candidates]
-    assert sum(len(s.batch.error) for s in sets) == 1024
-    assert sum(int(s.batch.iterations[s.index].sum()) for s in sets) == 5104
-    assert sum(int(s.batch.converged[s.index].sum()) for s in sets) == 1024
-    assert sum(s.n_failed for s in sets) == 0
+    batches = [c.solutions for stage in stages for c in stage.candidates]
+    assert sum(len(b.error) for b in batches) == 1024
+    assert sum(int(b.iterations[b.solved].sum()) for b in batches) == 5104
+    assert sum(int(b.converged[b.solved].sum()) for b in batches) == 1024
+    assert sum(b.n_failed for b in batches) == 0
     assert [stage.full.converged for stage in stages] == [True] * 4
     assert sum(stage.full.iterations for stage in stages) == 19
     for stage in stages:

@@ -108,6 +108,13 @@ def former_gradient(w, y, F, r, counts):
     return g if r is None else g - r * w
 
 
+def former_hessian(w, y, F, r, counts):
+    p = masked_sigmoid(w @ F.T)
+    H = np.matmul(F.T * (counts * (p * (1.0 - p)))[..., None, :], F)
+    H = -0.5 * (H + np.swapaxes(H, -1, -2))
+    return H if r is None else H - r * np.eye(w.shape[-1])
+
+
 def same_bits(a, b):
     bits = [np.asarray(x, dtype=float).view(np.uint64) for x in (a, b)]
     return np.array_equal(*bits)
@@ -157,6 +164,17 @@ def test_objective_change_and_gradient_are_bitwise_the_former_expressions(r):
             assert_bitwise_the_former_expressions(
                 W[0], dW[0], np.array([label]), F[t : t + 1], r, None
             )
+
+
+@pytest.mark.parametrize("r", [None, 0.1, 7.0, 1e308])
+def test_hessian_is_bitwise_the_former_expression_and_exactly_symmetric(r):
+    # the product is symmetrized and the prior subtracted in place, in one array
+    y, F, W, _, counts = oracle_instance()
+    for w, c in [(W, counts), (W[0], counts[0]), (W[1], None)]:
+        H = hessian(w, y, F, r, c)
+        assert H.shape == w.shape + w.shape[-1:]
+        assert same_bits(H, former_hessian(w, y, F, r, np.ones(len(y)) if c is None else c))
+        assert same_bits(H, np.swapaxes(H, -1, -2))
 
 
 def test_label_probabilities_sum_to_one():
