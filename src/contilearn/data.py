@@ -12,7 +12,6 @@ from __future__ import annotations
 import warnings
 from contextlib import suppress
 from dataclasses import InitVar, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -74,16 +73,18 @@ class Dataset:
 
 
 def read_text(path, kind: str, error) -> str:
-    """UTF-8 text of a ``kind`` file without one leading byte-order mark.
+    """UTF-8 text of a ``kind`` file or pipe, newlines universal, without one leading BOM.
 
-    A missing or undecodable file raises ``error``; the byte offset it names counts
-    from the file's first byte, a byte-order mark included.
+    A missing path, a directory or an undecodable file raises ``error``; the byte offset
+    it names counts from the file's first byte, a byte-order mark included.
     """
-    p = Path(path)
-    if not p.is_file():
-        raise error(f"no such {kind} file: {path}")
     try:
-        return p.read_text(encoding="utf-8").removeprefix("\ufeff")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().removeprefix("\ufeff")
+    except (FileNotFoundError, NotADirectoryError):
+        raise error(f"no such {kind} file: {path}") from None
+    except IsADirectoryError:
+        raise error(f"{kind} file {path} is a directory") from None
     except UnicodeDecodeError as exc:
         raise error(f"{kind} file {path} is not UTF-8 text (byte offset {exc.start})") from None
 
@@ -91,9 +92,9 @@ def read_text(path, kind: str, error) -> str:
 def _read_numeric_rows(path, has_header: bool) -> np.ndarray:
     """Parse a CSV file into a value matrix; errors name the file line.
 
-    Every line after the optional header is a row or an error, so row i of
-    the result is line ``i + 1 + has_header`` of the file. A field is any
-    text ``float()`` accepts, and it must be finite. numpy's C reader
+    A line ends at a line feed only. Every line after the optional header is a row
+    or an error, so row i of the result is line ``i + 1 + has_header`` of the file.
+    A field is any text ``float()`` accepts, and it must be finite. numpy's C reader
     (``np.loadtxt``) parses the whole file first; it accepts a subset of
     what ``float()`` does (no ``_`` separators, ASCII digits only), with
     bit-equal values. Its matrix is kept when it has a row for every line
@@ -103,7 +104,9 @@ def _read_numeric_rows(path, has_header: bool) -> np.ndarray:
     then an empty file; then a row whose width differs from the first row's.
     """
     first = 1 + int(has_header)
-    lines = read_text(path, "data", DataError).splitlines()[first - 1 :]
+    lines = read_text(path, "data", DataError).split("\n")[first - 1 :]
+    if lines and not lines[-1]:
+        lines.pop()  # the empty text after a final line feed is not a row
     # a blank first line is a fault; skipping it also keeps loadtxt from warning on all-blank text
     if lines and lines[0]:
         with suppress(ValueError):

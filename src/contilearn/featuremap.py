@@ -66,7 +66,6 @@ class Layer:
     v0: np.ndarray
     u: np.ndarray
     scales: np.ndarray
-    degenerate_v0: bool = False
 
     def __post_init__(self) -> None:
         v0 = np.asarray(self.v0, dtype=float)
@@ -81,11 +80,6 @@ class Layer:
             norm = float(np.linalg.norm(v0))
         if not np.isfinite(norm):
             raise ValueError("v0 must have a finite norm")
-        if not self.degenerate_v0 and norm == 0.0:
-            # squares of entries below about 1e-161 underflow, so a nonzero v0 can read 0
-            if v0.any():
-                raise ValueError("v0 too small in magnitude to normalize")
-            raise ValueError("zero mean direction requires the degenerate flag")
         if u.shape[0]:
             # an overflowing Gram matrix holds inf or nan, which the test rejects
             with np.errstate(over="ignore", invalid="ignore"):
@@ -99,6 +93,11 @@ class Layer:
         object.__setattr__(self, "v0", v0)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "scales", scales)
+
+    @property
+    def degenerate_v0(self) -> bool:
+        """Whether v0 has zero norm (a nonzero v0 can, if its squares underflow): no usable F_0."""
+        return float(np.linalg.norm(self.v0)) == 0.0
 
     @property
     def m_in(self) -> int:
@@ -122,10 +121,7 @@ class Layer:
         A degenerate (zero) mean direction has no usable F_0; the constant
         feature 1 takes its place so the model keeps a bias slot.
         """
-        if self.degenerate_v0:
-            f0 = np.ones(F.shape[0])
-        else:
-            f0 = (F @ self.v0) / np.linalg.norm(self.v0)
+        f0 = np.ones(F.shape[0]) if self.degenerate_v0 else (F @ self.v0) / np.linalg.norm(self.v0)
         return np.concatenate([f0[:, None], F @ self.u.T], axis=1)
 
     def apply(self, F) -> np.ndarray:
@@ -137,12 +133,11 @@ def calibrate_layer(v0, u, F_train) -> Layer:
     """Layer on mean direction ``v0`` and component rows ``u`` (k, m), scaled on ``F_train``.
 
     Every expanded slot gets unit RMS on the training rows; slots that are
-    identically zero there keep scale 1. A zero mean direction is flagged
-    degenerate, with a warning. ``Layer`` validates ``v0`` and ``u``.
+    identically zero there keep scale 1. A degenerate (zero-norm) mean
+    direction warns. ``Layer`` validates ``v0`` and ``u``.
     """
-    degenerate = float(np.linalg.norm(v0)) == 0.0
-    unit = Layer(v0, u, np.ones(expansion_size(len(u) + 1)), degenerate)
-    if degenerate:
+    unit = Layer(v0, u, np.ones(expansion_size(len(u) + 1)))
+    if unit.degenerate_v0:
         warnings.warn(
             "mean direction is zero; its derived feature is replaced by the constant 1",
             stacklevel=2,
@@ -157,11 +152,10 @@ def embed_mean_solution(layer: Layer) -> np.ndarray:
 
     The previous space's weighted-mean score v0 . f equals |v0| * F_0, so a
     single coefficient |v0| * scale_0 on the linear F_0 slot recovers it. A
-    degenerate (all-zero) mean scores zero everywhere, hence the zero vector.
+    degenerate (zero-norm) mean gets coefficient 0, hence the zero vector.
     """
     w = np.zeros(layer.m_out)
-    if not layer.degenerate_v0:
-        w[0] = float(np.linalg.norm(layer.v0)) * float(layer.scales[0])
+    w[0] = float(np.linalg.norm(layer.v0)) * float(layer.scales[0])
     return w
 
 

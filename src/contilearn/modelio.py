@@ -108,10 +108,10 @@ def _field_texts(record, skip: int = 0) -> list[tuple[str, str]]:
 def _parse_kv_lines(text: str, error, noun: str) -> dict[str, str]:
     """Key to value of ``key = value`` lines, in file order; a repeated key raises ``error``.
 
-    A line whose first non-blank character is '#' is a comment.
+    A line ends at a line feed only. One whose first non-blank character is '#' is a comment.
     """
     pairs: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -222,9 +222,11 @@ def parse_model(text: str) -> TrainedModel:
             v0, u = rows[0], np.array(rows[1:]).reshape(k, m_in)
             scales = take(f"layer{i}.scales", _parse_vector)
             try:
-                layers.append(Layer(v0, u, scales, degenerate))
+                layers.append(Layer(v0, u, scales))
             except ValueError as exc:
                 raise ModelFormatError(f"layer{i}: {exc}") from None
+            if layers[-1].degenerate_v0 != degenerate:
+                raise ModelFormatError(f"layer{i}.degenerate_v0 contradicts layer{i}.v0's norm")
         feature_map = replace(feature_map, layers=tuple(layers))
         _probe_layers(feature_map)
         w = take("w", _parse_vector)

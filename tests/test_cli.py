@@ -62,6 +62,13 @@ def test_parse_run_config_values():
     assert config.algebra_stop_tol == 0.25
 
 
+def test_a_config_line_ends_at_a_line_feed_only():
+    # str.splitlines() would also break at the form feed, leaving a line with no '='
+    assert parse_run_config("n_iters\x0c= 0\n").n_iters == 0
+    config = parse_run_config("n_iters = 2\r\n\x85seed = 4\u2028\n")
+    assert config == EngineConfig(n_iters=2, seed=4)
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_run_config("n_itres = 2\n")
@@ -598,8 +605,43 @@ def test_tiny_v0_is_blamed_on_its_magnitude(tmp_path, trained, xor_csv, capsys, 
     )
     assert n == 1
     assert _model_error_lines(tmp_path, xor_csv, capsys, command, text) == [
-        "contilearn: layer0: v0 too small in magnitude to normalize"
+        "contilearn: layer0.degenerate_v0 contradicts layer0.v0's norm"
     ]
+
+
+# layer0's flag and its v0 row (None keeps the trained one), each contradicting the other;
+# false on a v0 whose norm underflows is the test above
+FLAG_CASES = [("true", None), ("false", "0.0,0.0,0.0")]
+
+
+@pytest.mark.parametrize("flag, v0", FLAG_CASES, ids=["true-nonzero", "false-zero"])
+def test_a_degenerate_flag_that_contradicts_v0_is_a_model_error(
+    tmp_path, trained, xor_csv, capsys, flag, v0
+):
+    text = trained.read_text()
+    assert "layer0.degenerate_v0 = false\n" in text
+    text = text.replace("layer0.degenerate_v0 = false\n", f"layer0.degenerate_v0 = {flag}\n")
+    if v0 is not None:
+        text = re.sub(r"^layer0\.v0 = .*$", f"layer0.v0 = {v0}", text, flags=re.M)
+    assert _model_error_lines(tmp_path, xor_csv, capsys, "predict", text) == [
+        "contilearn: layer0.degenerate_v0 contradicts layer0.v0's norm"
+    ]
+
+
+def test_a_degenerate_layer_round_trips_and_uses_the_constant_feature(tmp_path, trained, xor_csv):
+    text = trained.read_text().replace(
+        "layer0.degenerate_v0 = false\n", "layer0.degenerate_v0 = true\n"
+    )
+    text, n = re.subn(r"^layer0\.v0 = .*$", "layer0.v0 = 0.0,0.0,0.0", text, flags=re.M)
+    assert n == 1
+    path = tmp_path / "degenerate.model"
+    path.write_text(text)
+    model = load_model(path)
+    assert format_model(model) == text
+    (layer,) = model.feature_map.layers
+    assert layer.degenerate_v0
+    X = load_inputs(xor_csv, d=model.feature_map.d)
+    assert np.array_equal(model.feature_map.super_features(X)[:, 0], np.ones(len(X)))
 
 
 @pytest.mark.parametrize("command", ["predict", "algebra"])
@@ -742,6 +784,62 @@ def test_a_byte_order_mark_opens_every_input_file(tmp_path, trained, xor_csv, xo
     assert Path(f"{out}.report").read_bytes() == Path(f"{trained}.report").read_bytes()
     model.write_bytes(BOM + trained.read_bytes())
     assert format_model(load_model(model)).encode() == trained.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, bad, code", [("train", "data", 2), ("train", "config", 1), ("predict", "model", 1)]
+)
+def test_a_directory_is_named_as_a_directory(
+    tmp_path, trained, xor_csv, xor_config, capsys, command, bad, code
+):
+    files = {"data": xor_csv, "config": xor_config, "model": trained, bad: tmp_path}
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["--data", files["data"], "--config", files["config"], "--out", out]
+    else:
+        argv = ["--model", files["model"], "--data", files["data"], "--out", out]
+    assert main([command, *map(str, argv)]) == code
+    assert capsys.readouterr().err.splitlines() == [
+        f"contilearn: {bad} file {tmp_path} is a directory"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below_a_file", [True, False], ids=["below-a-file", "empty"])
+def test_a_path_that_names_no_file_is_missing(tmp_path, xor_config, capsys, below_a_file):
+    # an empty path is not the current directory
+    path = ""
+    if below_a_file:
+        (tmp_path / "rows.csv").write_text("1,0\n2,1\n")
+        path = str(tmp_path / "rows.csv" / "x")
+    argv = ["train", "--data", path, "--config", str(xor_config), "--out", str(tmp_path / "m")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"contilearn: no such data file: {path}"]
+
+
+def test_a_form_feed_in_a_field_predicts_like_the_plain_number(tmp_path, trained):
+    outputs = []
+    for i, rows in enumerate(["1\x0c,2\n3,4\n", "1,2\n3,4\n"]):
+        data, out = tmp_path / f"rows{i}.csv", tmp_path / f"probs{i}"
+        data.write_text(rows, newline="")
+        argv = ["predict", "--model", str(trained), "--data", str(data), "--out", str(out)]
+        assert main(argv) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_predict_reads_rows_from_a_pipe(tmp_path, trained, xor_csv):
+    expected, piped = tmp_path / "file.probs", tmp_path / "pipe.probs"
+    argv = ["predict", "--model", str(trained), "--data", str(xor_csv), "--out", str(expected)]
+    assert main(argv) == 0
+    argv = ["predict", "--model", str(trained), "--data", "/dev/stdin", "--out", str(piped)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "contilearn", *argv],
+        input=xor_csv.read_bytes(),
+        capture_output=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert piped.read_bytes() == expected.read_bytes()
 
 
 def test_zero_layer_zero_vector_model_predicts_half(tmp_path):

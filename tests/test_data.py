@@ -210,9 +210,13 @@ def test_one_class_dataset_warns_at_its_constructor():
 
 
 def scan_rows(path, has_header):
-    """Reference parser: the token-by-token scan ``_read_numeric_rows`` must agree with."""
+    """Reference parser: the token-by-token scan ``_read_numeric_rows`` must agree with.
+
+    A line ends at a line feed only; a final line feed ends the last line, not a blank one.
+    """
     first = 1 + int(has_header)
-    lines = read_text(path, "data", DataError).splitlines()[first - 1 :]
+    text = read_text(path, "data", DataError)
+    lines = text.removesuffix("\n").split("\n")[first - 1 :] if text else []
     rows = []
     for lineno, line in enumerate(lines, start=first):
         values = []
@@ -252,7 +256,8 @@ FINITE = st.one_of(
     st.integers(-(10**6), 10**6).map(str),
 )
 SPECIAL = st.sampled_from(["1_000", "\u0661\u0662", "+.5e-3", "1E400", "nan", "-inf"])
-PADDING = st.sampled_from(["", " ", "\xa0", "\t", "\x00"])
+# \x0b, \x0c, \x85 and \u2028 are also line breaks to str.splitlines(), never to the parser
+PADDING = st.sampled_from(["", " ", "\xa0", "\t", "\x00", "\x0b", "\x0c", "\x85", "\u2028"])
 FIELD_PIECES = list("0123456789.eE+-_ ,") + ["\xa0", "\x00", "\u0661", "nan", "inf"]
 PADDED = st.tuples(PADDING, st.one_of(FINITE, SPECIAL), PADDING).map("".join)
 JUNK = st.lists(st.sampled_from(FIELD_PIECES), max_size=5).map("".join)
@@ -303,6 +308,9 @@ def test_parse_matches_the_token_scanner(tmp_path, case):
         # numpy's reader skips blank lines, and warns when it finds nothing else
         ("\n", "row 1: cannot parse '' as a number"),
         ("\n\n", "row 1: cannot parse '' as a number"),
+        # a form feed is whitespace inside a field, not a line end
+        ("1\x0c,2\n", [[1.0, 2.0]]),
+        ("1\x0c,2\nx,2\n", "row 2: cannot parse 'x' as a number"),
     ],
     ids=[
         "underscore",
@@ -317,6 +325,8 @@ def test_parse_matches_the_token_scanner(tmp_path, case):
         "arabic-indic-digit",
         "one-blank-line",
         "two-blank-lines",
+        "form-feed",
+        "form-feed-then-bad-row",
     ],
 )
 def test_parse_hand_cases(tmp_path, text, outcome):

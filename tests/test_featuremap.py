@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -89,16 +89,17 @@ def test_super_features_degenerate_mean_warns_once_and_uses_constant():
     assert np.array_equal(out, [[1.0, 5.0], [1.0, 1.0]])
 
 
-def test_mean_whose_norm_underflows_is_degenerate_only_when_flagged():
+def test_mean_whose_norm_underflows_is_degenerate():
     f = np.array([[5.0, 6.0], [1.0, 2.0]])
     tiny = np.array([1e-200, -2e-200])
     with pytest.warns(UserWarning, match="constant"):
         layer = calibrate_layer(tiny, np.array([[1.0, 0.0]]), f)
     assert layer.degenerate_v0
-    with pytest.raises(ValueError, match="v0 too small in magnitude to normalize"):
-        Layer(tiny, layer.u, layer.scales)
-    with pytest.raises(ValueError, match="degenerate flag"):
-        Layer(np.zeros(2), layer.u, layer.scales)
+    # the flag is read off v0, so the layer's arrays alone decide it
+    assert Layer(tiny, layer.u, layer.scales).degenerate_v0
+    assert Layer(np.zeros(2), layer.u, layer.scales).degenerate_v0
+    assert not Layer(np.array([1e-150, 0.0]), layer.u, layer.scales).degenerate_v0
+    assert [field.name for field in fields(Layer)] == ["v0", "u", "scales"]
 
 
 def test_calibrate_layer_rejects_mismatched_widths():
@@ -264,7 +265,7 @@ def test_scale_rescaling_is_absorbed_by_the_embedded_coefficient():
     rng = np.random.default_rng(23)
     F = np.hstack([np.ones((20, 1)), rng.normal(size=(20, 2))])
     layer = calibrate_layer(rng.normal(size=3), orthonormal_rows(rng, 1, 3), F)
-    rescaled = Layer(layer.v0, layer.u, layer.scales * 2.0, layer.degenerate_v0)
+    rescaled = Layer(layer.v0, layer.u, layer.scales * 2.0)
 
     w_a = embed_mean_solution(layer)
     w_b = embed_mean_solution(rescaled)
