@@ -1,8 +1,9 @@
 """Command-line driver: train, predict, algebra.
 
-Exit codes: 0 success, 1 configuration / model-format / usage errors and
-running out of memory, 2 data errors, 3 numerical failures (the message
-names the failing module).
+Exit codes: 0 success, 1 configuration / model-format / usage errors, a run
+config or model file that cannot be read, and running out of memory, 2 data
+errors, a CSV that cannot be read included, 3 numerical failures (the
+message names the failing module). A file that cannot be read is named.
 A warning prints one ``contilearn: warning: ...`` line and leaves the exit
 code alone; a UserWarning the warnings filter escalates to an error exits 2.
 ``contilearn train`` writes the model to --out and the per-iteration report

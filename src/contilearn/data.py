@@ -75,8 +75,8 @@ class Dataset:
 def read_text(path, kind: str, error) -> str:
     """UTF-8 text of a ``kind`` file or pipe, newlines universal, without one leading BOM.
 
-    A missing path, a directory or an undecodable file raises ``error``; the byte offset
-    it names counts from the file's first byte, a byte-order mark included.
+    Any failure to read it raises ``error`` naming the path; an undecodable file's byte
+    offset counts from the file's first byte, a byte-order mark included.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -87,6 +87,8 @@ def read_text(path, kind: str, error) -> str:
         raise error(f"{kind} file {path} is a directory") from None
     except UnicodeDecodeError as exc:
         raise error(f"{kind} file {path} is not UTF-8 text (byte offset {exc.start})") from None
+    except OSError as exc:
+        raise error(f"cannot read {kind} file {path}: {exc.strerror}") from None
 
 
 def _read_numeric_rows(path, has_header: bool) -> np.ndarray:
@@ -94,26 +96,27 @@ def _read_numeric_rows(path, has_header: bool) -> np.ndarray:
 
     A line ends at a line feed only. Every line after the optional header is a row
     or an error, so row i of the result is line ``i + 1 + has_header`` of the file.
-    A field is any text ``float()`` accepts, and it must be finite. numpy's C reader
-    (``np.loadtxt``) parses the whole file first; it accepts a subset of
-    what ``float()`` does (no ``_`` separators, ASCII digits only), with
-    bit-equal values. Its matrix is kept when it has a row for every line
-    (it skips blank lines) and every value is finite. Any other file, or a
-    rejected one, goes to the token-by-token scan, which raises the first
-    fault: a token ``float()`` rejects or a non-finite value, in file order;
-    then an empty file; then a row whose width differs from the first row's.
+    A field is any text ``float()`` accepts, and it must be finite. An empty file is
+    refused; numpy's C reader (``np.loadtxt``) parses any other, accepting a subset of
+    what ``float()`` does (no ``_`` separators, ASCII digits only) with bit-equal
+    values. Its matrix is kept when it has a row for every line (it skips blank
+    lines) and every value is finite. Otherwise the token-by-token scan raises at the
+    first faulty line: a token ``float()`` rejects or a non-finite value, else a field
+    count unlike the first line's.
     """
     first = 1 + int(has_header)
     lines = read_text(path, "data", DataError).split("\n")[first - 1 :]
     if lines and not lines[-1]:
         lines.pop()  # the empty text after a final line feed is not a row
+    if not lines:
+        raise DataError(f"empty data file: {path}")
     # a blank first line is a fault; skipping it also keeps loadtxt from warning on all-blank text
-    if lines and lines[0]:
+    if lines[0]:
         with suppress(ValueError):
             M = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
             if len(M) == len(lines) and np.isfinite(M).all():
                 return M
-    commas = lines[0].count(",") if lines else 0
+    commas = lines[0].count(",")
     values: list[float] = []
     for lineno, line in enumerate(lines, start=first):
         for tok in line.split(","):
@@ -126,9 +129,6 @@ def _read_numeric_rows(path, has_header: bool) -> np.ndarray:
             if not np.isfinite(v):
                 raise DataError(f"row {lineno}: non-finite value {tok.strip()!r}")
             values.append(v)
-    if not lines:
-        raise DataError(f"empty data file: {path}")
-    for lineno, line in enumerate(lines, start=first):
         if line.count(",") != commas:
             raise DataError(
                 f"row {lineno}: expected {commas + 1} fields, found {line.count(',') + 1}"

@@ -29,10 +29,11 @@ gradients. ``maximize`` is the one-problem case.
 
 The unfinished problems' original indices, iterates and count rows are
 kept as compact arrays, and the batch shrinks, by one boolean mask, only in
-a step where some problem finishes; the line search shrinks its pending
-rows the same way. So a step copies no (S, T) count rows unless a problem
-finished in it. A problem's last bits depend on which problems share its
-batch, since a stacked BLAS product rounds a row by the stack's row count.
+a step where some problem finishes. The line search shrinks its own copy of
+the pending rows the same way, so a step also copies (S, T) count rows
+whenever some problems pass the Armijo test while others backtrack. A
+problem's last bits depend on which problems share its batch, since a
+stacked BLAS product rounds a row by the stack's row count.
 """
 
 from __future__ import annotations

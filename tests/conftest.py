@@ -1,3 +1,5 @@
+import importlib.util
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -23,12 +25,25 @@ def random_instance(rng, t_max=None, m=None):
     return y, F
 
 
+def load_bench(name: str):
+    """The module ``bench/<name>.py`` as ``bench_<name>``, loaded by path: ``bench`` is no package.
+
+    It is registered before it runs, as a dataclass needs its module in ``sys.modules``.
+    """
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", REPO / "bench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's seeded problems: train-deep's and train-tall's rows come from here
+BENCH_INPUTS = load_bench("inputs")
+
+
 def deep_dataset() -> Dataset:
-    """The 60-row, three-round problem of the acceptance gate (bootstrap seed 13)."""
-    rng = np.random.default_rng(50)
-    X = rng.normal(size=(60, 2))
-    y = (X[:, 0] * X[:, 1] + 0.2 * rng.normal(size=60) > 0).astype(float)
-    return Dataset(y, X)
+    """The 60-row, three-round problem of the acceptance gate: train-deep's rows."""
+    case = BENCH_INPUTS.deep_case()
+    return Dataset(case.y, case.X)
 
 
 DEEP_CONFIG = EngineConfig(n_iters=3, seed=13, k_max=8)

@@ -21,7 +21,7 @@ from contilearn.ensemble import fit_distribution, weights_from_loglik
 from contilearn.model import gradient, log_likelihood
 from contilearn.solver import maximize
 from contilearn.spectral import eig_sym, select_components
-from tests.conftest import BLAS_THREAD_VARS, random_instance
+from tests.conftest import BENCH_INPUTS, BLAS_THREAD_VARS, random_instance
 from tests.test_featuremap import interpolation_residual, random_map
 from tests.test_model import numeric_gradient
 
@@ -207,14 +207,11 @@ def test_criterion_8_algebra_suite():
 
 @criterion("9 determinism")
 def test_criterion_9_determinism(tmp_path, xor_csv):
-    # xor's 100 rows, and 3000 rows of 6 inputs, big enough for a multi-threaded BLAS to split
-    # its products. The package root sets every thread variable to 1, so both legs run one
-    # thread: equal bytes show that no thread setting reaches the BLAS
-    rng = np.random.default_rng(7000)
-    X = rng.normal(size=(3000, 6))
-    y = X[:, 0] * X[:, 1] + 0.5 * X[:, 2] ** 2 - 0.5 + 0.3 * rng.normal(size=3000) > 0
-    tall_csv = tmp_path / "tall.csv"
-    np.savetxt(tall_csv, np.column_stack([X, y]), fmt="%.17g", delimiter=",")
+    # xor's 100 rows, and train-tall's 3000 rows of 6 inputs, big enough for a multi-threaded
+    # BLAS to split its products. The package root sets every thread variable to 1, so both
+    # legs run one thread: equal bytes show that no thread setting reaches the BLAS
+    tall, tall_csv = BENCH_INPUTS.tall_case(), tmp_path / "tall.csv"
+    BENCH_INPUTS.write_csv(tall_csv, tall.X, tall.y)
     cases = [
         ("xor", xor_csv, "n_iters = 1\nseed = 2024\nalgebra_check = true\n"),
         ("tall", tall_csv, "n_iters = 1\nn_replicates = 16\nalgebra_check = true\nseed = 17\n"),

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import errno
 import os
 import re
 import subprocess
@@ -740,6 +741,15 @@ def test_algebra_on_a_huge_input_is_a_data_error(tmp_path, trained, capsys):
     assert not wrote
 
 
+def _command_argv(command, files, out):
+    """``command``'s argv, reading the ``data``, ``config`` or ``model`` path of ``files``."""
+    if command == "train":
+        argv = ["--data", files["data"], "--config", files["config"], "--out", out]
+    else:
+        argv = ["--model", files["model"], "--data", files["data"], "--out", out]
+    return [command, *map(str, argv)]
+
+
 @pytest.mark.parametrize(
     "command, bad, code",
     [
@@ -759,14 +769,10 @@ def test_file_that_is_not_utf8_ends_in_its_exit_code(
     good = files[bad].read_bytes()
     files[bad] = broken
     out = tmp_path / "out"
-    if command == "train":
-        argv = ["--data", files["data"], "--config", files["config"], "--out", out]
-    else:
-        argv = ["--model", files["model"], "--data", files["data"], "--out", out]
     # the offset counts from the file's first byte, a byte-order mark included
     for head in (b"", BOM):
         broken.write_bytes(head + good + b"\xff\n")
-        assert main([command, *map(str, argv)]) == code
+        assert main(_command_argv(command, files, out)) == code
         assert capsys.readouterr().err.splitlines() == [
             f"contilearn: {bad} file {broken} is not UTF-8 text"
             f" (byte offset {broken.stat().st_size - 2})"
@@ -794,13 +800,41 @@ def test_a_directory_is_named_as_a_directory(
 ):
     files = {"data": xor_csv, "config": xor_config, "model": trained, bad: tmp_path}
     out = tmp_path / "out"
-    if command == "train":
-        argv = ["--data", files["data"], "--config", files["config"], "--out", out]
-    else:
-        argv = ["--model", files["model"], "--data", files["data"], "--out", out]
-    assert main([command, *map(str, argv)]) == code
+    assert main(_command_argv(command, files, out)) == code
     assert capsys.readouterr().err.splitlines() == [
         f"contilearn: {bad} file {tmp_path} is a directory"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["permission", "io"])
+@pytest.mark.parametrize(
+    "command, bad, code", [("train", "data", 2), ("train", "config", 1), ("predict", "model", 1)]
+)
+def test_a_file_that_cannot_be_read_is_named_with_its_exit_code(
+    tmp_path, trained, xor_csv, xor_config, capsys, monkeypatch, command, bad, code, fault
+):
+    files = {"data": xor_csv, "config": xor_config, "model": trained}
+    if fault == "io":
+        # reading this process's memory from address 0 fails with EIO
+        if not Path("/proc/self/mem").exists():
+            pytest.skip("no /proc/self/mem")
+        files[bad], reason = Path("/proc/self/mem"), "Input/output error"
+    else:
+        # a process running as root still reads a mode-000 file, so open refuses it here
+        files[bad], reason = tmp_path / f"locked.{bad}", os.strerror(errno.EACCES)
+        refused, real_open = str(files[bad]), open
+
+        def refusing_open(path, *args, **kwargs):
+            if path == refused:
+                raise PermissionError(errno.EACCES, reason, path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("contilearn.data.open", refusing_open, raising=False)
+    out = tmp_path / "out"
+    assert main(_command_argv(command, files, out)) == code
+    assert capsys.readouterr().err.splitlines() == [
+        f"contilearn: cannot read {bad} file {files[bad]}: {reason}"
     ]
     assert not out.exists()
 

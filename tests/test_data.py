@@ -55,6 +55,23 @@ def test_malformed_row_after_header(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text, has_header, message",
+    [
+        # the header is line 1, so the short row is row 3
+        ("x,y\n1,2\n3\n", True, "row 3: expected 2 fields, found 1"),
+        # row 2's label is checked only once every row parses
+        ("1,0\n2,5\n3\n", False, "row 3: expected 2 fields, found 1"),
+    ],
+    ids=["short-row-after-header", "parse-before-label"],
+)
+def test_a_training_file_names_its_first_faulty_row(tmp_path, text, has_header, message):
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_csv(path, has_header)
+
+
+@pytest.mark.parametrize(
     "text, has_header, row",
     [("1.0,0\n2.0,2\n", False, 2), ("x,label\n1.0,0\n2.0,2\n", True, 3)],
     ids=["plain", "header"],
@@ -213,10 +230,13 @@ def scan_rows(path, has_header):
     """Reference parser: the token-by-token scan ``_read_numeric_rows`` must agree with.
 
     A line ends at a line feed only; a final line feed ends the last line, not a blank one.
+    The first faulty line is named; within it, a bad token comes before its field count.
     """
     first = 1 + int(has_header)
     text = read_text(path, "data", DataError)
     lines = text.removesuffix("\n").split("\n")[first - 1 :] if text else []
+    if not lines:
+        raise DataError(f"empty data file: {path}")
     rows = []
     for lineno, line in enumerate(lines, start=first):
         values = []
@@ -230,13 +250,9 @@ def scan_rows(path, has_header):
             if not np.isfinite(v):
                 raise DataError(f"row {lineno}: non-finite value {tok.strip()!r}")
             values.append(v)
+        if rows and len(values) != len(rows[0]):
+            raise DataError(f"row {lineno}: expected {len(rows[0])} fields, found {len(values)}")
         rows.append(values)
-    if not rows:
-        raise DataError(f"empty data file: {path}")
-    width = len(rows[0])
-    for lineno, values in enumerate(rows, start=first):
-        if len(values) != width:
-            raise DataError(f"row {lineno}: expected {width} fields, found {len(values)}")
     return np.array(rows, dtype=float)
 
 
@@ -300,7 +316,9 @@ def test_parse_matches_the_token_scanner(tmp_path, case):
         ("nan,1\n", "row 1: non-finite value 'nan'"),
         ("1,2\n1e400,2\n", "row 2: non-finite value '1e400'"),
         ("1,2\n\n3,4\n", "row 2: cannot parse '' as a number"),
-        ("1,2\n3\nx,2\n", "row 3: cannot parse 'x' as a number"),
+        ("1,2\n3\nx,2\n", "row 2: expected 2 fields, found 1"),
+        ("1,2\nx,2\n3\n", "row 2: cannot parse 'x' as a number"),
+        ("1,2\n3,x,4\n", "row 2: cannot parse 'x' as a number"),
         ("1,2\n3\n", "row 2: expected 2 fields, found 1"),
         # digits float() reads and numpy's reader rejects: a fullwidth and an Arabic-Indic one
         ("\uff11,2\n", [[1.0, 2.0]]),
@@ -319,6 +337,8 @@ def test_parse_matches_the_token_scanner(tmp_path, case):
         "nan",
         "overflow",
         "blank",
+        "width-before-later-token",
+        "token-before-later-width",
         "token-before-width",
         "width",
         "fullwidth-digit",

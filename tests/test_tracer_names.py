@@ -6,22 +6,14 @@ result type breaks the traced benchmark. This test runs the tracer, unchanged,
 around one small train.
 """
 
-import importlib.util
 import json
 
 from contilearn import cli, engine, ensemble
-from tests.conftest import REPO
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("tracing", REPO / "bench" / "tracing.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from tests.conftest import load_bench
 
 
 def test_the_benchmark_tracer_wraps_a_train(tmp_path, xor_csv, xor_config):
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     tracer = tracing.Tracer()
     argv = ["--data", str(xor_csv), "--config", str(xor_config), "--out", str(tmp_path / "m")]
     with tracer.installed():
