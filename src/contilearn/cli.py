@@ -6,13 +6,15 @@ errors, a CSV that cannot be read included, 3 numerical failures (the
 message names the failing module). A file that cannot be read is named.
 A warning prints one ``contilearn: warning: ...`` line and leaves the exit
 code alone; a UserWarning the warnings filter escalates to an error exits 2.
+An output path that cannot be written ends in exit 1 with one line naming it.
 ``contilearn train`` writes the model to --out and the per-iteration report
-to ``<out>.report``.
+to ``<out>.report``; when the report cannot be written, the model is removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -72,7 +74,13 @@ def cmd_train(args) -> int:
     dataset = load_csv(args.data, has_header=config.has_header)
     model, stages = run(dataset, config)
     save_model(args.out, model)
-    save_reports(args.out + ".report", [stage.report for stage in stages])
+    try:
+        save_reports(args.out + ".report", [stage.report for stage in stages])
+    except BaseException:
+        # no model is left without its report; a device or pipe given as --out is not unlinked
+        if os.path.isfile(args.out):
+            os.remove(args.out)
+        raise
     return 0
 
 

@@ -248,35 +248,33 @@ def run(dataset: Dataset, config: EngineConfig) -> tuple[TrainedModel, tuple[Sta
         r, oob, batch = chosen.r, chosen.oob, chosen.solutions
         sol = maximize(y, F, r, config.solver, w_init)
         embed_L = log_likelihood(w_init, y, F, r)
+        acc = accuracy(sol.w, y, F)
+        layer = fit = k = None
+        if stage < last_stage:
+            # weights use the full-data objective: subsample objectives are not
+            # comparable across replicates
+            w = batch.w[batch.solved]
+            weights = weights_from_loglik(log_likelihood(w, y, F, r))
+            mean, cov = fit_distribution(w, weights)
+            u = select_components(cov, config.rel_threshold, config.k_max)
+            k = len(u)
+            if k:
+                layer = calibrate_layer(mean, u, F)
+                if config.algebra_check or tol is not None:
+                    fit = fit_structure_constants(layer.super_features(F))
+            else:
+                status = "degenerate"
+        expanded = None if layer is None else layer.m_out
+        closure = None if fit is None else fit.normalized_residual
         report = IterationReport(
-            stage, F.shape[1], None, None, sol.L_value, embed_L, r, oob, None, accuracy(sol.w, y, F)
+            stage, F.shape[1], expanded, k, sol.L_value, embed_L, r, oob, closure, acc
         )
-
-        if stage == last_stage:
-            stages.append(Stage(report, candidates, sol, None))
+        stages.append(Stage(report, candidates, sol, fit))
+        if layer is None:
             break
-
-        # weights use the full-data objective: subsample objectives are not
-        # comparable across replicates
-        w = batch.w[batch.solved]
-        weights = weights_from_loglik(log_likelihood(w, y, F, r))
-        mean, cov = fit_distribution(w, weights)
-        u = select_components(cov, config.rel_threshold, config.k_max)
-        if len(u) == 0:
-            status = "degenerate"
-            stages.append(Stage(replace(report, k=0), candidates, sol, None))
-            break
-
-        layer = calibrate_layer(mean, u, F)
-        fit = closure = None
-        if config.algebra_check or tol is not None:
-            fit = fit_structure_constants(layer.super_features(F))
-            closure = fit.normalized_residual
         F = layer.apply(F)
         w_init = embed_mean_solution(layer)
         layers.append(layer)
-        report = replace(report, expanded=F.shape[1], k=layer.k, closure=closure)
-        stages.append(Stage(report, candidates, sol, fit))
         if tol is not None and closure <= tol and stage + 1 < last_stage:
             status = "algebra-converged"
             last_stage = stage + 1

@@ -807,6 +807,23 @@ def test_a_directory_is_named_as_a_directory(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("blocked", ["report", "model"])
+def test_an_output_that_cannot_be_written_is_named_and_leaves_no_model(
+    tmp_path, xor_csv, xor_config, capsys, blocked
+):
+    files = {"data": xor_csv, "config": xor_config}
+    out = tmp_path / "out"
+    report = Path(f"{out}.report")
+    bad = report if blocked == "report" else out
+    bad.mkdir()
+    assert main(_command_argv("train", files, out)) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("contilearn: ") and str(bad) in line
+    # the model written before its report failed is removed; a directory is left alone
+    assert out.is_dir() if blocked == "model" else not out.exists()
+    assert report.is_dir() if blocked == "report" else not report.exists()
+
+
 @pytest.mark.parametrize("fault", ["permission", "io"])
 @pytest.mark.parametrize(
     "command, bad, code", [("train", "data", 2), ("train", "config", 1), ("predict", "model", 1)]

@@ -133,6 +133,12 @@ def test_algebra_stop_truncates_the_loop(algebra_check):
     assert model.status == "algebra-converged"
     assert len(stages) == 2
     assert len(model.feature_map.layers) == 1
+    first, final = stages
+    assert (first.report.expanded, first.report.k) == (14, 3)
+    assert first.algebra is not None
+    assert first.report.closure == first.algebra.normalized_residual
+    assert (final.report.expanded, final.report.k, final.report.closure) == (None, None, None)
+    assert final.algebra is None
 
 
 def test_degenerate_covariance_stops_early():
@@ -147,6 +153,11 @@ def test_degenerate_covariance_stops_early():
     assert model.feature_map.layers == ()
     assert model.w.shape[0] == model.feature_map.output_dim
     assert len(stages) == 1
+    # a requested closure check has no layer to fit, so the one stage reports none
+    config = EngineConfig(n_iters=2, seed=27, n_replicates=2, r_grid=(1.0,), algebra_check=True)
+    _, (stage,) = run(ds, config)
+    assert (stage.report.k, stage.report.expanded, stage.report.closure) == (0, None, None)
+    assert stage.algebra is None
 
 
 def test_single_r_grid_is_chosen():
@@ -242,9 +253,9 @@ def test_replicate_failed_at_the_largest_r_restarts_from_w_init(monkeypatch):
     counts = sample_plans(4, 8, 25)
     w_init = np.array([0.1, -0.2, 0.3])
 
-    def broken_hessian(w, y, F, prior=None, counts=None):
-        H = hessian(w, y, F, prior, counts)
-        if prior == 10.0:
+    def broken_hessian(w, y, F, r=None, counts=None):
+        H = hessian(w, y, F, r, counts)
+        if r == 10.0:
             H[(counts == doomed).all(axis=1)] *= -1.0
         return H
 
@@ -291,9 +302,9 @@ def test_a_prior_whose_replicates_all_fail_is_not_a_candidate(monkeypatch):
     w_init = np.array([0.1, -0.2, 0.3])
     broken = {10.0}  # priors at which every replicate's Hessian is indefinite
 
-    def broken_hessian(w, y, F, prior=None, counts=None):
-        H = hessian(w, y, F, prior, counts)
-        return -H if prior in broken else H
+    def broken_hessian(w, y, F, r=None, counts=None):
+        H = hessian(w, y, F, r, counts)
+        return -H if r in broken else H
 
     starts = []
 

@@ -136,8 +136,8 @@ def test_failed_replicate_is_dropped_and_counted(monkeypatch):
     counts = sample_plans(4, 8, 25)
     doomed = counts[1]
 
-    def broken_hessian(w, y, F, prior=None, counts=None):
-        H = hessian(w, y, F, prior, counts)
+    def broken_hessian(w, y, F, r=None, counts=None):
+        H = hessian(w, y, F, r, counts)
         H[(counts == doomed).all(axis=1)] *= -1.0
         return H
 

@@ -176,8 +176,8 @@ def _four_replicates(seed):
 def _replace_hessian(monkeypatch, doomed_counts, replace):
     """Patch ``solver.hessian`` so the problem with counts ``doomed_counts`` gets ``replace(H)``."""
 
-    def patched(w, y, F, prior=None, counts=None):
-        H = hessian(w, y, F, prior, counts)
+    def patched(w, y, F, r=None, counts=None):
+        H = hessian(w, y, F, r, counts)
         for i in np.flatnonzero((counts == doomed_counts).all(axis=1)):
             H[i] = replace(H[i])
         return H
@@ -227,11 +227,11 @@ def test_an_indefinite_system_whose_direction_ascends_is_accepted(monkeypatch):
     intact = maximize(y, F, prior, w_init=w0)
     calls = []
 
-    def first_indefinite(w, y, F, prior=None, counts=None):
+    def first_indefinite(w, y, F, r=None, counts=None):
         calls.append(len(w))
         if len(calls) > 1:
-            return hessian(w, y, F, prior, counts)
-        u = gradient(w, y, F, prior, counts)[0]
+            return hessian(w, y, F, r, counts)
+        u = gradient(w, y, F, r, counts)[0]
         u = u / np.linalg.norm(u)
         v = np.array([-u[1], u[0]])
         return -(np.outer(u, u) - np.outer(v, v))[None]
