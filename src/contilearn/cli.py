@@ -1,20 +1,18 @@
 """Command-line driver: train, predict, algebra.
 
 Exit codes: 0 success, 1 configuration / model-format / usage errors, a run
-config or model file that cannot be read, and running out of memory, 2 data
-errors, a CSV that cannot be read included, 3 numerical failures (the
-message names the failing module). A file that cannot be read is named.
+config or model file that cannot be read, an output that cannot be written and
+running out of memory, 2 data errors, a CSV that cannot be read included, 3
+numerical failures (the message names the failing module). One line names a
+file that cannot be read or written; an output is whole or as it was, and an
+empty --out is refused before any work. ``train`` also writes ``<out>.report``.
 A warning prints one ``contilearn: warning: ...`` line and leaves the exit
 code alone; a UserWarning the warnings filter escalates to an error exits 2.
-An output path that cannot be written ends in exit 1 with one line naming it.
-``contilearn train`` writes the model to --out and the per-iteration report
-to ``<out>.report``; when the report cannot be written, the model is removed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings
 
@@ -28,10 +26,12 @@ from .model import predict_prob
 from .modelio import (
     load_model,
     load_run_config,
+    replacing,
     save_algebra_report,
     save_model,
     save_predictions,
     save_reports,
+    write_text,
 )
 
 # rows per block for scoring and the algebra fit, so no (rows × expanded width) matrix is built
@@ -71,16 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config)
-    dataset = load_csv(args.data, has_header=config.has_header)
-    model, stages = run(dataset, config)
-    save_model(args.out, model)
-    try:
-        save_reports(args.out + ".report", [stage.report for stage in stages])
-    except BaseException:
-        # no model is left without its report; a device or pipe given as --out is not unlinked
-        if os.path.isfile(args.out):
-            os.remove(args.out)
-        raise
+    model, stages = run(load_csv(args.data, has_header=config.has_header), config)
+    # the report is replaced first, so no new model stands beside an old report
+    with replacing((args.out + ".report", "report"), (args.out, "model")) as (report, out):
+        save_model(out, model)
+        save_reports(report, [stage.report for stage in stages])
     return 0
 
 
@@ -108,7 +103,8 @@ def _model_features(model: TrainedModel, path, features):
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     blocks = _model_features(model, args.data, model.feature_map.transform)
-    save_predictions(args.out, np.concatenate([predict_prob(model.w, F) for F in blocks]))
+    with replacing((args.out, "predictions")) as (out,):
+        save_predictions(out, np.concatenate([predict_prob(model.w, F) for F in blocks]))
     return 0
 
 
@@ -127,14 +123,15 @@ def cmd_algebra(args) -> int:
         )
         print(line)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            with replacing((args.out, "algebra")) as (out,):
+                write_text(out, line + "\n")
         return 0
     if not (args.model and args.data and args.out):
         raise ConfigError("algebra needs either --reference NAME or --model, --data and --out")
     model = load_model(args.model)
     blocks = _model_features(model, args.data, model.feature_map.super_features)
-    save_algebra_report(args.out, fit_structure_constants(*blocks))
+    with replacing((args.out, "algebra")) as (out,):
+        save_algebra_report(out, fit_structure_constants(*blocks))
     return 0
 
 
@@ -144,6 +141,8 @@ _COMMANDS = {"train": cmd_train, "predict": cmd_predict, "algebra": cmd_algebra}
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.out == "":
+            raise ConfigError("--out: an empty path names no file")
         return _COMMANDS[args.command](args)
     except (ConfigError, ModelFormatError, OSError) as exc:
         print(f"contilearn: {exc}", file=sys.stderr)

@@ -12,13 +12,17 @@ Defaults and range checks live on the config classes, and the README's
 configuration table is checked against them. The model format is versioned;
 floats are written with ``repr`` so a save/load/save round trip is
 byte-identical. Unknown keys are rejected outright since a silently ignored
-typo in a hyper-parameter is worse than an error.
+typo in a hyper-parameter is worse than an error. Every file a command writes
+goes through ``replacing``, so it ends whole or as it was.
 """
 
 from __future__ import annotations
 
+import errno
+import os
+import stat
+from contextlib import contextmanager, suppress
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -162,8 +166,80 @@ def format_model(model: TrainedModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8; an OSError names ``path``, a failed write's too."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        exc.filename = path
+        raise
+
+
+def _file_mode(path) -> int | None:
+    """``st_mode`` of the file ``path`` names, links followed; None when there is none."""
+    try:
+        return os.stat(path).st_mode
+    except FileNotFoundError:
+        return None
+
+
+@contextmanager
+def replacing(*targets: tuple[str, str]):
+    """Yield one path to write per ``(path, kind)`` target; each target ends whole or unchanged.
+
+    The path yielded is a new temporary file beside the file the target names, links
+    followed, made with the mode ``open`` gives a new file. When the block returns and
+    no target is a directory, each temporary takes an existing file's permission bits
+    and is renamed onto its file, in the order given. A target that exists and is no
+    regular file (a pipe, a device) is yielded itself and written in place. On any
+    failure, an interrupt included, every temporary is removed and the targets are left
+    as they were; an OSError that names a target or its temporary becomes one
+    ``cannot write <kind> file <path>: <reason>``. Nothing is synced to the disk: this
+    guards against a failed or killed process, not against a crash of the host.
+    """
+    names = {}  # each path an OSError can name -> its (path, kind) target
+    moves = []  # (temporary, file) of each target that is replaced
+    paths = []
+    try:
+        for path, kind in targets:
+            if not path:
+                # os.path.realpath("") is the working directory
+                raise ConfigError(f"an empty path names no {kind} file")
+            names[path] = (path, kind)
+            mode = _file_mode(path)
+            if mode is not None and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+                paths.append(path)
+                continue
+            real = os.path.realpath(path)
+            # a name of fixed length, so the longest target name still has a temporary
+            tmp = os.path.join(os.path.dirname(real), f".contilearn-{os.urandom(6).hex()}.tmp")
+            names[real] = names[tmp] = (path, kind)
+            os.close(os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666))
+            moves.append((tmp, real))
+            paths.append(tmp)
+        yield paths
+        for tmp, real in moves:
+            mode = _file_mode(real)
+            if mode is None:
+                continue
+            if stat.S_ISDIR(mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), real)
+            os.chmod(tmp, stat.S_IMODE(mode))
+        for tmp, real in moves:
+            os.replace(tmp, real)
+    except BaseException as exc:
+        for tmp, _ in moves:
+            with suppress(OSError):
+                os.remove(tmp)
+        target = names.get(exc.filename) if isinstance(exc, OSError) else None
+        if target is None:
+            raise
+        raise OSError(f"cannot write {target[1]} file {target[0]}: {exc.strerror}") from None
+
+
 def save_model(path, model: TrainedModel) -> None:
-    Path(path).write_text(format_model(model), encoding="utf-8")
+    write_text(path, format_model(model))
 
 
 def _probe_layers(feature_map: RecursiveFeatureMap) -> None:
@@ -264,9 +340,7 @@ def format_report_line(report: IterationReport) -> str:
 
 
 def save_reports(path, reports) -> None:
-    Path(path).write_text(
-        "".join(format_report_line(r) + "\n" for r in reports), encoding="utf-8"
-    )
+    write_text(path, "".join(format_report_line(r) + "\n" for r in reports))
 
 
 def save_algebra_report(path, report: AlgebraFitReport) -> None:
@@ -275,9 +349,9 @@ def save_algebra_report(path, report: AlgebraFitReport) -> None:
     lines = [f"n = {len(c)}"]
     lines += [f"{name} = {text}" for name, text in _field_texts(report, skip=1)]
     lines += [f"c{a}.{b} = {_fmt_vector(c[a, b])}" for a, b in zip(*np.triu_indices(len(c)))]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def save_predictions(path, probs) -> None:
     """One probability per line, 17 significant digits (exact for doubles)."""
-    Path(path).write_text(("%.17g\n" * len(probs)) % tuple(probs.tolist()), encoding="utf-8")
+    write_text(path, ("%.17g\n" * len(probs)) % tuple(probs.tolist()))

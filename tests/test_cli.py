@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -26,6 +27,7 @@ from contilearn.modelio import (
     load_model,
     load_run_config,
     parse_run_config,
+    replacing,
     save_algebra_report,
     save_model,
     save_predictions,
@@ -404,6 +406,22 @@ def test_train_needs_data_and_out(tmp_path, xor_csv, xor_config, capsys, flag):
         f"contilearn: the following arguments are required: {flag}"
     ]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--data", "no.csv", "--config", "no.cfg", "--out", ""],
+        ["predict", "--model", "no.model", "--data", "no.csv", "--out", ""],
+        ["algebra", "--model", "no.model", "--data", "no.csv", "--out", ""],
+        ["algebra", "--reference", "complex", "--out", ""],
+    ],
+    ids=["train", "predict", "algebra", "reference"],
+)
+def test_an_empty_out_is_refused_before_any_work(capsys, argv):
+    # the input files do not exist: reading one would be named first
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "contilearn: --out: an empty path names no file\n")
 
 
 def test_usage_error_maps_to_config_exit_code():
@@ -807,21 +825,196 @@ def test_a_directory_is_named_as_a_directory(
     assert not out.exists()
 
 
+def _snapshot(directory):
+    """Every entry under ``directory``, hidden ones included: its bytes, or None for a directory."""
+    return {p: None if p.is_dir() else p.read_bytes() for p in directory.rglob("*")}
+
+
+def _previous_train(tmp_path):
+    """``tmp_path / "out"`` and its report, as a previous train left them.
+
+    Their texts differ from any train's, so a replaced file shows.
+    """
+    out = tmp_path / "out"
+    out.write_text("the previous model\n")
+    Path(f"{out}.report").write_text("the previous report\n")
+    return out
+
+
 @pytest.mark.parametrize("blocked", ["report", "model"])
-def test_an_output_that_cannot_be_written_is_named_and_leaves_no_model(
+def test_an_output_that_cannot_be_written_is_named_and_keeps_the_previous_files(
     tmp_path, xor_csv, xor_config, capsys, blocked
 ):
-    files = {"data": xor_csv, "config": xor_config}
-    out = tmp_path / "out"
-    report = Path(f"{out}.report")
-    bad = report if blocked == "report" else out
+    out = _previous_train(tmp_path)
+    bad = Path(f"{out}.report") if blocked == "report" else out
+    bad.unlink()
     bad.mkdir()
+    (bad / "kept").write_text("kept\n")
+    before = _snapshot(tmp_path)
+    files = {"data": xor_csv, "config": xor_config}
     assert main(_command_argv("train", files, out)) == 1
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("contilearn: ") and str(bad) in line
-    # the model written before its report failed is removed; a directory is left alone
-    assert out.is_dir() if blocked == "model" else not out.exists()
-    assert report.is_dir() if blocked == "report" else not report.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"contilearn: cannot write {blocked} file {bad}: Is a directory"
+    ]
+    # the other file is the previous train's, and no temporary is left
+    assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "fault, line",
+    [
+        (
+            OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+            "contilearn: cannot write report file {out}.report: " + os.strerror(errno.ENOSPC),
+        ),
+        (MemoryError(), "contilearn: out of memory: an allocation failed"),
+        (KeyboardInterrupt(), None),
+    ],
+    ids=["os-error", "memory", "interrupt"],
+)
+def test_a_write_that_fails_partway_keeps_the_previous_files(
+    tmp_path, xor_csv, xor_config, capsys, monkeypatch, fault, line
+):
+    # the model is written first, then the report, which stores half its text and fails
+    out = _previous_train(tmp_path)
+    before = _snapshot(tmp_path)
+    real_open, opened = open, []
+
+    class HalfWritten:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise fault
+
+    def failing_open(path, *args, **kwargs):
+        opened.append(path)
+        fh = real_open(path, *args, **kwargs)
+        return fh if len(opened) == 1 else HalfWritten(fh)
+
+    monkeypatch.setattr("contilearn.modelio.open", failing_open, raising=False)
+    argv = _command_argv("train", {"data": xor_csv, "config": xor_config}, out)
+    if line is None:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [line.format(out=out)]
+    assert len(opened) == 2 and all(Path(path).parent == tmp_path for path in opened)
+    assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "out, reason",
+    [("missing/probs", errno.ENOENT), ("rows.csv/probs", errno.ENOTDIR)],
+    ids=["no-directory", "below-a-file"],
+)
+def test_an_output_in_no_directory_is_named(tmp_path, trained, xor_csv, capsys, out, reason):
+    (tmp_path / "rows.csv").write_text("1,0\n")
+    out = tmp_path / out
+    argv = ["predict", "--model", str(trained), "--data", str(xor_csv), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"contilearn: cannot write predictions file {out}: {os.strerror(reason)}"
+    ]
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "rows.csv"]
+
+
+def test_an_output_name_of_the_longest_length_is_written(tmp_path, capsys):
+    out = tmp_path / ("a" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+    assert main(["algebra", "--reference", "complex", "--out", str(out)]) == 0
+    assert out.read_text() == capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_a_pipe_given_as_out_is_written_in_place(tmp_path, trained, xor_csv):
+    expected, fifo = tmp_path / "file.probs", tmp_path / "pipe.probs"
+    argv = ["predict", "--model", str(trained), "--data", str(xor_csv), "--out"]
+    assert main([*argv, str(expected)]) == 0
+    os.mkfifo(fifo)
+    # an open read end lets the write go ahead; 100 predictions fit in the pipe's buffer
+    with os.fdopen(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
+        assert main([*argv, str(fifo)]) == 0
+        os.set_blocking(fh.fileno(), True)
+        assert fh.read() == expected.read_bytes()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(tmp_path.iterdir()) == [expected, fifo]
+
+
+def test_a_link_given_as_out_stays_a_link_to_the_replaced_file(tmp_path, trained, xor_csv):
+    store, link = tmp_path / "store", tmp_path / "probs"
+    store.mkdir()
+    (store / "probs").write_text("old\n")
+    link.symlink_to(store / "probs")
+    argv = ["predict", "--model", str(trained), "--data", str(xor_csv), "--out", str(link)]
+    assert main(argv) == 0
+    assert os.readlink(link) == str(store / "probs")
+    assert len((store / "probs").read_text().splitlines()) == 100
+    assert sorted(tmp_path.rglob("*")) == [link, store, store / "probs"]
+
+
+def test_a_replaced_file_keeps_its_mode_and_a_new_one_takes_the_umask(tmp_path, trained, xor_csv):
+    kept, new = tmp_path / "kept.probs", tmp_path / "new.probs"
+    kept.write_text("old\n")
+    kept.chmod(0o604)
+    argv = ["predict", "--model", str(trained), "--data", str(xor_csv), "--out"]
+    umask = os.umask(0o027)
+    try:
+        assert main([*argv, str(kept)]) == 0
+        assert main([*argv, str(new)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+    assert kept.read_bytes() == new.read_bytes()
+
+
+def test_the_writer_refuses_an_empty_path():
+    # os.path.realpath("") is the working directory, not a file
+    with pytest.raises(ConfigError, match="^an empty path names no model file$"):
+        with replacing(("", "model")):
+            pass
+
+
+def _writer_calls(node):
+    return [
+        call
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and (call.func.id.startswith("save_") or call.func.id == "write_text")
+    ]
+
+
+def test_the_cli_writes_every_output_inside_the_writer():
+    tree = ast.parse((REPO / "src" / "contilearn" / "cli.py").read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not names & {"open", "os", "Path"}
+    inside = [
+        call
+        for with_node in ast.walk(tree)
+        if isinstance(with_node, ast.With)
+        and ast.unparse(with_node.items[0].context_expr.func) == "replacing"
+        for call in _writer_calls(with_node)
+    ]
+    assert sorted(call.lineno for call in inside) == sorted(
+        call.lineno for call in _writer_calls(tree)
+    )
+    assert {call.func.id for call in inside} == {
+        "save_model",
+        "save_reports",
+        "save_predictions",
+        "save_algebra_report",
+        "write_text",
+    }
+    assert not any(_writer_calls(node) for node in ast.walk(tree) if isinstance(node, ast.Try))
 
 
 @pytest.mark.parametrize("fault", ["permission", "io"])

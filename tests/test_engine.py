@@ -430,6 +430,7 @@ def test_engine_config_validation():
         EngineConfig(k_max=0)
     with pytest.raises(ConfigError, match="seed must be an unsigned 64-bit integer"):
         EngineConfig(seed=1 << 64)
+    assert EngineConfig(seed=(1 << 64) - 1).seed == (1 << 64) - 1
 
 
 R_GRID_MESSAGE = "r_grid must be a nonempty list of positive reals"

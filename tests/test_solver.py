@@ -243,6 +243,18 @@ def test_an_indefinite_system_whose_direction_ascends_is_accepted(monkeypatch):
     assert np.max(np.abs(sol.w - intact.w)) <= 1e-6
 
 
+def test_a_newton_direction_of_zero_slope_does_not_ascend(monkeypatch):
+    # identical columns give the gradient (g, g) at w = 0, and -H = diag(1, -1) turns it
+    # into d = (g, -g), whose slope g^2 - g^2 is exactly 0: not an ascent direction
+    F = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    y = np.array([1.0, 0.0, 1.0])
+    H = np.diag([-1.0, 1.0])
+    monkeypatch.setattr(solver, "hessian", lambda w, *args, **kwargs: np.tile(H, (len(w), 1, 1)))
+    assert np.array_equal(gradient(np.zeros((1, 2)), y, F, 1.0), [[1.0, 1.0]])
+    with pytest.raises(NumericalError, match=f"^solver: {NO_ASCENT}$"):
+        maximize(y, F, 1.0)
+
+
 def test_a_singular_newton_system_raises_from_maximize(monkeypatch):
     monkeypatch.setattr(solver, "hessian", lambda w, *args, **kwargs: np.zeros((len(w), 2, 2)))
     rng = np.random.default_rng(442)
