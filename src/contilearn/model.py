@@ -4,8 +4,8 @@ The score is the dot product of a parameter vector with a feature vector
 whose slot 0 is a constant bias feature. The prior is an isotropic Gaussian
 with precision r, a positive finite float that ``EngineConfig`` validates,
 written with its normalization constant so that objective values remain
-comparable across different r; r = None leaves only the data term. Nothing
-here overflows: softplus and sigmoid only ever exponentiate -|z|.
+comparable across different r. Nothing here overflows: softplus and sigmoid
+only ever exponentiate -|z|.
 
 The objective, its change along a step, the gradient and the Hessian take
 one parameter vector or S stacked ones, and optional per-sample counts: a
@@ -62,10 +62,6 @@ def _scores(w, F, counts):
     return counts, z
 
 
-def _scalar(value, w):
-    return float(value) if w.ndim == 1 else value
-
-
 def predict_prob(w, F):
     """P(y=1 | features): one probability per row of the feature matrix F.
 
@@ -82,12 +78,11 @@ def log_prior(w, r: float):
     One value for a parameter vector, or one per row of stacked vectors.
     """
     m = w.shape[-1]
-    value = 0.5 * m * (np.log(r) - _LOG_2PI) - 0.5 * r * np.sum(w * w, axis=-1)
-    return _scalar(value, w)
+    return 0.5 * m * (np.log(r) - _LOG_2PI) - 0.5 * r * np.sum(w * w, axis=-1)
 
 
 def log_likelihood(w, y, F, r: float | None = None, counts=None):
-    """Training objective: label log-probabilities plus (optionally) the log prior.
+    """Training objective: label log-probabilities plus the log prior at precision r.
 
     With ``r=None`` only the data term is returned. ``w`` is one parameter
     vector (the result is a float) or S stacked ones (one value per row).
@@ -101,11 +96,11 @@ def log_likelihood(w, y, F, r: float | None = None, counts=None):
     value = np.sum(np.multiply(counts, z, out=z), axis=-1)
     if r is not None:
         value = value + log_prior(w, r)
-    return _scalar(value, w)
+    return value
 
 
-def log_likelihood_change(w, dw, y, F, r: float | None = None, counts=None):
-    """L(w + dw) - L(w), computed directly rather than as a difference of objectives.
+def log_likelihood_change(w, dw, y, F, r: float, counts=None):
+    """L(w + dw) - L(w) of the objective at prior precision r, without subtracting two values.
 
     The difference of two objective values loses every digit once the change
     falls below one ulp of L; here each sample contributes
@@ -135,27 +130,24 @@ def log_likelihood_change(w, dw, y, F, r: float | None = None, counts=None):
     np.multiply(y, dz, out=dz)
     np.subtract(dz, near, out=dz)
     value = np.sum(np.multiply(counts, dz, out=dz), axis=-1)
-    if r is not None:
-        value = value - r * np.sum(w * dw + 0.5 * dw * dw, axis=-1)
-    return _scalar(value, w)
+    return value - r * np.sum(w * dw + 0.5 * dw * dw, axis=-1)
 
 
-def gradient(w, y, F, r: float | None = None, counts=None):
-    """First derivative: shape (m,), or (S, m) for stacked ``w``.
+def gradient(w, y, F, r: float, counts=None):
+    """First derivative of the objective at prior precision r.
 
-    ``counts`` weights samples as in ``log_likelihood``.
+    Shape (m,), or (S, m) for stacked ``w``; ``counts`` weights samples as in
+    ``log_likelihood``.
     """
     counts, z = _scores(w, F, counts)
     p = sigmoid(z)
     np.subtract(y, p, out=p)
     g = np.multiply(counts, p, out=p) @ F
-    if r is not None:
-        g = g - r * w
-    return g
+    return g - r * w
 
 
-def hessian(w, y, F, r: float | None = None, counts=None):
-    """Second derivative matrix; symmetric, and negative definite whenever r > 0.
+def hessian(w, y, F, r: float, counts=None):
+    """Second derivative of the objective at prior precision r; symmetric and negative definite.
 
     Shape (m, m), or (S, m, m) for stacked ``w``. The stacked product
     builds an (S, m, T) temporary, so callers bound S for large problems.
@@ -168,7 +160,6 @@ def hessian(w, y, F, r: float | None = None, counts=None):
     H = np.matmul(F.T * s[..., None, :], F)
     H += np.swapaxes(H, -1, -2)
     H *= -0.5
-    if r is not None:
-        d = np.arange(w.shape[-1])
-        H[..., d, d] -= r
+    d = np.arange(w.shape[-1])
+    H[..., d, d] -= r
     return H

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import errno
 import os
+import shutil
 import stat
+import sys
 from contextlib import contextmanager, suppress
 from dataclasses import fields, replace
 
@@ -184,6 +186,31 @@ def _file_mode(path) -> int | None:
         return None
 
 
+def _stream_fd(path) -> int | None:
+    """1 or 2 when ``path`` names the file this process's standard output or error writes to."""
+    st = os.stat(path)
+    for fd in (1, 2):
+        with suppress(OSError):
+            if os.path.samestat(st, os.fstat(fd)):
+                return fd
+    return None
+
+
+def _copy_to_stream(tmp, fd) -> None:
+    """Write the file ``tmp``'s bytes to ``fd`` after flushing ``sys.stdout`` and ``sys.stderr``.
+
+    An OSError names ``tmp``, so ``replacing`` names its target.
+    """
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        with open(tmp, "rb") as src, open(fd, "wb", closefd=False) as out:
+            shutil.copyfileobj(src, out)
+    except OSError as exc:
+        exc.filename = tmp
+        raise
+
+
 @contextmanager
 def replacing(*targets: tuple[str, str]):
     """Yield one path to write per ``(path, kind)`` target; each target ends whole or unchanged.
@@ -192,14 +219,18 @@ def replacing(*targets: tuple[str, str]):
     followed, made with the mode ``open`` gives a new file. When the block returns and
     no target is a directory, each temporary takes an existing file's permission bits
     and is renamed onto its file, in the order given. A target that exists and is no
-    regular file (a pipe, a device) is yielded itself and written in place. On any
-    failure, an interrupt included, every temporary is removed and the targets are left
-    as they were; an OSError that names a target or its temporary becomes one
-    ``cannot write <kind> file <path>: <reason>``. Nothing is synced to the disk: this
-    guards against a failed or killed process, not against a crash of the host.
+    regular file (a pipe, a device) is yielded itself and written in place. A regular
+    file that is this process's standard output or error (``--out /dev/stdout >> log``)
+    is not replaced: after the renames its temporary's bytes are written to that stream,
+    and the temporary is removed. On any failure, an interrupt included, every temporary
+    is removed and the targets are left as they were; an OSError that names a target or
+    its temporary becomes one ``cannot write <kind> file <path>: <reason>``. Nothing is
+    synced to the disk: this guards against a failed or killed process, not against a
+    crash of the host.
     """
     names = {}  # each path an OSError can name -> its (path, kind) target
     moves = []  # (temporary, file) of each target that is replaced
+    streams = []  # (temporary, fd) of each target that is standard output or error
     paths = []
     try:
         for path, kind in targets:
@@ -216,7 +247,11 @@ def replacing(*targets: tuple[str, str]):
             tmp = os.path.join(os.path.dirname(real), f".contilearn-{os.urandom(6).hex()}.tmp")
             names[real] = names[tmp] = (path, kind)
             os.close(os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666))
-            moves.append((tmp, real))
+            fd = _stream_fd(path) if mode is not None and stat.S_ISREG(mode) else None
+            if fd is None:
+                moves.append((tmp, real))
+            else:
+                streams.append((tmp, fd))
             paths.append(tmp)
         yield paths
         for tmp, real in moves:
@@ -228,8 +263,11 @@ def replacing(*targets: tuple[str, str]):
             os.chmod(tmp, stat.S_IMODE(mode))
         for tmp, real in moves:
             os.replace(tmp, real)
+        for tmp, fd in streams:
+            _copy_to_stream(tmp, fd)
+            os.remove(tmp)
     except BaseException as exc:
-        for tmp, _ in moves:
+        for tmp, _ in moves + streams:
             with suppress(OSError):
                 os.remove(tmp)
         target = names.get(exc.filename) if isinstance(exc, OSError) else None

@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -946,6 +947,62 @@ def test_a_pipe_given_as_out_is_written_in_place(tmp_path, trained, xor_csv):
         assert fh.read() == expected.read_bytes()
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert sorted(tmp_path.iterdir()) == [expected, fifo]
+
+
+@contextmanager
+def _fd_onto(fd, path, flags):
+    """While the block runs, descriptor ``fd`` is ``path`` opened with ``flags``."""
+    saved, opened = os.dup(fd), os.open(path, flags)
+    try:
+        os.dup2(opened, fd)
+        yield
+    finally:
+        os.dup2(saved, fd)
+        os.close(saved)
+        os.close(opened)
+
+
+@pytest.mark.parametrize("fd", [1, 2])
+def test_a_standard_stream_given_as_out_is_written_to_not_replaced(tmp_path, trained, xor_csv, fd):
+    expected, log = tmp_path / "file.probs", tmp_path / "log"
+    argv = ["predict", "--model", str(trained), "--data", str(xor_csv), "--out"]
+    assert main([*argv, str(expected)]) == 0
+    log.write_text("earlier\n")
+    inode = log.stat().st_ino
+    with _fd_onto(fd, log, os.O_WRONLY | os.O_APPEND):
+        assert main([*argv, {1: "/dev/stdout", 2: "/dev/stderr"}[fd]]) == 0
+    assert log.stat().st_ino == inode
+    assert log.read_bytes() == b"earlier\n" + expected.read_bytes()
+    assert sorted(tmp_path.iterdir()) == [expected, log]
+
+
+def test_a_standard_stream_that_cannot_be_written_is_named(tmp_path, trained, xor_csv, capsys):
+    log = tmp_path / "log"
+    log.write_text("earlier\n")
+    argv = ["predict", "--model", str(trained), "--data", str(xor_csv), "--out", "/dev/stdout"]
+    with _fd_onto(1, log, os.O_RDONLY):
+        assert main(argv) == 1
+    message = f"cannot write predictions file /dev/stdout: {os.strerror(errno.EBADF)}"
+    assert capsys.readouterr().err == f"contilearn: {message}\n"
+    assert log.read_text() == "earlier\n"
+    assert list(tmp_path.iterdir()) == [log]
+
+
+@pytest.mark.parametrize("mode", ["a", "w"])
+def test_standard_output_redirected_to_a_file_keeps_the_printed_line(tmp_path, mode):
+    # the shell's `--out /dev/stdout >> log` and `> log`: the file is the one the shell opened,
+    # and it ends with what was there (for >>), the printed line and the written line
+    log = tmp_path / "log"
+    log.write_text("earlier\n")
+    argv = ["algebra", "--reference", "complex", "--out", "/dev/stdout"]
+    with open(log, mode) as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "contilearn", *argv], stdout=fh, stderr=subprocess.PIPE
+        )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    line = "algebra=complex n=2 associativity_residual=0.0 ok=true\n"
+    assert log.read_text() == ("earlier\n" if mode == "a" else "") + line + line
+    assert list(tmp_path.iterdir()) == [log]
 
 
 def test_a_link_given_as_out_stays_a_link_to_the_replaced_file(tmp_path, trained, xor_csv):
