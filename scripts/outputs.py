@@ -20,7 +20,8 @@ one OpenBLAS thread, and writes into DIR:
 file to have the same bytes in both, except the files named in
 ``byte_changes.txt`` next to this script (one name a line; ``#`` starts a
 comment), each of which must differ. It prints one line per file that breaks
-the rule and exits 1 if any does. Output bytes depend on the BLAS kernel and
+the rule, naming the first differing line of an undeclared change, and exits 1
+if any does. Output bytes depend on the BLAS kernel and
 the numpy build, so compare two sets written on the same machine.
 """
 
@@ -31,6 +32,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -108,11 +110,22 @@ def compare(parent: Path, change: Path) -> list[str]:
         a, b = parent / name, change / name
         if not (a.is_file() and b.is_file()):
             problems.append(f"{name}: written for only one tree")
-        elif name in declared and a.read_bytes() == b.read_bytes():
+            continue
+        old, new = a.read_bytes(), b.read_bytes()
+        if name in declared and old == new:
             problems.append(f"{name}: declared changed, but its bytes are the same")
-        elif name not in declared and a.read_bytes() != b.read_bytes():
-            problems.append(f"{name}: bytes differ, and byte_changes.txt does not declare it")
+        elif name not in declared and old != new:
+            line = _first_differing_line(old, new)
+            problems.append(
+                f"{name}: bytes differ from line {line}, and byte_changes.txt does not declare it"
+            )
     return problems
+
+
+def _first_differing_line(a: bytes, b: bytes) -> int:
+    """The number, from 1, of the first line whose bytes differ between two unequal texts."""
+    pairs = zip_longest(a.splitlines(keepends=True), b.splitlines(keepends=True))
+    return next(n for n, (x, y) in enumerate(pairs, 1) if x != y)
 
 
 def main(argv=None) -> int:

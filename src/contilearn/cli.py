@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from contextlib import suppress
 
 import numpy as np
 
@@ -121,7 +122,13 @@ def cmd_algebra(args) -> int:
             f"algebra={args.reference} n={len(c)}"
             f" associativity_residual={residual!r} ok={'true' if residual == 0.0 else 'false'}"
         )
-        print(line)
+        try:
+            print(line, flush=True)  # before the writer runs: a lost line leaves --out as it was
+        except OSError as exc:
+            # closed, so the exit does not flush the line it still buffers and fail again
+            with suppress(OSError):
+                sys.stdout.close()
+            raise OSError(f"cannot write standard output: {exc.strerror}") from None
         if args.out:
             with replacing((args.out, "algebra")) as (out,):
                 write_text(out, line + "\n")

@@ -47,7 +47,7 @@ def weights_from_loglik(L) -> np.ndarray:
 
 
 def solve_replicates(
-    y, F, counts, r: float, config: SolverConfig | None = None, w_init=None
+    y, F, counts, r: float, config: SolverConfig = SolverConfig(), w_init=0.0
 ) -> BatchSolution:
     """Solve every count row as one replicate; a replicate whose solve fails is not ``solved``."""
     return maximize_batch(y, F, counts, r, config, w_init)

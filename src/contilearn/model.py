@@ -8,9 +8,9 @@ comparable across different r. Nothing here overflows: softplus and sigmoid
 only ever exponentiate -|z|.
 
 The objective, its change along a step, the gradient and the Hessian take
-one parameter vector or S stacked ones, and optional per-sample counts: a
-bootstrap replicate is the full data with each row weighted by how often it
-was drawn, so S replicates share one feature matrix. No counts means count
+one parameter vector or S stacked ones, and per-sample counts: a bootstrap
+replicate is the full data with each row weighted by how often it was drawn,
+so S replicates share one feature matrix. The counts default to 1.0, count
 1 on every row, which takes the same path: a product with 1.0 is exact.
 """
 
@@ -50,18 +50,6 @@ def _exp_minus_abs(z):
     return np.exp(e, out=e)
 
 
-def _scores(w, F, counts):
-    """The counts (ones if None) as passed, and the scores.
-
-    The scores are z = w F^T: shape (T,), or (S, T) for stacked w. Counts are
-    only ever multiplied in, so a boolean mask weights its rows by 0.0 and 1.0
-    without first being copied into a float array.
-    """
-    z = w @ F.T
-    counts = np.broadcast_to(1.0, z.shape) if counts is None else counts
-    return counts, z
-
-
 def predict_prob(w, F):
     """P(y=1 | features): one probability per row of the feature matrix F.
 
@@ -81,15 +69,17 @@ def log_prior(w, r: float):
     return 0.5 * m * (np.log(r) - _LOG_2PI) - 0.5 * r * np.sum(w * w, axis=-1)
 
 
-def log_likelihood(w, y, F, r: float | None = None, counts=None):
+def log_likelihood(w, y, F, r: float | None = None, counts=1.0):
     """Training objective: label log-probabilities plus the log prior at precision r.
 
     With ``r=None`` only the data term is returned. ``w`` is one parameter
     vector (the result is a float) or S stacked ones (one value per row).
     ``counts`` (shape (S, T), or (T,) for one vector) weights sample t by
-    how often a bootstrap replicate drew it; None weights every sample 1.
+    how often a bootstrap replicate drew it; the default 1.0 weights every
+    sample 1. Counts are only ever multiplied in, so a boolean mask weights
+    its rows by 0.0 and 1.0 without first being copied into a float array.
     """
-    counts, z = _scores(w, F, counts)
+    z = w @ F.T
     sp = softplus(z)
     np.multiply(y, z, out=z)
     np.subtract(z, sp, out=z)
@@ -99,7 +89,7 @@ def log_likelihood(w, y, F, r: float | None = None, counts=None):
     return value
 
 
-def log_likelihood_change(w, dw, y, F, r: float, counts=None):
+def log_likelihood_change(w, dw, y, F, r: float, counts=1.0):
     """L(w + dw) - L(w) of the objective at prior precision r, without subtracting two values.
 
     The difference of two objective values loses every digit once the change
@@ -109,7 +99,7 @@ def log_likelihood_change(w, dw, y, F, r: float, counts=None):
     its relative precision however small dz is. Shapes and ``counts`` follow
     ``log_likelihood``.
     """
-    counts, z = _scores(w, F, counts)
+    z = w @ F.T
     dz = dw @ F.T
     a = np.abs(dz, out=np.empty_like(dz))
     far = ~(a <= 1.0)
@@ -133,20 +123,20 @@ def log_likelihood_change(w, dw, y, F, r: float, counts=None):
     return value - r * np.sum(w * dw + 0.5 * dw * dw, axis=-1)
 
 
-def gradient(w, y, F, r: float, counts=None):
+def gradient(w, y, F, r: float, counts=1.0):
     """First derivative of the objective at prior precision r.
 
     Shape (m,), or (S, m) for stacked ``w``; ``counts`` weights samples as in
     ``log_likelihood``.
     """
-    counts, z = _scores(w, F, counts)
+    z = w @ F.T
     p = sigmoid(z)
     np.subtract(y, p, out=p)
     g = np.multiply(counts, p, out=p) @ F
     return g - r * w
 
 
-def hessian(w, y, F, r: float, counts=None):
+def hessian(w, y, F, r: float, counts=1.0):
     """Second derivative of the objective at prior precision r; symmetric and negative definite.
 
     Shape (m, m), or (S, m, m) for stacked ``w``. The stacked product
@@ -154,7 +144,7 @@ def hessian(w, y, F, r: float, counts=None):
     Only the data part is symmetrized: adding the prior's diagonal to itself
     would overflow for r above half the largest double.
     """
-    counts, z = _scores(w, F, counts)
+    z = w @ F.T
     p = sigmoid(z)
     s = counts * (p * (1.0 - p))
     H = np.matmul(F.T * s[..., None, :], F)

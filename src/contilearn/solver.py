@@ -160,19 +160,18 @@ def _keep(mask, *arrays):
 
 
 def maximize_batch(
-    y, F, counts, r: float, config: SolverConfig | None = None, w_init=None
+    y, F, counts, r: float, config: SolverConfig = SolverConfig(), w_init=0.0
 ) -> BatchSolution:
     """Maximize S count-weighted objectives over one feature matrix.
 
     ``counts`` has shape (S, T); ``w_init`` is one start for every problem
-    or S stacked starts (zero vectors by default). A problem whose starting
+    or S stacked starts (0.0, the zero vector, by default). A problem whose starting
     objective is not finite, whose gradient is not finite, whose Newton
     system is singular, or whose Newton direction is not finite or does not
     ascend (g·d <= 0), is reported in ``error`` and does not stop the others.
     """
-    config = config or SolverConfig()
     S, m = counts.shape[0], F.shape[1]
-    W = np.zeros((S, m)) if w_init is None else np.array(np.broadcast_to(w_init, (S, m)), float)
+    W = np.array(np.broadcast_to(w_init, (S, m)), float)
 
     with np.errstate(over="ignore"):
         L = log_likelihood(W, y, F, r, counts)
@@ -222,8 +221,8 @@ def maximize_batch(
     )
 
 
-def maximize(y, F, r: float, config: SolverConfig | None = None, w_init=None) -> Solution:
-    """Maximize the regularized objective from ``w_init`` (zero vector by default).
+def maximize(y, F, r: float, config: SolverConfig = SolverConfig(), w_init=0.0) -> Solution:
+    """Maximize the regularized objective from ``w_init``, which defaults to 0.0, the zero vector.
 
     Returns a converged solution when the gradient norm falls below
     ``grad_tol``; otherwise the best iterate found, flagged unconverged.

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import errno
+import io
 import os
 import re
 import stat
@@ -234,6 +235,54 @@ def test_only_training_and_the_model_reader_build_a_trained_model():
         "engine": {"run"},
         "modelio": {"parse_model"},
     }
+
+
+def _none_defaults_replaced_by_a_value() -> list[str]:
+    """``module.function: p`` for each parameter p defaulting to None that its function replaces.
+
+    The replacing forms are a conditional expression on ``p is None`` (or ``p is not
+    None``), as in ``p = … if p is None else p``, and ``p or …``. A None with a meaning
+    of its own is tested in an ``if`` statement or passed on, and matches neither.
+    """
+
+    def tests_none(node, name):
+        return (
+            isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Name)
+            and node.left.id == name
+            and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+            and isinstance(node.comparators[0], ast.Constant)
+            and node.comparators[0].value is None
+        )
+
+    def replaces(node, name):
+        if isinstance(node, ast.IfExp):
+            return tests_none(node.test, name)
+        return (
+            isinstance(node, ast.BoolOp)
+            and isinstance(node.op, ast.Or)
+            and isinstance(node.values[0], ast.Name)
+            and node.values[0].id == name
+        )
+
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            params = func.args.posonlyargs + func.args.args
+            defaults = [None] * (len(params) - len(func.args.defaults)) + func.args.defaults
+            pairs = [*zip(params, defaults), *zip(func.args.kwonlyargs, func.args.kw_defaults)]
+            for param, default in pairs:
+                if isinstance(default, ast.Constant) and default.value is None:
+                    if any(replaces(node, param.arg) for node in ast.walk(func)):
+                        found.append(f"{path.stem}.{func.name}: {param.arg}")
+    return found
+
+
+def test_no_parameter_defaults_to_none_only_to_be_replaced():
+    # a default is the value it stands for: counts=1.0, w_init=0.0, config=SolverConfig()
+    assert _none_defaults_replaced_by_a_value() == []
 
 
 def test_config_range_is_checked_when_built(tmp_path, xor_csv, xor_config, capsys):
@@ -1003,6 +1052,48 @@ def test_standard_output_redirected_to_a_file_keeps_the_printed_line(tmp_path, m
     line = "algebra=complex n=2 associativity_residual=0.0 ok=true\n"
     assert log.read_text() == ("earlier\n" if mode == "a" else "") + line + line
     assert list(tmp_path.iterdir()) == [log]
+
+
+FULL_STDOUT = f"contilearn: cannot write standard output: {os.strerror(errno.ENOSPC)}"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("out", [False, True], ids=["no-out", "out"])
+def test_a_full_standard_output_is_named_in_one_line(tmp_path, out):
+    # buffered, as when PYTHONUNBUFFERED is unset: the printed line fails at its flush, and
+    # must not fail again at the interpreter's flush at exit, which would make the exit 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    target = tmp_path / "algebra"
+    argv = ["algebra", "--reference", "quaternion", *(["--out", str(target)] if out else [])]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "contilearn", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+    assert (proc.returncode, proc.stderr.splitlines()) == (1, [FULL_STDOUT])
+    assert list(tmp_path.iterdir()) == []
+
+
+class _FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_standard_output_that_refuses_the_line_leaves_out_as_it_was(
+    tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "algebra"
+    out.write_text("earlier\n")
+    stdout = _FullStream()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["algebra", "--reference", "complex", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == FULL_STDOUT + "\n"
+    assert stdout.closed
+    assert out.read_text() == "earlier\n"
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_a_link_given_as_out_stays_a_link_to_the_replaced_file(tmp_path, trained, xor_csv):

@@ -253,7 +253,7 @@ def test_replicate_failed_at_the_largest_r_restarts_from_w_init(monkeypatch):
     counts = sample_plans(4, 8, 25)
     w_init = np.array([0.1, -0.2, 0.3])
 
-    def broken_hessian(w, y, F, r=None, counts=None):
+    def broken_hessian(w, y, F, r, counts=1.0):
         H = hessian(w, y, F, r, counts)
         if r == 10.0:
             H[(counts == doomed).all(axis=1)] *= -1.0
@@ -302,7 +302,7 @@ def test_a_prior_whose_replicates_all_fail_is_not_a_candidate(monkeypatch):
     w_init = np.array([0.1, -0.2, 0.3])
     broken = {10.0}  # priors at which every replicate's Hessian is indefinite
 
-    def broken_hessian(w, y, F, r=None, counts=None):
+    def broken_hessian(w, y, F, r, counts=1.0):
         H = hessian(w, y, F, r, counts)
         return -H if r in broken else H
 

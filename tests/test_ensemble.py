@@ -136,7 +136,7 @@ def test_failed_replicate_is_dropped_and_counted(monkeypatch):
     counts = sample_plans(4, 8, 25)
     doomed = counts[1]
 
-    def broken_hessian(w, y, F, r=None, counts=None):
+    def broken_hessian(w, y, F, r, counts=1.0):
         H = hessian(w, y, F, r, counts)
         H[(counts == doomed).all(axis=1)] *= -1.0
         return H

@@ -144,7 +144,7 @@ def oracle_instance():
 
 
 def assert_bitwise_the_former_expressions(w, dw, y, F, r, counts):
-    weights = np.ones(len(y)) if counts is None else counts
+    weights = np.ones(len(y)) if isinstance(counts, float) else counts
     assert same_bits(
         log_likelihood_change(w, dw, y, F, r, counts),
         former_log_likelihood_change(w, dw, y, F, r, weights),
@@ -160,13 +160,13 @@ def assert_bitwise_the_former_expressions(w, dw, y, F, r, counts):
 @pytest.mark.parametrize("r", [0.1, 7.0])
 def test_objective_change_and_gradient_are_bitwise_the_former_expressions(r):
     y, F, W, dW, counts = oracle_instance()
-    for w, dw, c in [(W, dW, counts), (W[0], dW[0], counts[0]), (W[1], dW[2], None)]:
+    for w, dw, c in [(W, dW, counts), (W[0], dW[0], counts[0]), (W[1], dW[2], 1.0)]:
         assert_bitwise_the_former_expressions(w, dw, y, F, r, c)
     # one row at a time, so each entry's term is compared on its own
     for t in range(len(y)):
         for label in (0.0, 1.0):
             assert_bitwise_the_former_expressions(
-                W[0], dW[0], np.array([label]), F[t : t + 1], r, None
+                W[0], dW[0], np.array([label]), F[t : t + 1], r, 1.0
             )
 
 
@@ -174,10 +174,11 @@ def test_objective_change_and_gradient_are_bitwise_the_former_expressions(r):
 def test_hessian_is_bitwise_the_former_expression_and_exactly_symmetric(r):
     # the product is symmetrized and the prior subtracted in place, in one array
     y, F, W, _, counts = oracle_instance()
-    for w, c in [(W, counts), (W[0], counts[0]), (W[1], None)]:
+    for w, c in [(W, counts), (W[0], counts[0]), (W[1], 1.0)]:
         H = hessian(w, y, F, r, c)
         assert H.shape == w.shape + w.shape[-1:]
-        assert same_bits(H, former_hessian(w, y, F, r, np.ones(len(y)) if c is None else c))
+        weights = np.ones(len(y)) if isinstance(c, float) else c
+        assert same_bits(H, former_hessian(w, y, F, r, weights))
         assert same_bits(H, np.swapaxes(H, -1, -2))
 
 

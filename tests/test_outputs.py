@@ -48,10 +48,16 @@ def test_a_declared_file_that_differs_passes(outputs, trees):
 
 def test_an_undeclared_file_that_differs_fails_and_is_named(outputs, trees, capsys):
     dirs = trees(SAME, {**SAME, "a.probs": b"0.25\n"})
-    problem = "a.probs: bytes differ, and byte_changes.txt does not declare it"
+    problem = "a.probs: bytes differ from line 1, and byte_changes.txt does not declare it"
     assert outputs.compare(*dirs) == [problem]
     assert outputs.main(["compare", *map(str, dirs)]) == 1
     assert capsys.readouterr().out == problem + "\n"
+
+
+def test_an_undeclared_change_names_its_first_differing_line(outputs, trees):
+    dirs = trees({"a.report": b"1\n2\n3\n"}, {"a.report": b"1\n2.0\n3\n"})
+    problem = "a.report: bytes differ from line 2, and byte_changes.txt does not declare it"
+    assert outputs.compare(*dirs) == [problem]
 
 
 def test_a_declared_file_with_equal_bytes_fails(outputs, trees):

@@ -152,6 +152,32 @@ def test_count_weighted_batch_matches_subsample_solves(seed):
         assert batch.converged[s] and batch.grad_norm[s] <= SolverConfig().grad_tol
 
 
+def same_fields(a, b):
+    """Every field of two solutions equal: the error texts, and the rest bit for bit."""
+    for name in a.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        if name == "error":
+            same = x == y
+        else:
+            x, y = np.asarray(x), np.asarray(y)
+            same = (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        if not same:
+            return False
+    return True
+
+
+def test_the_defaults_are_the_default_config_and_a_zero_start():
+    rng = np.random.default_rng(420)
+    y, F = random_instance(rng, t_max=30, m=5)
+    counts = sample_plans(6, 420, 30)
+    batch = maximize_batch(y, F, counts, 0.5)
+    assert batch.iterations.min() > 0
+    assert same_fields(batch, maximize_batch(y, F, counts, 0.5, SolverConfig(), np.zeros((6, 5))))
+    sol = maximize(y, F, 0.5)
+    assert sol.iterations > 0
+    assert same_fields(sol, maximize(y, F, 0.5, SolverConfig(), np.zeros(5)))
+
+
 def test_convergence_below_one_ulp_of_the_objective():
     # a large objective whose last Newton steps change it by less than one ulp:
     # comparing objective values would exhaust the line search here
@@ -176,7 +202,7 @@ def _four_replicates(seed):
 def _replace_hessian(monkeypatch, doomed_counts, replace):
     """Patch ``solver.hessian`` so the problem with counts ``doomed_counts`` gets ``replace(H)``."""
 
-    def patched(w, y, F, r=None, counts=None):
+    def patched(w, y, F, r, counts=1.0):
         H = hessian(w, y, F, r, counts)
         for i in np.flatnonzero((counts == doomed_counts).all(axis=1)):
             H[i] = replace(H[i])
@@ -227,7 +253,7 @@ def test_an_indefinite_system_whose_direction_ascends_is_accepted(monkeypatch):
     intact = maximize(y, F, prior, w_init=w0)
     calls = []
 
-    def first_indefinite(w, y, F, r=None, counts=None):
+    def first_indefinite(w, y, F, r, counts=1.0):
         calls.append(len(w))
         if len(calls) > 1:
             return hessian(w, y, F, r, counts)
