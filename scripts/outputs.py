@@ -4,8 +4,11 @@
     python scripts/outputs.py write --src SRC DIR
     python scripts/outputs.py compare PARENT CHANGE
 
-``write`` runs ``python -m contilearn`` on the package under ``SRC/src``, with
-one OpenBLAS thread, and writes into DIR:
+``write`` runs ``python -m contilearn`` on the package under ``SRC/src`` in
+this process's environment, as a user's runs are made: the package root pins
+one BLAS thread before numpy loads, and every script under ``scripts/`` that
+imports contilearn does so before numpy (a tier-1 test keeps it so). It
+writes into DIR:
 
 - xor and circle, from SRC's ``fixtures/`` and ``configs/``: the model, its
   report, the predictions and the algebra report on the training rows;
@@ -45,8 +48,8 @@ REFERENCES = ("complex", "quaternion")
 
 def _runner(src: Path):
     """A function that runs ``python [args]`` on SRC's package and returns its stdout."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src / "src"), env.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(src / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
 
     def run(*args) -> str:
         proc = subprocess.run(

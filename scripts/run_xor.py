@@ -10,12 +10,12 @@ second model's probabilities on the four clean cells.
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from contilearn.data import load_csv
 from contilearn.engine import run
 from contilearn.model import predict_prob
 from contilearn.modelio import format_report_line, load_run_config
+
+import numpy as np  # after contilearn, whose root pins one BLAS thread before numpy loads
 
 REPO = Path(__file__).resolve().parent.parent
 

@@ -285,6 +285,39 @@ def test_no_parameter_defaults_to_none_only_to_be_replaced():
     assert _none_defaults_replaced_by_a_value() == []
 
 
+def _imported_packages(node) -> list[str]:
+    """The top-level package of each absolute import in one AST node."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.split(".")[0]]
+    return []
+
+
+def _scripts_importing_numpy_before_contilearn() -> list[str]:
+    """Each ``scripts/*.py`` whose first numpy import comes before its first contilearn import."""
+
+    def first_line(tree, package):
+        return min(
+            (node.lineno for node in ast.walk(tree) if package in _imported_packages(node)),
+            default=None,
+        )
+
+    found = []
+    for path in sorted((REPO / "scripts").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        contilearn, numpy = first_line(tree, "contilearn"), first_line(tree, "numpy")
+        if contilearn is not None and numpy is not None and numpy < contilearn:
+            found.append(f"scripts/{path.name}")
+    return found
+
+
+def test_scripts_import_contilearn_before_numpy():
+    # the package root pins one BLAS thread only if it runs before numpy loads, so a script
+    # that imports numpy first trains at the host's thread count, with other bytes
+    assert _scripts_importing_numpy_before_contilearn() == []
+
+
 def test_config_range_is_checked_when_built(tmp_path, xor_csv, xor_config, capsys):
     with pytest.raises(ConfigError, match="n_replicates"):
         EngineConfig(n_replicates=1)
